@@ -9,6 +9,7 @@ gate. Candidates wrap a circuit with declared input/output lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,15 @@ class OneWayCandidate:
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return eval_circuit(self.circuit, s)
+
+    @cached_property
+    def seed_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, f(S)) over all 2^input_len seeds as read-only arrays, built on first use."""
+        S = all_inputs(self.input_len)
+        F = self(S)
+        S.flags.writeable = False
+        F.flags.writeable = False
+        return S, F
 
 
 def sign_identity(d: int) -> OneWayCandidate:

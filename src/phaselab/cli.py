@@ -25,8 +25,7 @@ from . import __version__
 from . import rng as prng
 from .circuits import OneWayCandidate, candidate_from_text, sign_identity
 from .instance import InstanceParams, measurement_matrix, sample_unconditional
-from .providers import provider_by_name
-from .scores import ScoreProvider
+from .scores import ScoreProvider, provider_by_name
 
 FMT = "%.17g"
 
@@ -80,6 +79,13 @@ def resolve(schema: dict, cfg: dict[str, str], overrides: list[str]) -> dict:
         else:
             out[key] = default
     return out
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
 
 
 def config_hash(cfg: dict) -> str:
@@ -137,9 +143,12 @@ def instance_schema() -> dict:
 
 
 def build_instance(cfg: dict) -> tuple[InstanceParams, OneWayCandidate]:
-    params = InstanceParams(
-        cfg["d"], cfg["d_prime"], cfg["R"], cfg["eps"], cfg["beta"], cfg["beta_max"]
-    )
+    try:
+        params = InstanceParams(
+            cfg["d"], cfg["d_prime"], cfg["R"], cfg["eps"], cfg["beta"], cfg["beta_max"]
+        )
+    except ValueError as e:
+        raise SystemExit(f"config error: {e}") from None
     spec = cfg["circuit"]
     if spec == "identity":
         if params.d_prime == 0:
@@ -180,16 +189,16 @@ def sample_columns(dim: int) -> list[str]:
 
 def cmd_sample(args) -> int:
     schema = instance_schema() | {
-        "count": (int, 1000),
+        "count": (positive_int, 1000),
         "method": (str, "direct"),
         "provider": (str, "exact"),
         "steps": (int, 2000),
         "t_min": (float, 1e-4),
     }
     cfg = resolve(schema, load_config(args.config), args.overrides)
+    params, f = build_instance(cfg)
     out = Path(args.out)
     h = write_manifest(out, "sample", cfg, args.seed)
-    params, f = build_instance(cfg)
     rng = prng.stream(args.seed, 0)
     if cfg["method"] == "direct":
         _, x = sample_unconditional(params, f, rng, size=cfg["count"])
@@ -209,7 +218,7 @@ def cmd_sample(args) -> int:
 def cmd_posterior(args) -> int:
     schema = instance_schema() | {
         "sampler": (str, "rejection"),
-        "count": (int, 1000),
+        "count": (positive_int, 1000),
         "max_rounds": (int, 10**6),
         "provider": (str, "exact"),
         "steps": (int, 2000),
@@ -217,9 +226,9 @@ def cmd_posterior(args) -> int:
         "y": (str, "fresh"),
     }
     cfg = resolve(schema, load_config(args.config), args.overrides)
+    params, f = build_instance(cfg)
     out = Path(args.out)
     h = write_manifest(out, "posterior", cfg, args.seed)
-    params, f = build_instance(cfg)
     rng = prng.stream(args.seed, 0)
     if cfg["y"] == "fresh":
         from .reduction import sample_measurement_for_target
@@ -233,13 +242,19 @@ def cmd_posterior(args) -> int:
     A = measurement_matrix(params)
     info: dict = {"y": [float(v) for v in y], "sampler": cfg["sampler"]}
     if cfg["sampler"] == "rejection":
-        from .posterior import PosteriorConfig, rejection_sample_many
+        from .posterior import PosteriorConfig, rejection_sample
 
         pcfg = PosteriorConfig(cfg["max_rounds"], params.beta)
         proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
-        x, total = rejection_sample_many(proposal, A, y, pcfg, rng, count=cfg["count"])
-        info["proposals"] = total
-        info["rounds_per_accept"] = total / cfg["count"]
+        x, stats = rejection_sample(proposal, A, y, pcfg, rng, size=cfg["count"])
+        info["proposals"] = stats.rounds
+        info["accepted"] = len(x)
+        info["rounds_per_accept"] = stats.rounds / len(x) if len(x) else None
+        if not stats.accepted:
+            print(
+                f"rejection budget exhausted after {stats.rounds} proposals: "
+                f"accepted {len(x)} of {cfg['count']} requested samples"
+            )
     elif cfg["sampler"] == "brute-force":
         from .posterior import brute_force_posterior
 
@@ -256,20 +271,20 @@ def cmd_posterior(args) -> int:
         raise SystemExit("config error: field 'sampler' must be rejection, brute-force, or heuristic")
     write_csv(out / "posterior.csv", sample_columns(params.dim), x, h)
     write_json(out / "posterior_stats.json", info, h)
-    print(f"wrote {cfg['count']} posterior samples to {out / 'posterior.csv'}")
+    print(f"wrote {len(x)} posterior samples to {out / 'posterior.csv'}")
     return 0
 
 
 def cmd_invert(args) -> int:
     schema = instance_schema() | {
         "sampler": (str, "brute-force"),
-        "trials": (int, 200),
+        "trials": (positive_int, 200),
         "max_rounds": (int, 10**6),
     }
     cfg = resolve(schema, load_config(args.config), args.overrides)
+    params, f = build_instance(cfg)
     out = Path(args.out)
     h = write_manifest(out, "invert", cfg, args.seed)
-    params, f = build_instance(cfg)
     from .reduction import (
         inversion_experiment,
         make_brute_force_sampler,
@@ -442,7 +457,7 @@ def demo_score_provider() -> ScoreProvider:
 
 def cmd_demo2d(args) -> int:
     from .diffusion import DiffusionConfig
-    from .posterior import PosteriorConfig, heuristic_posterior_sample, rejection_sample_many
+    from .posterior import PosteriorConfig, heuristic_posterior_sample, rejection_sample
 
     schema = {
         "count": (int, 2000),
@@ -463,8 +478,8 @@ def cmd_demo2d(args) -> int:
     write_csv(out / "prior.csv", cols, prior, h)
 
     pcfg = PosteriorConfig(cfg["max_rounds"], DEMO_BETA)
-    rej, _ = rejection_sample_many(
-        lambda k, r: demo_prior_sample(r, k), A, y, pcfg, prng.stream(args.seed, 1), count=n
+    rej, _ = rejection_sample(
+        lambda k, r: demo_prior_sample(r, k), A, y, pcfg, prng.stream(args.seed, 1), size=n
     )
     write_csv(out / "posterior_rejection.csv", cols, rej, h)
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import OneWayCandidate
 from .instance import InstanceParams, lattice_atoms, phase_of_bit
 from .scores import ScoreProvider
 
@@ -91,14 +90,3 @@ def reverse_run(
         x = x + h * drift + np.sqrt(h) * rng.standard_normal(x.shape)
     return x[0] if size is None else x
 
-
-def unconditional_sample(
-    params: InstanceParams,
-    f: OneWayCandidate,
-    provider: ScoreProvider,
-    cfg: DiffusionConfig,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    """Approximate unscaled family samples via the reverse SDE from N(0, T I)."""
-    return reverse_run(provider, cfg, rng, dim=params.dim, size=size)

@@ -29,6 +29,9 @@ class InstanceParams:
     beta_max: float
 
     def __post_init__(self):
+        for name in ("R", "eps", "beta", "beta_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"field {name!r} must be finite")
         if self.d < 1 or self.d_prime < 0:
             raise ValueError("require d >= 1 and d_prime >= 0")
         if self.eps <= 0 or self.R <= 0 or self.beta_max <= 0 or self.beta < 0:
@@ -37,13 +40,6 @@ class InstanceParams:
     @property
     def dim(self) -> int:
         return self.d + self.d_prime
-
-    def reduction_ready(self, delta: float = 1e-3) -> bool:
-        """Preconditions for exact bit decoding through the noisy channel."""
-        return (
-            self.beta_max <= self.eps / 4
-            and self.R >= np.sqrt(32.0 * np.log(self.d * self.d_prime / delta))
-        )
 
     def to_text(self) -> str:
         return (
@@ -156,32 +152,19 @@ def measure(x: np.ndarray, params: InstanceParams, rng: np.random.Generator) -> 
     return tail + params.beta * rng.standard_normal(tail.shape)
 
 
-def operator_norm_power_iteration(A: np.ndarray, iters: int = 200, tol: float = 1e-9) -> float:
-    """Largest singular value of A by power iteration on A^T A."""
+def check_operator_norm(A: np.ndarray) -> np.ndarray:
+    """A as a float array; raises ValueError unless its operator norm is at most 1 (tol 1e-9)."""
     A = np.asarray(A, dtype=float)
-    v = np.full(A.shape[1], 1.0 / np.sqrt(A.shape[1]))
-    prev = 0.0
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        est = np.sqrt(v @ (A.T @ (A @ v)))
-        if abs(est - prev) < tol:
-            return est
-        prev = est
-    return prev
+    if np.linalg.norm(A, 2) > 1.0 + 1e-9:
+        raise ValueError("measurement matrix must have operator norm <= 1")
+    return A
 
 
 def measure_general(
     A: np.ndarray, x: np.ndarray, beta: float, rng: np.random.Generator
 ) -> np.ndarray:
     """y = A x + beta*N(0, I); requires operator norm of A at most 1 (tol 1e-9)."""
-    A = np.asarray(A, dtype=float)
-    if operator_norm_power_iteration(A) > 1.0 + 1e-9:
-        raise ValueError("measurement matrix must have operator norm <= 1")
-    y = np.asarray(x) @ A.T
+    y = np.asarray(x) @ check_operator_norm(A).T
     return y + beta * rng.standard_normal(y.shape)
 
 

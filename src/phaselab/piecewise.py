@@ -211,27 +211,29 @@ def build_good_interval(
     return out
 
 
-def clamp_tails(l: PiecewiseLinear, mu: float, m2: float, delta: float) -> PiecewiseLinear:
-    """Hold l constant outside |x - mu| <= m2/sqrt(delta); adds at most 2 pieces."""
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    r = m2 / np.sqrt(delta)
-    a, b = mu - r, mu + r
+def clamp_tails(l: PiecewiseLinear, mu: float, radius: float) -> PiecewiseLinear:
+    """Hold l constant outside |x - mu| <= radius; adds at most 2 pieces."""
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    a, b = mu - radius, mu + radius
     inside = (l.breakpoints > a) & (l.breakpoints < b)
     bp = np.concatenate(([a], l.breakpoints[inside], [b]))
     vals = np.concatenate(([l(a)], l.values[inside], [l(b)]))
     return PiecewiseLinear(bp, vals, 0.0, 0.0)
 
 
-def build_score_approx(score, ap: ApproxParams) -> PiecewiseLinear:
-    """Full three-stage approximation; asserts the structural bounds."""
+def build_score_approx(score, ap: ApproxParams, max_radius: float = np.inf) -> PiecewiseLinear:
+    """Full three-stage approximation; asserts the structural bounds.
+
+    The tails are clamped at |x - mu| = min(m2/sqrt(delta), max_radius).
+    """
     gamma, delta = ap.gamma, ap.delta
     threshold = np.log(1.0 / delta) / ap.sigma
-    radius = ap.m2 / np.sqrt(delta)
+    radius = min(ap.m2 / np.sqrt(delta), max_radius)
     l2 = build_good_interval(
         score, gamma, threshold, ap.mu - radius - 2 * gamma, ap.mu + radius + 2 * gamma
     )
-    l3 = clamp_tails(l2, ap.mu, ap.m2, delta)
+    l3 = clamp_tails(l2, ap.mu, radius)
 
     assert l3.piece_count <= C1_PIECES * ap.m2 / (ap.sigma * ap.kappa**1.5) + 8
     assert np.all(np.abs(l3.slopes()) <= C2_SLOPE * np.log(1 / ap.kappa) / (ap.sigma**2 * np.sqrt(ap.kappa)) + 1e-9)

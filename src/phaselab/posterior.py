@@ -8,20 +8,15 @@ heuristic baseline with no correctness contract.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .circuits import OneWayCandidate, all_inputs
+from .circuits import OneWayCandidate
+from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .diffusion import DiffusionConfig, reverse_run
-from .instance import (
-    InstanceParams,
-    lattice_atoms,
-    operator_norm_power_iteration,
-    phase_of_bit,
-)
+from .instance import InstanceParams, check_operator_norm, lattice_atoms, phase_of_bit
 from .scores import ScoreProvider
 
 
@@ -39,17 +34,12 @@ class PosteriorConfig:
 
 @dataclass(frozen=True)
 class SamplerStats:
+    """rounds: proposals drawn up to and including the last acceptance used
+    (the whole budget when too few were accepted); accepted: every requested
+    draw was accepted."""
+
     rounds: int
     accepted: bool
-    acceptance_rate_estimate: float
-    wall_nanos: int
-
-
-def _check_A(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if operator_norm_power_iteration(A) > 1.0 + 1e-9:
-        raise ValueError("measurement matrix must have operator norm <= 1")
-    return A
 
 
 def rejection_sample(
@@ -58,68 +48,39 @@ def rejection_sample(
     y: np.ndarray,
     cfg: PosteriorConfig,
     rng: np.random.Generator,
-    chunk: int = 1024,
+    size: int | None = None,
+    chunk: int | None = None,
 ):
     """Accept a proposal draw x with probability exp(-||Ax-y||^2/(2 beta^2)).
 
-    proposal(n, rng) must return (n, dim) unconditional draws. Returns
-    (x or None, SamplerStats); exhausting the round budget is a reported
-    outcome, not an error.
+    proposal(n, rng) must return (n, dim) unconditional draws, requested in
+    chunks of `chunk` rows (default min(65536, 1024 * size)). With size=None
+    returns (x or None, SamplerStats); with size=k returns (up to k accepted
+    rows as a (rows, dim) array, SamplerStats). The budget is
+    size * cfg.max_rounds proposals; exhausting it is a reported outcome
+    (stats.accepted is False), not an error.
     """
-    A = _check_A(A)
+    A = check_operator_norm(A)
     y = np.asarray(y, dtype=float)
-    t0 = time.perf_counter_ns()
-    done = 0
-    while done < cfg.max_rounds:
-        n = min(chunk, cfg.max_rounds - done)
+    k = 1 if size is None else size
+    budget = k * cfg.max_rounds
+    if chunk is None:
+        chunk = min(65536, 1024 * k)
+    out, got, done = [], 0, 0
+    while got < k and done < budget:
+        n = min(chunk, budget - done)
         x = np.asarray(proposal(n, rng), dtype=float)
         resid = x @ A.T - y
         logq = -np.sum(resid**2, axis=1) / (2.0 * cfg.beta**2)
-        acc = np.log(rng.random(n)) < logq
-        hit = int(np.argmax(acc)) if acc.any() else -1
-        if hit >= 0:
-            rounds = done + hit + 1
-            stats = SamplerStats(rounds, True, 1.0 / rounds, time.perf_counter_ns() - t0)
-            return x[hit], stats
-        done += n
-    stats = SamplerStats(cfg.max_rounds, False, 0.0, time.perf_counter_ns() - t0)
-    return None, stats
-
-
-def rejection_sample_many(
-    proposal,
-    A: np.ndarray,
-    y: np.ndarray,
-    cfg: PosteriorConfig,
-    rng: np.random.Generator,
-    count: int,
-    chunk: int = 65536,
-):
-    """Collect `count` accepted draws; returns (samples, total_proposals).
-
-    The per-sample budget applies to the whole batch: raises RuntimeError if
-    count*max_rounds proposals are exhausted first.
-    """
-    A = _check_A(A)
-    y = np.asarray(y, dtype=float)
-    out = []
-    got = 0
-    total = 0
-    budget = count * cfg.max_rounds
-    while got < count:
-        if total >= budget:
-            raise RuntimeError("rejection budget exhausted")
-        n = min(chunk, budget - total)
-        x = np.asarray(proposal(n, rng), dtype=float)
-        resid = x @ A.T - y
-        logq = -np.sum(resid**2, axis=1) / (2.0 * cfg.beta**2)
-        acc = np.log(rng.random(n)) < logq
-        total += n
-        if acc.any():
-            out.append(x[acc])
-            got += int(acc.sum())
-    samples = np.concatenate(out, axis=0)[:count]
-    return samples, total
+        hits = np.flatnonzero(np.log(rng.random(n)) < logq)[: k - got]
+        out.append(x[hits])
+        got += hits.size
+        done += int(hits[-1]) + 1 if got == k else n
+    rows = np.concatenate(out) if out else np.empty((0, A.shape[1]))
+    stats = SamplerStats(done, got == k)
+    if size is None:
+        return (rows[0] if got else None), stats
+    return rows, stats
 
 
 def seed_posterior_log_weights(
@@ -128,6 +89,8 @@ def seed_posterior_log_weights(
     """log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j)."""
     if params.d > 12:
         raise ValueError("brute force limited to d <= 12")
+    if f.input_len != params.d:
+        raise ValueError("input length mismatch")
     y = np.asarray(y, dtype=float)
     from .scores import DiscreteGaussianSpec, dg_smoothed_log_density
 
@@ -135,7 +98,7 @@ def seed_posterior_log_weights(
     for row, b in enumerate((1, -1)):
         spec = DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), params.beta)
         ld[row] = dg_smoothed_log_density(spec, y)
-    F = f(all_inputs(params.d))
+    F = f.seed_table[1]
     idx = ((1 - F) // 2).astype(np.intp)  # (2^d, d_prime)
     logw = ld[idx, np.arange(params.d_prime)].sum(axis=1)
     return logw - logsumexp(logw)
@@ -173,12 +136,11 @@ def brute_force_posterior(
         raise ValueError("posterior requires beta > 0")
     n = 1 if size is None else size
     logw = seed_posterior_log_weights(params, f, y)
-    seeds = all_inputs(params.d)
-    pick = rng.choice(seeds.shape[0], size=n, p=np.exp(logw))
-    s = seeds[pick]
+    S, F = f.seed_table
+    pick = rng.choice(S.shape[0], size=n, p=np.exp(logw))
     x = np.empty((n, params.dim))
-    x[:, : params.d] = params.R * s + rng.standard_normal((n, params.d))
-    bits = f(s)
+    x[:, : params.d] = params.R * S[pick] + rng.standard_normal((n, params.d))
+    bits = F[pick]
     y = np.asarray(y, dtype=float)
     for j in range(params.d_prime):
         for b in (1, -1):
@@ -202,7 +164,7 @@ def heuristic_posterior_sample(
 ) -> np.ndarray:
     """Guided reverse diffusion: adds the Gaussian-likelihood gradient
     -A^T(Ax - y)/(beta^2 + t) to the score at each step. Baseline only."""
-    A = _check_A(A)
+    A = check_operator_norm(A)
     y = np.asarray(y, dtype=float)
 
     def guidance(t, x):

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .circuits import BooleanCircuit, OneWayCandidate
 from .instance import InstanceParams, phase_of_bit
-from .piecewise import PiecewiseLinear, build_good_interval, clamp_tails
+from .piecewise import ApproxParams, PiecewiseLinear, build_score_approx
 from .scores import DiscreteGaussianSpec, dg_smoothed_score, two_point_score
 
 
@@ -294,17 +294,6 @@ def circuit_to_relu(c: BooleanCircuit | OneWayCandidate) -> ReluNetwork:
 _CLAMP_CAP_SDS = 12.0
 
 
-def _build_clamped_score(score, kappa: float, sigma: float, m2: float, mu: float = 0.0) -> PiecewiseLinear:
-    """Three-stage piecewise approximation with the capped clamp radius."""
-    gamma = sigma * np.sqrt(kappa)
-    delta = kappa**2
-    threshold = np.log(1.0 / delta) / sigma
-    radius = min(m2 / np.sqrt(delta), _CLAMP_CAP_SDS * m2)
-    l2 = build_good_interval(score, gamma, threshold, mu - radius - 2 * gamma, mu + radius + 2 * gamma)
-    delta_eff = (m2 / radius) ** 2
-    return clamp_tails(l2, mu, m2, max(delta, delta_eff))
-
-
 def _linear_pl(slope: float, radius: float) -> PiecewiseLinear:
     """A globally linear function through the origin as a 2-piece object."""
     bp = np.array([-radius, radius])
@@ -321,20 +310,17 @@ def assemble_score_net_small_sigma(
     """Orthant-surrogate network: vertex identification, circuit evaluation of
     the phase bits, re-centered Gaussian scores on the first block, and
     switch-combined phase scores on the tail block."""
-    if not (0 < kappa <= 0.25):
-        raise ValueError("kappa must lie in (0, 1/4]")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     d, dp, D = params.d, params.d_prime, params.dim
     v = 1.0 + sigma**2
+    ap = ApproxParams(kappa, sigma, np.sqrt(v))  # validates kappa and sigma
 
     # per-coordinate pieces
     phase_nets = {}
     phase_pls = {}
     for b in (1, -1):
         spec = DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), sigma)
-        pl = _build_clamped_score(
-            lambda t, spec=spec: dg_smoothed_score(spec, t), kappa, sigma, np.sqrt(v)
+        pl = build_score_approx(
+            lambda t, spec=spec: dg_smoothed_score(spec, t), ap, max_radius=_CLAMP_CAP_SDS * ap.m2
         )
         phase_pls[b] = pl
         phase_nets[b] = compile_piecewise(pl)
@@ -421,14 +407,10 @@ def assemble_score_net_large_sigma(
 ) -> ReluNetwork:
     """Product network: compiled two-point-mixture score per head coordinate,
     exact linear score -x/(1+sigma^2) per tail coordinate."""
-    if not (0 < kappa <= 0.25):
-        raise ValueError("kappa must lie in (0, 1/4]")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     v = 1.0 + sigma**2
-    m2_head = np.sqrt(params.R**2 + v)
-    head_pl = _build_clamped_score(
-        lambda t: two_point_score(params.R, sigma, t), kappa, sigma, m2_head
+    ap = ApproxParams(kappa, sigma, np.sqrt(params.R**2 + v))  # validates kappa and sigma
+    head_pl = build_score_approx(
+        lambda t: two_point_score(params.R, sigma, t), ap, max_radius=_CLAMP_CAP_SDS * ap.m2
     )
     head_net = compile_piecewise(head_pl)
     tail_net = compile_piecewise(_linear_pl(-1.0 / v, _CLAMP_CAP_SDS * np.sqrt(v)))

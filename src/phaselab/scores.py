@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .circuits import OneWayCandidate, all_inputs
+from .circuits import OneWayCandidate
+from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .instance import InstanceParams, LATTICE_EXTENT, lattice_atoms, phase_of_bit
 
 _LOG_CUTOFF = -700.0  # densities below e^-700 are reported as -inf log-density
@@ -169,26 +170,6 @@ def _tail_phase_parts(params: InstanceParams, sigma: float, x_tail: np.ndarray):
     return out_ld, out_sc
 
 
-def component_score(
-    s: np.ndarray, params: InstanceParams, f: OneWayCandidate, sigma: float, x
-) -> np.ndarray:
-    """Score of the seed-s product component smoothed by N(0, sigma^2 I)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != params.dim:
-        raise ValueError("dimension mismatch")
-    s = np.asarray(s)
-    out = np.empty_like(x)
-    v = 1.0 + sigma**2
-    out[..., : params.d] = -(x[..., : params.d] - params.R * s) / v
-    bits = f(s)
-    for j in range(params.d_prime):
-        spec = DiscreteGaussianSpec(params.eps, phase_of_bit(int(bits[j]), params.eps), sigma)
-        out[..., params.d + j] = dg_smoothed_score(spec, x[..., params.d + j])
-    return out
-
-
 def mixture_score_exact(
     params: InstanceParams,
     f: OneWayCandidate,
@@ -199,6 +180,8 @@ def mixture_score_exact(
     """Exact score of the smoothed uniform seed mixture (cost 2^d; d <= 12)."""
     if params.d > 12:
         raise ValueError("exact mixture score limited to d <= 12")
+    if f.input_len != params.d:
+        raise ValueError("input length mismatch")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = np.asarray(x, dtype=float)
@@ -207,8 +190,8 @@ def mixture_score_exact(
     if X.shape[-1] != params.dim:
         raise ValueError("dimension mismatch")
 
-    S = all_inputs(params.d).astype(float)  # (2^d, d)
-    F = f(all_inputs(params.d))  # (2^d, d_prime)
+    S, F = f.seed_table  # (2^d, d), (2^d, d_prime)
+    S = S.astype(float)
     F_idx = ((1 - F) // 2).astype(np.intp)  # 0 for +1, 1 for -1
     v = 1.0 + sigma**2
     n = X.shape[0]
@@ -307,9 +290,37 @@ def exact_provider(params: InstanceParams, f: OneWayCandidate) -> ScoreProvider:
     return ScoreProvider("exact", lambda s, x: mixture_score_exact(params, f, s, x), params.dim)
 
 
-def orthant_provider(params: InstanceParams, f: OneWayCandidate) -> ScoreProvider:
-    return ScoreProvider("orthant", lambda s, x: orthant_score(params, f, s, x), params.dim)
+# Names accepted by provider_by_name. The file-backed providers are frozen: a
+# network or piecewise function built at one smoothing level evaluates the same
+# way at every requested sigma, so use them only at the sigma they were built for.
+PROVIDER_NAMES = ("exact", "orthant", "large-sigma", "relu:<file>", "piecewise:<file>")
 
 
-def large_sigma_provider(params: InstanceParams) -> ScoreProvider:
-    return ScoreProvider("large-sigma", lambda s, x: large_sigma_score(params, s, x), params.dim)
+def provider_by_name(
+    name: str, params: InstanceParams | None = None, f: OneWayCandidate | None = None
+) -> ScoreProvider:
+    """The score provider called `name`; see PROVIDER_NAMES."""
+    if name in ("exact", "orthant"):
+        if params is None or f is None:
+            raise ValueError(f"provider {name!r} needs instance parameters and a candidate")
+        if name == "exact":
+            return exact_provider(params, f)
+        return ScoreProvider("orthant", lambda s, x: orthant_score(params, f, s, x), params.dim)
+    if name == "large-sigma":
+        if params is None:
+            raise ValueError("provider 'large-sigma' needs instance parameters")
+        return ScoreProvider("large-sigma", lambda s, x: large_sigma_score(params, s, x), params.dim)
+    if name.startswith("relu:"):
+        from .relu import eval_net, network_from_text
+
+        with open(name[5:]) as fh:
+            net = network_from_text(fh.read())
+        return ScoreProvider(name, lambda sigma, x: eval_net(net, x), net.input_dim)
+    if name.startswith("piecewise:"):
+        from .piecewise import PiecewiseLinear
+
+        with open(name[10:]) as fh:
+            pl = PiecewiseLinear.from_csv(fh.read())
+        # applied coordinatewise, so the provider has no fixed dimension
+        return ScoreProvider(name, lambda sigma, x: pl(x), None)
+    raise ValueError(f"unknown provider {name!r}; known: {', '.join(PROVIDER_NAMES)}")

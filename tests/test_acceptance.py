@@ -36,7 +36,7 @@ from phaselab.posterior import (
     PosteriorConfig,
     acceptance_curve,
     brute_force_posterior,
-    rejection_sample_many,
+    rejection_sample,
 )
 from phaselab.reduction import (
     inversion_experiment,
@@ -70,11 +70,12 @@ def test_criterion_01_rejection_sampler_correctness():
     A = measurement_matrix(params)
     cfg = PosteriorConfig(10**6, params.beta)
     proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
-    got, proposals = rejection_sample_many(proposal, A, y, cfg, rng, count=100_000)
+    got, stats = rejection_sample(proposal, A, y, cfg, rng, size=100_000)
+    proposals = stats.rounds
     tv = tv_binned(oracle, got, rng=np.random.default_rng(0)).value
     dt = time.monotonic() - t0
     report(
-        1, "rejection sampler TV", tv <= 0.03 and dt <= 300,
+        1, "rejection sampler TV", stats.accepted and tv <= 0.03 and dt <= 300,
         f"binned TV {tv:.4f} <= 0.03 over 1e5 accepted ({proposals} proposals), {dt:.0f}s <= 300s",
     )
 

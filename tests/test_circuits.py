@@ -121,6 +121,19 @@ def test_eval_circuit_matches_scalar_interpreter(c):
         assert np.array_equal(row, _eval_reference(c, x))
 
 
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 12), st.integers(0, 2**31))
+@settings(max_examples=30, deadline=None)
+def test_seed_table_is_cached_read_only_enumeration(n, m, extra, seed):
+    from phaselab.reduction import random_circuit_owf
+
+    f = random_circuit_owf(n, m, m + extra, seed)
+    S, F = f.seed_table
+    assert np.array_equal(S, all_inputs(n))
+    assert np.array_equal(F, f(all_inputs(n)))
+    assert not S.flags.writeable and not F.flags.writeable
+    assert f.seed_table is f.seed_table
+
+
 @given(random_circuits())
 @settings(max_examples=30, deadline=None)
 def test_text_round_trip_random(c):

@@ -29,6 +29,23 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         run("sample", "--out", str(tmp_path), "count=notanumber")
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("sample", "count=-1"), "'count'"),
+        (("posterior", "count=0"), "'count'"),
+        (("invert", "trials=0"), "'trials'"),
+        (("posterior", "beta=nan"), "'beta'"),
+        (("sample", "R=inf"), "'R'"),
+    ],
+)
+def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"config error: field {field}"):
+        run(argv[0], "--out", str(out), *argv[1:])
+    assert not out.exists()
+
+
 def test_sample_writes_artifacts_with_hash(tmp_path):
     assert run("sample", "--out", str(tmp_path), "--seed", "5", "d=2", "d_prime=2", "count=50") == 0
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
@@ -73,6 +90,29 @@ def test_posterior_rejection_stats(tmp_path):
     assert len(stats["y"]) == 2
 
 
+def test_posterior_rejection_stats_count_proposals_used(tmp_path):
+    """proposals stops at the last accepted draw, not at the end of the proposal chunk."""
+    assert run(
+        "posterior", "--out", str(tmp_path), "--seed", "5",
+        "d=2", "d_prime=2", "circuit=identity", "beta=0.3", "count=500",
+    ) == 0
+    stats = json.loads((tmp_path / "posterior_stats.json").read_text())
+    assert stats["proposals"] == 11334 and stats["accepted"] == 500
+    assert stats["rounds_per_accept"] == 11334 / 500
+
+
+def test_posterior_rejection_budget_exhaustion_writes_accepted_rows(tmp_path, capsys):
+    assert run(
+        "posterior", "--out", str(tmp_path), "--seed", "5",
+        "d=2", "d_prime=2", "beta=0.3", "count=50", "max_rounds=10",
+    ) == 0
+    stats = json.loads((tmp_path / "posterior_stats.json").read_text())
+    assert stats["proposals"] == 500 and 0 < stats["accepted"] < 50
+    rows = (tmp_path / "posterior.csv").read_text().splitlines()[2:]
+    assert len(rows) == stats["accepted"]
+    assert f"accepted {stats['accepted']} of 50" in capsys.readouterr().out
+
+
 def test_compile_circuit_subcommand(tmp_path):
     cf = tmp_path / "f.circuit"
     cf.write_text(candidate_to_text(sign_identity(4)))
@@ -92,7 +132,7 @@ def test_approx_score_emits_loadable_artifacts(tmp_path):
     row = dict(zip(header, table[2].split(",")))
     assert float(row["l2_error"]) < 1e-5
     # artifacts round-trip through the file-backed providers
-    from phaselab.providers import provider_by_name
+    from phaselab.scores import provider_by_name
 
     body = (tmp_path / "score_approx.csv").read_text().split("\n", 1)[1]
     (tmp_path / "clean.csv").write_text(body)

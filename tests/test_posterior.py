@@ -15,7 +15,6 @@ from phaselab.posterior import (
     acceptance_curve,
     brute_force_posterior,
     rejection_sample,
-    rejection_sample_many,
     seed_posterior_log_weights,
 )
 from phaselab.reduction import sample_measurement_for_target
@@ -66,13 +65,41 @@ def test_budget_exhaustion_is_reported_not_raised():
     assert x is None and not stats.accepted and stats.rounds == 50
 
 
-def test_rejection_many_budget_raises():
-    cfg = PosteriorConfig(50, 0.01)
+def test_rejection_size_budget_exhaustion_is_reported():
+    """size=k shares a budget of k*max_rounds; running out returns the rows found."""
+    cfg = PosteriorConfig(50, 0.3)
     rng = np.random.default_rng(4)
-    with pytest.raises(RuntimeError):
-        rejection_sample_many(
-            lambda n, r: np.full((n, 1), 5.0), np.eye(1), np.zeros(1), cfg, rng, count=10
-        )
+    # x = 0 always accepts; x = 5 at beta = 0.3 never does in practice (log q = -139)
+    proposal = lambda n, r: np.where(np.arange(n)[:, None] % 100 == 0, 0.0, 5.0)
+    x, stats = rejection_sample(proposal, np.eye(1), np.zeros(1), cfg, rng, size=10)
+    assert np.array_equal(x, np.zeros((5, 1)))
+    assert not stats.accepted and stats.rounds == 500
+
+
+def test_rejection_size_none_matches_first_row_of_size_one():
+    params = canonical_params(2, 2, beta=0.3)
+    f = sign_identity(2)
+    A = measurement_matrix(params)
+    y = np.array([0.4, -1.2])
+    cfg = PosteriorConfig(10**5, params.beta)
+    proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
+    x1, s1 = rejection_sample(proposal, A, y, cfg, np.random.default_rng(11))
+    xk, sk = rejection_sample(proposal, A, y, cfg, np.random.default_rng(11), size=1)
+    assert xk.shape == (1, 4) and s1.accepted and sk.accepted
+    assert np.array_equal(x1, xk[0]) and s1.rounds == sk.rounds > 1
+
+
+def test_seed_enumeration_rejects_candidate_of_other_length():
+    from phaselab.scores import mixture_score_exact
+
+    params = canonical_params(3, 3)
+    f = sign_identity(2)
+    with pytest.raises(ValueError, match="input length"):
+        seed_posterior_log_weights(params, f, np.zeros(3))
+    with pytest.raises(ValueError, match="input length"):
+        brute_force_posterior(params, f, np.zeros(3), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="input length"):
+        mixture_score_exact(params, f, 1.0, np.zeros(6))
 
 
 def test_seed_posterior_weights_normalized_and_peaked():
@@ -117,7 +144,7 @@ def test_rejection_matches_brute_force_small_run():
     cfg = PosteriorConfig(10**6, params.beta)
     A = measurement_matrix(params)
     proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
-    got, _ = rejection_sample_many(proposal, A, y, cfg, rng, count=20_000)
+    got, _ = rejection_sample(proposal, A, y, cfg, rng, size=20_000)
     rep = tv_binned(oracle, got, rng=np.random.default_rng(0))
     assert rep.value <= 0.05
 

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from phaselab.circuits import sign_identity
 from phaselab.instance import canonical_params, phase_of_bit
-from phaselab.providers import provider_by_name
 from phaselab.scores import (
     DiscreteGaussianSpec,
     ScoreProvider,
@@ -16,6 +15,7 @@ from phaselab.scores import (
     large_sigma_score,
     mixture_score_exact,
     orthant_score,
+    provider_by_name,
     two_point_log_density,
     two_point_score,
 )
