@@ -93,7 +93,9 @@ class OneWayCandidate:
 
     @cached_property
     def seed_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, f(S)) over all 2^input_len seeds as read-only arrays, built on first use."""
+        """(S, f(S)) over all 2^input_len seeds (input_len <= 12), read-only, built on first use."""
+        if self.input_len > 12:
+            raise ValueError(f"seed enumeration is limited to d <= 12, got d = {self.input_len}")
         S = all_inputs(self.input_len)
         F = self(S)
         S.flags.writeable = False

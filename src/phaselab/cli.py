@@ -1,11 +1,12 @@
 """Batch experiment driver.
 
 Subcommands: sample, posterior, invert, approx-score, compile-circuit,
-bench-acceptance, demo2d, verify. Every run writes a run_manifest.json
-(config hash, seed, library versions) into the output directory, and every
-CSV artifact embeds the same config hash in its first line. Configs are flat
-key=value files (an INI [run] section) or JSON objects; unknown keys are
-rejected. Numeric CSV fields use 17 significant digits.
+bench-acceptance, demo2d, verify. Subcommands compute and `main` writes: only
+a finished run writes its run_manifest.json (config hash, seed, library
+versions) and artifacts, and every CSV artifact embeds the same config hash
+in its first line. Configs are flat key=value files (an INI [run] section) or
+JSON objects; a bad key or value is a `config error:` naming the field.
+Numeric CSV fields use 17 significant digits.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import scipy
 
 from . import __version__
 from . import rng as prng
-from .circuits import OneWayCandidate, candidate_from_text, sign_identity
+from .circuits import OneWayCandidate, candidate_from_text, no_output_candidate, sign_identity
 from .instance import InstanceParams, measurement_matrix, sample_unconditional
 from .scores import ScoreProvider, provider_by_name
 
@@ -41,12 +43,12 @@ def load_config(path: str | None) -> dict[str, str]:
     if text.lstrip().startswith("{"):
         raw = json.loads(text)
         if not isinstance(raw, dict):
-            raise SystemExit("config error: JSON config must be an object")
+            raise ValueError("JSON config must be an object")
         return {str(k): str(v) for k, v in raw.items()}
     cp = configparser.ConfigParser()
     cp.read_string(text)
     if "run" not in cp:
-        raise SystemExit("config error: INI config needs a [run] section")
+        raise ValueError("INI config needs a [run] section")
     return dict(cp["run"])
 
 
@@ -54,38 +56,57 @@ def resolve(schema: dict, cfg: dict[str, str], overrides: list[str]) -> dict:
     """Validate keys against the schema and coerce values.
 
     schema maps key -> (type, default); default None marks a required key.
+    Raises ValueError naming the key at fault.
     """
     merged = dict(cfg)
     for item in overrides:
         if "=" not in item:
-            raise SystemExit(f"config error: override {item!r} is not key=value")
+            raise ValueError(f"override {item!r} is not key=value")
         k, v = item.split("=", 1)
         merged[k.strip()] = v.strip()
     unknown = sorted(set(merged) - set(schema))
     if unknown:
-        raise SystemExit(
-            f"config error: unknown key(s) {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(schema))}"
+        raise ValueError(
+            f"unknown key(s) {', '.join(unknown)}; known: {', '.join(sorted(schema))}"
         )
     out = {}
     for key, (typ, default) in schema.items():
         if key in merged:
-            try:
-                out[key] = typ(merged[key])
-            except (TypeError, ValueError) as e:
-                raise SystemExit(f"config error: field {key!r}: {e}") from None
+            out[key] = _field(key, typ, merged[key])
         elif default is None:
-            raise SystemExit(f"config error: field {key!r} is required")
+            raise ValueError(f"field {key!r} is required")
         else:
             out[key] = default
     return out
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
+def _field(name: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError or OSError reported against config field `name`."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OSError) as e:
+        raise ValueError(f"field {name!r}: {e}") from None
+
+
+def checked(typ, ok, rule: str):
+    """Schema type: typ(text), rejected unless ok(value); rule says what ok requires."""
+
+    def parse(text: str):
+        value = typ(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+        return value
+
+    return parse
+
+
+def choice(*names: str):
+    return checked(str, lambda v: v in names, "one of " + ", ".join(names))
+
+
+positive_int = checked(int, lambda v: v >= 1, ">= 1")
+non_negative_int = checked(int, lambda v: v >= 0, ">= 0")
+positive_float = checked(float, lambda v: 0 < v < np.inf, "positive and finite")
 
 
 def config_hash(cfg: dict) -> str:
@@ -143,92 +164,75 @@ def instance_schema() -> dict:
 
 
 def build_instance(cfg: dict) -> tuple[InstanceParams, OneWayCandidate]:
-    try:
-        params = InstanceParams(
-            cfg["d"], cfg["d_prime"], cfg["R"], cfg["eps"], cfg["beta"], cfg["beta_max"]
-        )
-    except ValueError as e:
-        raise SystemExit(f"config error: {e}") from None
-    spec = cfg["circuit"]
+    params = InstanceParams(
+        cfg["d"], cfg["d_prime"], cfg["R"], cfg["eps"], cfg["beta"], cfg["beta_max"]
+    )
+    return params, _field("circuit", _candidate, cfg["circuit"], params)
+
+
+def _candidate(spec: str, params: InstanceParams) -> OneWayCandidate:
     if spec == "identity":
         if params.d_prime == 0:
-            from .circuits import no_output_candidate
-
-            f = no_output_candidate(params.d)
-        else:
-            if params.d != params.d_prime:
-                raise SystemExit("config error: circuit 'identity' needs d = d_prime")
-            f = sign_identity(params.d)
-    elif spec.startswith("random:"):
+            return no_output_candidate(params.d)
+        if params.d != params.d_prime:
+            raise ValueError("'identity' needs d = d_prime")
+        return sign_identity(params.d)
+    if spec.startswith("random:"):
         from .reduction import random_circuit_owf
 
         parts = spec.split(":")
         if len(parts) != 3:
-            raise SystemExit("config error: circuit 'random:<gates>:<seed>'")
-        f = random_circuit_owf(params.d, params.d_prime, int(parts[1]), int(parts[2]))
-    else:
-        f = candidate_from_text(Path(spec).read_text())
-        if f.input_len != params.d or f.output_len != params.d_prime:
-            raise SystemExit("config error: circuit file arity does not match d, d_prime")
-    return params, f
+            raise ValueError("expected 'random:<gates>:<seed>'")
+        return random_circuit_owf(params.d, params.d_prime, int(parts[1]), int(parts[2]))
+    f = candidate_from_text(Path(spec).read_text())
+    if f.input_len != params.d or f.output_len != params.d_prime:
+        raise ValueError("circuit file arity does not match d, d_prime")
+    return f
+
+
+def enumerable(f: OneWayCandidate) -> OneWayCandidate:
+    """f, its seed table built now, so that the enumeration limit is reported as field 'd'."""
+    _field("d", lambda: f.seed_table)
+    return f
 
 
 def build_provider(name: str, params: InstanceParams, f: OneWayCandidate) -> ScoreProvider:
-    try:
-        return provider_by_name(name, params, f)
-    except (ValueError, OSError) as e:
-        raise SystemExit(f"config error: field 'provider': {e}") from None
+    provider = _field("provider", provider_by_name, name, params, f)
+    if name == "exact":
+        enumerable(f)
+    return provider
 
 
-def sample_columns(dim: int) -> list[str]:
-    return [f"x{j}" for j in range(dim)]
+def diffusion_config(cfg: dict, params: InstanceParams):
+    from .diffusion import default_config
+
+    return _field("t_min", default_config, params, N=cfg["steps"], t_min=cfg["t_min"])
 
 
-# --- subcommands ------------------------------------------------------------------
+# --- subcommands: each returns ({artifact name: body}, message) -----------------------
 
 
-def cmd_sample(args) -> int:
-    schema = instance_schema() | {
-        "count": (positive_int, 1000),
-        "method": (str, "direct"),
-        "provider": (str, "exact"),
-        "steps": (int, 2000),
-        "t_min": (float, 1e-4),
-    }
-    cfg = resolve(schema, load_config(args.config), args.overrides)
+def cmd_sample(cfg: dict, args) -> tuple[dict, str]:
     params, f = build_instance(cfg)
-    out = Path(args.out)
-    h = write_manifest(out, "sample", cfg, args.seed)
     rng = prng.stream(args.seed, 0)
     if cfg["method"] == "direct":
         _, x = sample_unconditional(params, f, rng, size=cfg["count"])
-    elif cfg["method"] == "diffusion":
-        from .diffusion import default_config, reverse_run
+    else:
+        from .diffusion import reverse_run
 
         provider = build_provider(cfg["provider"], params, f)
-        dcfg = default_config(params, N=cfg["steps"], t_min=cfg["t_min"])
+        dcfg = diffusion_config(cfg, params)
         x = reverse_run(provider, dcfg, rng, dim=params.dim, size=cfg["count"])
-    else:
-        raise SystemExit("config error: field 'method' must be direct or diffusion")
-    write_csv(out / "samples.csv", sample_columns(params.dim), x, h)
-    print(f"wrote {cfg['count']} samples to {out / 'samples.csv'}")
-    return 0
+    message = f"wrote {cfg['count']} samples to {Path(args.out) / 'samples.csv'}"
+    return {"samples.csv": ([f"x{j}" for j in range(params.dim)], x)}, message
 
 
-def cmd_posterior(args) -> int:
-    schema = instance_schema() | {
-        "sampler": (str, "rejection"),
-        "count": (positive_int, 1000),
-        "max_rounds": (int, 10**6),
-        "provider": (str, "exact"),
-        "steps": (int, 2000),
-        "t_min": (float, 1e-4),
-        "y": (str, "fresh"),
-    }
-    cfg = resolve(schema, load_config(args.config), args.overrides)
+def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
+    from .posterior import PosteriorConfig, brute_force_posterior
+    from .posterior import heuristic_posterior_sample, rejection_sample
+
     params, f = build_instance(cfg)
-    out = Path(args.out)
-    h = write_manifest(out, "posterior", cfg, args.seed)
+    pcfg = _field("beta", PosteriorConfig, cfg["max_rounds"], params.beta)
     rng = prng.stream(args.seed, 0)
     if cfg["y"] == "fresh":
         from .reduction import sample_measurement_for_target
@@ -236,70 +240,51 @@ def cmd_posterior(args) -> int:
         s = rng.choice(np.array([-1, 1]), size=params.d)
         y = sample_measurement_for_target(f(s), params, rng)
     else:
-        y = np.array([float(v) for v in cfg["y"].split(",")])
-        if y.size != params.d_prime:
-            raise SystemExit("config error: field 'y' must have d_prime entries")
+        y = _field("y", _measurement, cfg["y"], params.d_prime)
     A = measurement_matrix(params)
     info: dict = {"y": [float(v) for v in y], "sampler": cfg["sampler"]}
+    lines = []
     if cfg["sampler"] == "rejection":
-        from .posterior import PosteriorConfig, rejection_sample
-
-        pcfg = PosteriorConfig(cfg["max_rounds"], params.beta)
         proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
         x, stats = rejection_sample(proposal, A, y, pcfg, rng, size=cfg["count"])
-        info["proposals"] = stats.rounds
-        info["accepted"] = len(x)
-        info["rounds_per_accept"] = stats.rounds / len(x) if len(x) else None
+        rate = stats.rounds / len(x) if len(x) else None
+        info.update(proposals=stats.rounds, accepted=len(x), rounds_per_accept=rate)
         if not stats.accepted:
-            print(
+            lines.append(
                 f"rejection budget exhausted after {stats.rounds} proposals: "
                 f"accepted {len(x)} of {cfg['count']} requested samples"
             )
     elif cfg["sampler"] == "brute-force":
-        from .posterior import brute_force_posterior
-
-        x = brute_force_posterior(params, f, y, rng, size=cfg["count"])
-    elif cfg["sampler"] == "heuristic":
-        from .diffusion import default_config
-        from .posterior import PosteriorConfig, heuristic_posterior_sample
-
-        provider = build_provider(cfg["provider"], params, f)
-        dcfg = default_config(params, N=cfg["steps"], t_min=cfg["t_min"])
-        pcfg = PosteriorConfig(1, params.beta)
-        x = heuristic_posterior_sample(provider, A, y, pcfg, dcfg, rng, size=cfg["count"])
+        x = brute_force_posterior(params, enumerable(f), y, rng, size=cfg["count"])
     else:
-        raise SystemExit("config error: field 'sampler' must be rejection, brute-force, or heuristic")
-    write_csv(out / "posterior.csv", sample_columns(params.dim), x, h)
-    write_json(out / "posterior_stats.json", info, h)
-    print(f"wrote {len(x)} posterior samples to {out / 'posterior.csv'}")
-    return 0
+        provider = build_provider(cfg["provider"], params, f)
+        dcfg = diffusion_config(cfg, params)
+        x = heuristic_posterior_sample(provider, A, y, pcfg, dcfg, rng, size=cfg["count"])
+    lines.append(f"wrote {len(x)} posterior samples to {Path(args.out) / 'posterior.csv'}")
+    table = ([f"x{j}" for j in range(params.dim)], x)
+    return {"posterior.csv": table, "posterior_stats.json": info}, "\n".join(lines)
 
 
-def cmd_invert(args) -> int:
-    schema = instance_schema() | {
-        "sampler": (str, "brute-force"),
-        "trials": (positive_int, 200),
-        "max_rounds": (int, 10**6),
-    }
-    cfg = resolve(schema, load_config(args.config), args.overrides)
+def _measurement(text: str, d_prime: int) -> np.ndarray:
+    y = np.array([float(v) for v in text.split(",")])
+    if y.size != d_prime or not np.all(np.isfinite(y)):
+        raise ValueError(f"must be 'fresh' or {d_prime} finite comma-separated values")
+    return y
+
+
+def cmd_invert(cfg: dict, args) -> tuple[dict, str]:
+    from .posterior import PosteriorConfig
+    from .reduction import inversion_experiment, make_brute_force_sampler
+    from .reduction import make_heuristic_sampler, make_rejection_sampler
+
     params, f = build_instance(cfg)
-    out = Path(args.out)
-    h = write_manifest(out, "invert", cfg, args.seed)
-    from .reduction import (
-        inversion_experiment,
-        make_brute_force_sampler,
-        make_heuristic_sampler,
-        make_rejection_sampler,
-    )
-
+    _field("beta", PosteriorConfig, cfg["max_rounds"], params.beta)  # every sampler needs beta > 0
     if cfg["sampler"] == "brute-force":
-        sampler = make_brute_force_sampler(params, f)
+        sampler = make_brute_force_sampler(params, enumerable(f))
     elif cfg["sampler"] == "rejection":
         sampler = make_rejection_sampler(params, f, cfg["max_rounds"])
-    elif cfg["sampler"] == "heuristic":
-        sampler = make_heuristic_sampler(params, f)
     else:
-        raise SystemExit("config error: field 'sampler' must be brute-force, rejection, or heuristic")
+        sampler = make_heuristic_sampler(params, enumerable(f))
     rep = inversion_experiment(f, sampler, cfg["trials"], params, args.seed, jobs=args.jobs)
     row = {
         "trials": rep.trials,
@@ -309,106 +294,68 @@ def cmd_invert(args) -> int:
         "bits_match_count": rep.bits_match_count,
         "no_guess_count": rep.no_guess_count,
     }
-    write_json(out / "invert_report.json", row, h)
-    write_csv(out / "invert_report.csv", list(row), [list(row.values())], h)
-    # wall time is inherently run-dependent, so it lives outside the
-    # seed-deterministic report artifact
-    write_json(out / "invert_timing.json", {"mean_sampler_nanos": rep.mean_sampler_nanos}, h)
-    print(f"success rate {row['success_rate']:.3f} over {rep.trials} trials")
-    return 0
+    artifacts = {
+        "invert_report.json": row,
+        "invert_report.csv": (list(row), [list(row.values())]),
+        # wall time is inherently run-dependent, so it lives outside the
+        # seed-deterministic report artifact
+        "invert_timing.json": {"mean_sampler_nanos": rep.mean_sampler_nanos},
+    }
+    return artifacts, f"success rate {row['success_rate']:.3f} over {rep.trials} trials"
 
 
-def cmd_approx_score(args) -> int:
+def cmd_approx_score(cfg: dict, args) -> tuple[dict, str]:
     from .piecewise import ApproxParams, build_score_approx, measure_l2_error, score_family
     from .relu import compile_piecewise, eval_net, network_to_text, report
 
-    schema = {
-        "family": (str, "two_point"),
-        "sigma": (float, 1.0),
-        "kappa": (float, 0.04),
-        "mc_draws": (int, 200_000),
-    }
-    cfg = resolve(schema, load_config(args.config), args.overrides)
-    out = Path(args.out)
-    h = write_manifest(out, "approx-score", cfg, args.seed)
-    try:
-        score, sampler, m2, mu = score_family(cfg["family"], cfg["sigma"])
-    except ValueError as e:
-        raise SystemExit(f"config error: field 'family': {e}") from None
-    ap = ApproxParams(cfg["kappa"], cfg["sigma"], m2, mu)
+    score, sampler, m2, mu = _field("family", score_family, cfg["family"], cfg["sigma"])
+    ap = _field("kappa", ApproxParams, cfg["kappa"], cfg["sigma"], m2, mu)
     l = build_score_approx(score, ap)
-    (out / "score_approx.csv").write_text(f"# config-hash: {h}\n" + l.to_csv())
     net = compile_piecewise(l)
-    (out / "score_net.txt").write_text(f"# config-hash: {h}\n" + network_to_text(net))
     rng = prng.stream(args.seed, 0)
     l2 = measure_l2_error(l, score, sampler, cfg["mc_draws"], rng)
     grid = np.linspace(l.breakpoints[0] - 1, l.breakpoints[-1] + 1, 10_001)
     net_err = float(np.max(np.abs(eval_net(net, grid[:, None])[:, 0] - l(grid))))
     rep = report(net)
+    scaled = l2 * cfg["sigma"] ** 2 / cfg["kappa"]
+    header = ["family", "sigma", "kappa", "pieces", "l2_error", "scaled_l2", "net_sup_error",
+              "param_count", "max_abs_weight"]
     rows = [[
-        cfg["family"], cfg["sigma"], cfg["kappa"], l.piece_count, l2,
-        l2 * cfg["sigma"] ** 2 / cfg["kappa"], net_err, rep.param_count, rep.max_abs_weight,
+        cfg["family"], cfg["sigma"], cfg["kappa"], l.piece_count, l2, scaled, net_err,
+        rep.param_count, rep.max_abs_weight,
     ]]
-    write_csv(
-        out / "error_table.csv",
-        ["family", "sigma", "kappa", "pieces", "l2_error", "scaled_l2", "net_sup_error",
-         "param_count", "max_abs_weight"],
-        rows,
-        h,
-    )
-    print(f"pieces={l.piece_count} l2={l2:.3e} scaled={l2 * cfg['sigma']**2 / cfg['kappa']:.3f}")
-    return 0
+    artifacts = {
+        "score_approx.csv": l.to_csv(),
+        "score_net.txt": network_to_text(net),
+        "error_table.csv": (header, rows),
+    }
+    return artifacts, f"pieces={l.piece_count} l2={l2:.3e} scaled={scaled:.3f}"
 
 
-def cmd_compile_circuit(args) -> int:
+def cmd_compile_circuit(cfg: dict, args) -> tuple[dict, str]:
     from .relu import circuit_to_relu, network_to_text, report
 
-    schema = {"circuit": (str, None)}
-    cfg = resolve(schema, load_config(args.config), args.overrides)
-    out = Path(args.out)
-    h = write_manifest(out, "compile-circuit", cfg, args.seed)
-    f = candidate_from_text(Path(cfg["circuit"]).read_text())
+    f = _field("circuit", lambda: candidate_from_text(Path(cfg["circuit"]).read_text()))
     net = circuit_to_relu(f)
     rep = report(net)
-    (out / "circuit_net.txt").write_text(f"# config-hash: {h}\n" + network_to_text(net))
-    write_json(
-        out / "param_report.json",
-        {"param_count": rep.param_count, "max_abs_weight": rep.max_abs_weight, "depth": rep.depth},
-        h,
-    )
-    print(f"compiled {f.label or 'circuit'}: {rep.param_count} params, depth {rep.depth}")
-    return 0
+    artifacts = {"circuit_net.txt": network_to_text(net), "param_report.json": asdict(rep)}
+    message = f"compiled {f.label or 'circuit'}: {rep.param_count} params, depth {rep.depth}"
+    return artifacts, message
 
 
-def cmd_bench_acceptance(args) -> int:
+def cmd_bench_acceptance(cfg: dict, args) -> tuple[dict, str]:
     from .posterior import acceptance_curve
 
-    schema = {
-        "betas": (str, "0.1,0.2"),
-        "ms": (str, "0,1,2,3,4"),
-        "trials": (int, 50),
-        "R": (float, 30.0),
-        "eps": (float, 1.0),
-        "max_rounds": (int, 10**7),
-    }
-    cfg = resolve(schema, load_config(args.config), args.overrides)
-    out = Path(args.out)
-    h = write_manifest(out, "bench-acceptance", cfg, args.seed)
-    betas = [float(v) for v in cfg["betas"].split(",")]
-    ms = [int(v) for v in cfg["ms"].split(",")]
+    betas = _field("betas", lambda: [positive_float(v) for v in cfg["betas"].split(",")])
+    ms = _field("ms", lambda: [non_negative_int(v) for v in cfg["ms"].split(",")])
     rows = acceptance_curve(
         betas, ms, cfg["trials"], args.seed, R=cfg["R"], eps=cfg["eps"],
         max_rounds=cfg["max_rounds"],
     )
-    write_csv(
-        out / "acceptance.csv",
-        ["beta", "m", "mean_rounds", "log_mean_rounds", "trials", "censored"],
-        [[r["beta"], r["m"], r["mean_rounds"], r["log_mean_rounds"], r["trials"], r["censored"]]
-         for r in rows],
-        h,
-    )
-    print(f"wrote {len(rows)} rows to {out / 'acceptance.csv'}")
-    return 0
+    header = ["beta", "m", "mean_rounds", "log_mean_rounds", "trials", "censored"]
+    table = (header, [[r[k] for k in header] for r in rows])
+    message = f"wrote {len(rows)} rows to {Path(args.out) / 'acceptance.csv'}"
+    return {"acceptance.csv": table}, message
 
 
 # --- the 2-D demo -----------------------------------------------------------------
@@ -455,42 +402,25 @@ def demo_score_provider() -> ScoreProvider:
     return ScoreProvider("demo2d", score, 2)
 
 
-def cmd_demo2d(args) -> int:
+def cmd_demo2d(cfg: dict, args) -> tuple[dict, str]:
     from .diffusion import DiffusionConfig
     from .posterior import PosteriorConfig, heuristic_posterior_sample, rejection_sample
 
-    schema = {
-        "count": (int, 2000),
-        "steps": (int, 1500),
-        "y": (float, 4.0),
-        "max_rounds": (int, 10**6),
-    }
-    cfg = resolve(schema, load_config(args.config), args.overrides)
-    out = Path(args.out)
-    h = write_manifest(out, "demo2d", cfg, args.seed)
     n, yval = cfg["count"], cfg["y"]
     y = np.array([yval])
     A = np.array([[0.0, 1.0]])
     cols = ["x1", "x2"]
 
-    rng = prng.stream(args.seed, 0)
-    prior = demo_prior_sample(rng, n)
-    write_csv(out / "prior.csv", cols, prior, h)
-
+    prior = demo_prior_sample(prng.stream(args.seed, 0), n)
     pcfg = PosteriorConfig(cfg["max_rounds"], DEMO_BETA)
     rej, _ = rejection_sample(
         lambda k, r: demo_prior_sample(r, k), A, y, pcfg, prng.stream(args.seed, 1), size=n
     )
-    write_csv(out / "posterior_rejection.csv", cols, rej, h)
-
     oracle = demo_oracle_posterior(yval, prng.stream(args.seed, 2), n)
-    write_csv(out / "posterior_oracle.csv", cols, oracle, h)
-
     dcfg = DiffusionConfig(T=10 * (DEMO_VAR + 8.0), t_min=1e-4, N=cfg["steps"])
     heur = heuristic_posterior_sample(
         demo_score_provider(), A, y, pcfg, dcfg, prng.stream(args.seed, 3), size=n
     )
-    write_csv(out / "posterior_heuristic.csv", cols, heur, h)
 
     def upper_weight(x):
         d = np.sum((x[:, None, :] - DEMO_MEANS) ** 2, axis=2)
@@ -503,16 +433,21 @@ def cmd_demo2d(args) -> int:
         "oracle_weight_upper": upper_weight(oracle),
         "heuristic_weight_upper": upper_weight(heur),
     }
-    write_json(out / "component_weights.json", weights, h)
-    print(json.dumps(weights, indent=2))
-    return 0
+    artifacts = {
+        "prior.csv": (cols, prior),
+        "posterior_rejection.csv": (cols, rej),
+        "posterior_oracle.csv": (cols, oracle),
+        "posterior_heuristic.csv": (cols, heur),
+        "component_weights.json": weights,
+    }
+    return artifacts, json.dumps(weights, indent=2)
 
 
 # --- verify -----------------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    cfg = resolve({}, load_config(args.config), args.overrides)
+    """Run the internal consistency checks; writes nothing, returns the exit code."""
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, fn):
@@ -614,12 +549,12 @@ def cmd_verify(args) -> int:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {msg}")
         failed += not ok
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    _ = cfg
     return 1 if failed else 0
 
 
 # --- entry point ------------------------------------------------------------------
 
+# The name -> function table; SCHEMAS below holds each subcommand's config keys.
 COMMANDS = {
     "sample": cmd_sample,
     "posterior": cmd_posterior,
@@ -631,8 +566,54 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
+SAMPLERS = choice("rejection", "brute-force", "heuristic")
+DIFFUSION_KEYS = {
+    "provider": (str, "exact"),
+    "steps": (non_negative_int, 2000),
+    "t_min": (float, 1e-4),
+}
+SCHEMAS = {
+    "sample": instance_schema() | {
+        "count": (positive_int, 1000),
+        "method": (choice("direct", "diffusion"), "direct"),
+    } | DIFFUSION_KEYS,
+    "posterior": instance_schema() | {
+        "sampler": (SAMPLERS, "rejection"),
+        "count": (positive_int, 1000),
+        "max_rounds": (positive_int, 10**6),
+    } | DIFFUSION_KEYS | {"y": (str, "fresh")},
+    "invert": instance_schema() | {
+        "sampler": (SAMPLERS, "brute-force"),
+        "trials": (positive_int, 200),
+        "max_rounds": (positive_int, 10**6),
+    },
+    "approx-score": {
+        "family": (str, "two_point"),
+        "sigma": (positive_float, 1.0),
+        "kappa": (float, 0.04),
+        "mc_draws": (positive_int, 200_000),
+    },
+    "compile-circuit": {"circuit": (str, None)},
+    "bench-acceptance": {
+        "betas": (str, "0.1,0.2"),
+        "ms": (str, "0,1,2,3,4"),
+        "trials": (positive_int, 50),
+        "R": (float, 30.0),
+        "eps": (float, 1.0),
+        "max_rounds": (positive_int, 10**7),
+    },
+    "demo2d": {
+        "count": (positive_int, 2000),
+        "steps": (non_negative_int, 1500),
+        "y": (float, 4.0),
+        "max_rounds": (positive_int, 10**6),
+    },
+    "verify": {},
+}
+
 
 def main(argv: list[str] | None = None) -> int:
+    """Resolve, run, then write; any bad value, file or config before that is a `config error:`."""
     parser = argparse.ArgumentParser(prog="phaselab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -640,11 +621,31 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI ([run] section) or JSON config file")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--jobs", type=int, default=1, help="trial-level parallelism")
+        p.add_argument("--jobs", type=int, default=1, help="invert's trial threads, >= 1")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("overrides", nargs="*", help="key=value config overrides")
     args = parser.parse_args(argv)
-    return COMMANDS[args.subcommand](args)
+    name = args.subcommand
+    try:
+        if args.jobs < 1:
+            raise ValueError("field 'jobs': --jobs must be >= 1")
+        cfg = resolve(SCHEMAS[name], load_config(args.config), args.overrides)
+        if name == "verify":
+            return cmd_verify(args)
+        artifacts, message = COMMANDS[name](cfg, args)
+    except (ValueError, OSError, configparser.Error) as e:
+        raise SystemExit(f"config error: {e}") from None
+    out = Path(args.out)
+    h = write_manifest(out, name, cfg, args.seed)
+    for filename, body in artifacts.items():
+        if isinstance(body, tuple):  # (header, rows)
+            write_csv(out / filename, *body, h)
+        elif isinstance(body, dict):
+            write_json(out / filename, body, h)
+        else:  # text, under the config-hash line
+            (out / filename).write_text(f"# config-hash: {h}\n" + body)
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .circuits import OneWayCandidate
 
@@ -32,10 +33,12 @@ class InstanceParams:
         for name in ("R", "eps", "beta", "beta_max"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"field {name!r} must be finite")
-        if self.d < 1 or self.d_prime < 0:
-            raise ValueError("require d >= 1 and d_prime >= 0")
-        if self.eps <= 0 or self.R <= 0 or self.beta_max <= 0 or self.beta < 0:
-            raise ValueError("require eps > 0, R > 0, beta_max > 0, beta >= 0")
+        for name in ("R", "eps", "beta_max"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"field {name!r} must be > 0")
+        for name, lo in (("d", 1), ("d_prime", 0), ("beta", 0)):
+            if getattr(self, name) < lo:
+                raise ValueError(f"field {name!r} must be >= {lo}")
 
     @property
     def dim(self) -> int:
@@ -178,13 +181,13 @@ def measurement_matrix(params: InstanceParams) -> np.ndarray:
 def clipped_noise(
     beta: float, beta_max: float, rng: np.random.Generator, shape
 ) -> np.ndarray:
-    """beta*N(0,1) truncated to [-beta_max, beta_max] by rejection (exact)."""
-    eta = beta * rng.standard_normal(shape)
-    bad = np.abs(eta) > beta_max
-    while bad.any():
-        eta[bad] = beta * rng.standard_normal(int(bad.sum()))
-        bad = np.abs(eta) > beta_max
-    return eta
+    """beta*N(0,1) truncated to [-beta_max, beta_max], exactly, by the inverse CDF:
+    u ~ U[Phi(-a), Phi(a)) with a = beta_max/beta; the clip only absorbs rounding."""
+    if beta == 0:
+        return np.zeros(shape)
+    a = beta_max / beta
+    eta = beta * ndtri(rng.uniform(ndtr(-a), ndtr(a), size=shape))
+    return np.clip(eta, -beta_max, beta_max)
 
 
 def measure_clipped(x: np.ndarray, params: InstanceParams, rng: np.random.Generator) -> np.ndarray:

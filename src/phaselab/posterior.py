@@ -87,8 +87,6 @@ def seed_posterior_log_weights(
     params: InstanceParams, f: OneWayCandidate, y: np.ndarray
 ) -> np.ndarray:
     """log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j)."""
-    if params.d > 12:
-        raise ValueError("brute force limited to d <= 12")
     if f.input_len != params.d:
         raise ValueError("input length mismatch")
     y = np.asarray(y, dtype=float)

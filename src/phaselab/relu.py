@@ -179,20 +179,9 @@ def vertex_identifier(d: int, alpha: float) -> ReluNetwork:
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
     # clamp(x/a,-1,1) = (ReLU(x+a) - ReLU(x-a))/a - 1
-    rows, cols, vals = [], [], []
-    for i in range(d):
-        rows += [2 * i, 2 * i + 1]
-        cols += [i, i]
-        vals += [1.0, 1.0]
-    w1 = sp.coo_matrix((vals, (rows, cols)), shape=(2 * d, d)).tocsr()
-    b1 = np.tile([alpha, -alpha], d)
-    rows, cols, vals = [], [], []
-    for i in range(d):
-        rows += [i, i]
-        cols += [2 * i, 2 * i + 1]
-        vals += [1.0 / alpha, -1.0 / alpha]
-    w2 = sp.coo_matrix((vals, (rows, cols)), shape=(d, 2 * d)).tocsr()
-    net = ReluNetwork((_layer(w1, b1, relu=True), _layer(w2, -np.ones(d))))
+    w1 = sp.kron(sp.eye(d), [[1.0], [1.0]], format="csr")
+    w2 = sp.kron(sp.eye(d), [[1.0 / alpha, -1.0 / alpha]], format="csr")
+    net = ReluNetwork((_layer(w1, np.tile([alpha, -alpha], d), relu=True), _layer(w2, -np.ones(d))))
     assert report(net).max_abs_weight <= 2.0 / alpha + 1.0
     return net
 
@@ -204,20 +193,21 @@ def switch_net(dims: int, T: float) -> ReluNetwork:
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    rows, cols, vals = [], [], []
-    for i in range(dims):
-        rows += [2 * i, 2 * i, 2 * i + 1, 2 * i + 1]
-        cols += [i, dims, i, dims]
-        vals += [1.0, 2.0 * T, -1.0, 2.0 * T]
-    w1 = sp.coo_matrix((vals, (rows, cols)), shape=(2 * dims, dims + 1)).tocsr()
+    w1 = sp.hstack(
+        [sp.kron(sp.eye(dims), [[1.0], [-1.0]], format="csr"), np.full((2 * dims, 1), 2.0 * T)],
+        format="csr",
+    )
+    w2 = sp.kron(sp.eye(dims), [[1.0, -1.0]], format="csr")
     b1 = np.full(2 * dims, -2.0 * T)
-    rows, cols, vals = [], [], []
-    for i in range(dims):
-        rows += [i, i]
-        cols += [2 * i, 2 * i + 1]
-        vals += [1.0, -1.0]
-    w2 = sp.coo_matrix((vals, (rows, cols)), shape=(dims, 2 * dims)).tocsr()
     return ReluNetwork((_layer(w1, b1, relu=True), _layer(w2, np.zeros(dims))))
+
+
+def _identity_then_rows(width: int, rows: list[dict[int, float]], n_cols: int) -> sp.csr_matrix:
+    """Identity on the first `width` units, then one row per {column: weight} dict."""
+    ri = list(range(width)) + [width + t for t, row in enumerate(rows) for _ in row]
+    ci = list(range(width)) + [col for row in rows for col in row]
+    vals = [1.0] * width + [v for row in rows for v in row.values()]
+    return sp.csr_matrix((vals, (ri, ci)), shape=(width + len(rows), n_cols))
 
 
 def circuit_to_relu(c: BooleanCircuit | OneWayCandidate) -> ReluNetwork:
@@ -242,46 +232,30 @@ def circuit_to_relu(c: BooleanCircuit | OneWayCandidate) -> ReluNetwork:
     width = n
     for lv in range(1, n_levels + 1):
         gates_here = [(k, g) for k, g in enumerate(c.gates) if level[n + k] == lv]
-        ors = [(k, g) for k, g in gates_here if g.kind == "OR"]
-        # sublayer A: passthrough + inner ReLU(1 - sum y_i) for OR gates
-        wa = sp.lil_matrix((width + len(ors), width))
-        ba = np.zeros(width + len(ors))
-        for p in range(width):
-            wa[p, p] = 1.0
-        t_pos = {}
-        for t, (k, g) in enumerate(ors):
-            row = width + t
-            for r in set(g.inputs):  # repeated references carry no extra logic
-                wa[row, wire_pos[r]] = -1.0
-            ba[row] = 1.0
-            t_pos[k] = row
-        layers.append(_layer(wa.tocsr(), ba, relu=True))
+        ors = [k for k, g in gates_here if g.kind == "OR"]
+        # sublayer A: passthrough + inner ReLU(1 - sum y_i) for OR gates; a dict
+        # per row, so repeated references carry no extra logic
+        inner = [{wire_pos[r]: -1.0 for r in c.gates[k].inputs} for k in ors]
+        ba = np.concatenate([np.zeros(width), np.ones(len(ors))])
+        layers.append(_layer(_identity_then_rows(width, inner, width), ba, relu=True))
+        t_pos = {k: width + t for t, k in enumerate(ors)}
         # sublayer B: passthrough + gate outputs, drop the inner OR units
-        wb = sp.lil_matrix((width + len(gates_here), width + len(ors)))
-        bb = np.zeros(width + len(gates_here))
-        for p in range(width):
-            wb[p, p] = 1.0
+        rows, bias = [], []
         for t, (k, g) in enumerate(gates_here):
-            row = width + t
-            if g.kind == "AND":
-                refs = set(g.inputs)
-                for r in refs:
-                    wb[row, wire_pos[r]] = 1.0
-                bb[row] = 1.0 - len(refs)
+            if g.kind == "AND":  # ReLU(sum - (k-1)) over its k distinct inputs
+                rows.append({wire_pos[r]: 1.0 for r in g.inputs})
             elif g.kind == "OR":
-                wb[row, t_pos[k]] = -1.0
-                bb[row] = 1.0
+                rows.append({t_pos[k]: -1.0})
             else:  # NOT
-                wb[row, wire_pos[g.inputs[0]]] = -1.0
-                bb[row] = 1.0
-            wire_pos[n + k] = row
-        layers.append(_layer(wb.tocsr(), bb, relu=True))
+                rows.append({wire_pos[g.inputs[0]]: -1.0})
+            bias.append(1.0 - len(rows[-1]) if g.kind == "AND" else 1.0)
+            wire_pos[n + k] = width + t
+        bb = np.concatenate([np.zeros(width), bias])
+        layers.append(_layer(_identity_then_rows(width, rows, width + len(ors)), bb, relu=True))
         width += len(gates_here)
 
-    wout = sp.lil_matrix((len(c.outputs), width))
-    for j, r in enumerate(c.outputs):
-        wout[j, wire_pos[r]] = -2.0
-    layers.append(_layer(wout.tocsr(), np.ones(len(c.outputs))))  # {0,1} -> +-1
+    wout = _identity_then_rows(0, [{wire_pos[r]: -2.0} for r in c.outputs], width)
+    layers.append(_layer(wout, np.ones(len(c.outputs))))  # {0,1} -> +-1
     return ReluNetwork(tuple(layers))
 
 
@@ -315,91 +289,60 @@ def assemble_score_net_small_sigma(
     ap = ApproxParams(kappa, sigma, np.sqrt(v))  # validates kappa and sigma
 
     # per-coordinate pieces
-    phase_nets = {}
     phase_pls = {}
     for b in (1, -1):
         spec = DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), sigma)
-        pl = build_score_approx(
+        phase_pls[b] = build_score_approx(
             lambda t, spec=spec: dg_smoothed_score(spec, t), ap, max_radius=_CLAMP_CAP_SDS * ap.m2
         )
-        phase_pls[b] = pl
-        phase_nets[b] = compile_piecewise(pl)
+    phase_nets = {b: compile_piecewise(pl) for b, pl in phase_pls.items()}
     gauss_net = compile_piecewise(_linear_pl(-1.0 / v, _CLAMP_CAP_SDS * np.sqrt(v)))
-    T = float(np.ceil(max(np.abs(phase_pls[1].values).max(), np.abs(phase_pls[-1].values).max()))) + 1.0
+    T = float(np.ceil(max(np.abs(pl.values).max() for pl in phase_pls.values()))) + 1.0
 
     # stage 1: r = clamp(x_head/alpha, -1, 1), bundle [x; r; r]
-    vid = vertex_identifier(d, alpha)
-    s1a_w = sp.vstack([sp.eye(D), _pad_cols(vid.layers[0].w, D)], format="csr")
-    s1a_b = np.concatenate([np.zeros(D), vid.layers[0].b])
-    s1a_m = np.concatenate([np.zeros(D, bool), vid.layers[0].relu])
-    s1b_w = sp.lil_matrix((D + 2 * d, D + 2 * d))
-    for p in range(D):
-        s1b_w[p, p] = 1.0
-    w2 = vid.layers[1].w
-    for copy in range(2):
-        base = D + copy * d
-        blk = w2.tocoo()
-        for i, j, val in zip(blk.row, blk.col, blk.data):
-            s1b_w[base + i, D + j] = val
-    s1b_b = np.concatenate([np.zeros(D), vid.layers[1].b, vid.layers[1].b])
-    stage1 = ReluNetwork(
-        (
-            Layer(s1a_w, s1a_b, s1a_m),
-            _layer(s1b_w.tocsr(), s1b_b),
-        )
+    v1, v2 = vertex_identifier(d, alpha).layers
+    keep = np.zeros(D)
+    s1a = Layer(
+        sp.vstack([sp.eye(D), v1.w @ sp.eye(d, D)], format="csr"),  # v1 reads x_head
+        np.concatenate([keep, v1.b]),
+        np.concatenate([keep.astype(bool), v1.relu]),
     )
+    s1b = _layer(
+        sp.block_diag([sp.eye(D), sp.vstack([v2.w, v2.w])]), np.concatenate([keep, v2.b, v2.b])
+    )
+    stage1 = ReluNetwork((s1a, s1b))
 
     # stage 2: [x; r; r] -> [x; r; c]
     stage2 = compose_coordinatewise([identity_net(D + d), circuit_to_relu(f)])
 
-    # stage 3: [x; r; c] -> [u; xt; xt; c], u = x_head - R*r
-    w3 = sp.lil_matrix((d + 3 * dp, D + d + dp))
-    for i in range(d):
-        w3[i, i] = 1.0
-        w3[i, D + i] = -params.R
-    for j in range(dp):
-        w3[d + j, d + j] = 1.0
-        w3[d + dp + j, d + j] = 1.0
-        w3[d + 2 * dp + j, D + d + j] = 1.0
-    stage3 = ReluNetwork((_layer(w3.tocsr(), np.zeros(d + 3 * dp)),))
+    # stage 3: [x_head; x_tail; r; c] -> [u; x_tail; x_tail; c], u = x_head - R*r
+    I, J = sp.eye(d), sp.eye(dp)
+    w3 = sp.bmat([
+        [I, None, -params.R * I, None],
+        [None, J, None, None],
+        [None, J, None, None],
+        [None, None, None, J],
+    ])
+    stage3 = ReluNetwork((_layer(w3, np.zeros(d + 3 * dp)),))
 
     # stage 4: per-coordinate score nets; bundle [g; p+; p-; c]
     stage4 = compose_coordinatewise(
         [gauss_net] * d + [phase_nets[1]] * dp + [phase_nets[-1]] * dp + [identity_net(dp)]
     )
 
-    # stage 5: out_head = g; out_tail_j = switch(p+_j, c_j) + switch(p-_j, -c_j)
-    w5a = sp.lil_matrix((d + 4 * dp, d + 3 * dp))
-    b5a = np.zeros(d + 4 * dp)
-    m5a = np.zeros(d + 4 * dp, bool)
-    for i in range(d):
-        w5a[i, i] = 1.0
-    for j in range(dp):
-        r0 = d + 4 * j
-        pj, mj, cj = d + j, d + dp + j, d + 2 * dp + j
-        w5a[r0 + 0, pj], w5a[r0 + 0, cj], b5a[r0 + 0] = 1.0, 2.0 * T, -2.0 * T
-        w5a[r0 + 1, pj], w5a[r0 + 1, cj], b5a[r0 + 1] = -1.0, 2.0 * T, -2.0 * T
-        w5a[r0 + 2, mj], w5a[r0 + 2, cj], b5a[r0 + 2] = 1.0, -2.0 * T, -2.0 * T
-        w5a[r0 + 3, mj], w5a[r0 + 3, cj], b5a[r0 + 3] = -1.0, -2.0 * T, -2.0 * T
-        m5a[r0 : r0 + 4] = True
-    w5b = sp.lil_matrix((D, d + 4 * dp))
-    for i in range(d):
-        w5b[i, i] = 1.0
-    for j in range(dp):
-        r0 = d + 4 * j
-        w5b[d + j, r0 + 0] = 1.0
-        w5b[d + j, r0 + 1] = -1.0
-        w5b[d + j, r0 + 2] = 1.0
-        w5b[d + j, r0 + 3] = -1.0
-    stage5 = ReluNetwork((Layer(sp.csr_matrix(w5a), b5a, m5a), _layer(w5b.tocsr(), np.zeros(D))))
+    # stage 5: out_head = g; out_tail_j = switch(p+_j, c_j) + switch(p-_j, -c_j), each
+    # a one-coordinate switch_net; hidden units per j: [p+ pair; p- pair]
+    s1, s2 = switch_net(1, T).layers
+    x_w, y_w, zero = s1.w[:, :1], s1.w[:, 1:], sp.csr_matrix((2, 1))
+    blocks = [sp.vstack([x_w, zero]), sp.vstack([zero, x_w]), sp.vstack([y_w, -y_w])]
+    w5a = sp.hstack([sp.kron(J, blk, format="csr") for blk in blocks], format="csr")
+    w5b = sp.kron(J, sp.hstack([s2.w, s2.w]), format="csr")
+    switches = ReluNetwork(
+        (Layer(w5a, np.tile(s1.b, 2 * dp), np.tile(s1.relu, 2 * dp)), _layer(w5b, np.zeros(dp)))
+    )
+    stage5 = compose_coordinatewise([identity_net(d, depth=2), switches])
 
     return chain(stage1, stage2, stage3, stage4, stage5)
-
-
-def _pad_cols(w: sp.spmatrix, total_cols: int) -> sp.csr_matrix:
-    """Widen a block that reads the first columns of a larger bundle."""
-    extra = total_cols - w.shape[1]
-    return sp.hstack([w, sp.csr_matrix((w.shape[0], extra))], format="csr")
 
 
 def assemble_score_net_large_sigma(

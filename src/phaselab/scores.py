@@ -178,8 +178,6 @@ def mixture_score_exact(
     return_log_density: bool = False,
 ):
     """Exact score of the smoothed uniform seed mixture (cost 2^d; d <= 12)."""
-    if params.d > 12:
-        raise ValueError("exact mixture score limited to d <= 12")
     if f.input_len != params.d:
         raise ValueError("input length mismatch")
     if sigma <= 0:
@@ -315,6 +313,11 @@ def provider_by_name(
 
         with open(name[5:]) as fh:
             net = network_from_text(fh.read())
+        if params is not None and (net.input_dim, net.output_dim) != (params.dim, params.dim):
+            raise ValueError(
+                f"network maps {net.input_dim} to {net.output_dim} coordinates; "
+                f"the instance has d + d_prime = {params.dim}"
+            )
         return ScoreProvider(name, lambda sigma, x: eval_net(net, x), net.input_dim)
     if name.startswith("piecewise:"):
         from .piecewise import PiecewiseLinear

@@ -37,13 +37,98 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         (("invert", "trials=0"), "'trials'"),
         (("posterior", "beta=nan"), "'beta'"),
         (("sample", "R=inf"), "'R'"),
+        # one-field checks done by the schema types
+        (("sample", "method=bogus"), "'method'"),
+        (("posterior", "sampler=bogus"), "'sampler'"),
+        (("invert", "sampler=bogus"), "'sampler'"),
+        (("posterior", "max_rounds=0"), "'max_rounds'"),
+        (("invert", "sampler=rejection", "max_rounds=0"), "'max_rounds'"),
+        (("bench-acceptance", "max_rounds=0"), "'max_rounds'"),
+        (("demo2d", "max_rounds=0"), "'max_rounds'"),
+        (("approx-score", "mc_draws=0"), "'mc_draws'"),
+        (("bench-acceptance", "trials=0"), "'trials'"),
+        (("demo2d", "count=0"), "'count'"),
+        (("sample", "method=diffusion", "steps=-1"), "'steps'"),
+        (("posterior", "sampler=heuristic", "steps=-1"), "'steps'"),
+        (("demo2d", "steps=-1"), "'steps'"),
+        (("approx-score", "sigma=0"), "'sigma'"),
+        # checks that need more than one field, each reported against its own
+        (("sample", "method=diffusion", "d=2", "d_prime=2", "t_min=0"), "'t_min'"),
+        (("posterior", "sampler=heuristic", "d=2", "d_prime=2", "t_min=1e9"), "'t_min'"),
+        (("posterior", "sampler=brute-force", "d=13", "d_prime=13"), "'d'"),
+        (("invert", "sampler=brute-force", "d=13", "d_prime=13"), "'d'"),
+        (("invert", "sampler=heuristic", "d=13", "d_prime=13"), "'d'"),
+        (("sample", "method=diffusion", "d=13", "d_prime=13"), "'d'"),
+        (("approx-score", "kappa=0.5"), "'kappa'"),
+        (("approx-score", "family=bogus"), "'family'"),
+        (("bench-acceptance", "ms=x"), "'ms'"),
+        (("bench-acceptance", "ms=1,-1"), "'ms'"),
+        (("bench-acceptance", "betas=0"), "'betas'"),
+        (("sample", "circuit=random:x:1"), "'circuit'"),
+        (("sample", "d=3", "d_prime=2"), "'circuit'"),
+        (("compile-circuit", "circuit=no/such.circuit"), "'circuit'"),
+        (("posterior", "d=2", "d_prime=2", "y=0.1,0.2,0.3"), "'y'"),
+        (("posterior", "d=2", "d_prime=2", "sampler=brute-force", "beta=0"), "'beta'"),
+        (("sample", "method=diffusion", "d=2", "d_prime=2", "provider=bogus"), "'provider'"),
+        (("sample", "d=0"), "'d'"),
+        (("sample", "--jobs", "0"), "'jobs'"),
     ],
 )
 def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit, match=f"config error: field {field}"):
+    with pytest.raises(SystemExit, match=f"^config error: field {field}"):
         run(argv[0], "--out", str(out), *argv[1:])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["count = 5\n", "[other]\ncount = 5\n", "{not json"])
+def test_bad_config_file_is_a_config_error(tmp_path, text):
+    cf = tmp_path / "run.cfg"
+    cf.write_text(text)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="^config error: "):
+        run("sample", "--config", str(cf), "--out", str(out))
+    assert not out.exists()
+
+
+def test_relu_provider_of_wrong_width_rejected_before_any_artifact(tmp_path):
+    """A relu: score file must map d + d_prime inputs to as many outputs."""
+    cf = tmp_path / "f.circuit"
+    cf.write_text(candidate_to_text(sign_identity(4)))
+    run("compile-circuit", "--out", str(tmp_path / "net"), f"circuit={cf}")
+    provider = f"provider=relu:{tmp_path / 'net' / 'circuit_net.txt'}"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="^config error: field 'provider': network maps 4 to 4"):
+        run("sample", "--out", str(out), "method=diffusion", "d=3", "d_prime=3", provider)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "d=2", "d_prime=2", "count=20", "method=diffusion", "steps=10"),
+        ("posterior", "d=2", "d_prime=2", "count=20", "sampler=brute-force"),
+        ("invert", "d=3", "d_prime=3", "trials=5"),
+        ("approx-score", "family=gaussian", "mc_draws=500"),
+        ("compile-circuit", "circuit={circuit}"),
+        ("bench-acceptance", "betas=0.3", "ms=0,1", "trials=3"),
+        ("demo2d", "count=50", "steps=20"),
+    ],
+)
+def test_artifacts_repeat_byte_for_byte_and_verify(tmp_path, capsys, argv):
+    """Every artifact-writing subcommand: the same seed gives the same bytes, and verify passes."""
+    cf = tmp_path / "f.circuit"
+    cf.write_text(candidate_to_text(sign_identity(3)))
+    argv = [a.format(circuit=cf) for a in argv]
+    runs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert run(argv[0], "--out", str(out), "--seed", "9", *argv[1:]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "invert_timing.json"})
+    assert runs[0] == runs[1]
+    assert "run_manifest.json" in runs[0] and len(runs[0]) > 1
+    capsys.readouterr()
+    assert run("verify", "--out", str(tmp_path / "a")) == 0, capsys.readouterr().out
 
 
 def test_sample_writes_artifacts_with_hash(tmp_path):

@@ -24,10 +24,16 @@ from phaselab.instance import (
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        InstanceParams(0, 2, 30.0, 1.0, 0.1, 0.25)
-    with pytest.raises(ValueError):
-        InstanceParams(2, 2, 30.0, -1.0, 0.1, 0.25)
+    for field, args in (
+        ("d", (0, 2, 30.0, 1.0, 0.1, 0.25)),
+        ("d_prime", (2, -1, 30.0, 1.0, 0.1, 0.25)),
+        ("R", (2, 2, -30.0, 1.0, 0.1, 0.25)),
+        ("eps", (2, 2, 30.0, -1.0, 0.1, 0.25)),
+        ("beta", (2, 2, 30.0, 1.0, -0.1, 0.25)),
+        ("beta_max", (2, 2, 30.0, 1.0, 0.1, 0.0)),
+    ):
+        with pytest.raises(ValueError, match=f"^field '{field}' must be >"):
+            InstanceParams(*args)
     for field, args in (
         ("R", (np.inf, 1.0, 0.1, 0.25)),
         ("eps", (30.0, np.nan, 0.1, 0.25)),
@@ -162,3 +168,24 @@ def test_clipped_noise_bounded_and_gaussian_inside():
     from scipy.stats import truncnorm
 
     assert_allclose(eta.std(), truncnorm.std(-2.5, 2.5, scale=0.1), rtol=0.01)
+
+
+@pytest.mark.parametrize("beta, beta_max", [(1.0, 1e-4), (0.1, 0.25), (1.0, 0.5)])
+def test_clipped_noise_is_one_draw_per_value_truncated_normal(beta, beta_max):
+    """Bounded, distributed as the truncated normal, and one uniform per value however
+    narrow the window (a redraw loop would need about beta/beta_max draws per value)."""
+    from scipy.stats import kstest, truncnorm
+
+    rng = np.random.default_rng(4)
+    eta = clipped_noise(beta, beta_max, rng, 20_000)
+    twin = np.random.default_rng(4)
+    twin.uniform(size=20_000)
+    assert rng.random() == twin.random()  # exactly 20000 uniforms consumed
+    assert np.abs(eta).max() <= beta_max
+    a = beta_max / beta
+    assert kstest(eta, truncnorm(-a, a, scale=beta).cdf).pvalue > 1e-3
+
+
+def test_clipped_noise_without_noise_is_zero():
+    assert np.array_equal(clipped_noise(0.0, 0.25, np.random.default_rng(0), (2, 3)), np.zeros((2, 3)))
+

@@ -102,6 +102,22 @@ def test_seed_enumeration_rejects_candidate_of_other_length():
         mixture_score_exact(params, f, 1.0, np.zeros(6))
 
 
+def test_seed_enumeration_limit_is_one_check_with_one_message():
+    from phaselab.scores import mixture_score_exact
+
+    params = canonical_params(13, 13)
+    f = sign_identity(13)
+    msg = "seed enumeration is limited to d <= 12"
+    with pytest.raises(ValueError, match=msg):
+        f.seed_table
+    with pytest.raises(ValueError, match=msg):
+        seed_posterior_log_weights(params, f, np.zeros(13))
+    with pytest.raises(ValueError, match=msg):
+        brute_force_posterior(params, f, np.zeros(13), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=msg):
+        mixture_score_exact(params, f, 1.0, np.zeros(26))
+
+
 def test_seed_posterior_weights_normalized_and_peaked():
     params = canonical_params(3, 3)
     f = sign_identity(3)

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from phaselab.circuits import all_inputs, sign_identity
+from phaselab.circuits import BooleanCircuit, Gate, all_inputs, sign_identity
 from phaselab.instance import InstanceParams, sample_unconditional
 from phaselab.piecewise import PiecewiseLinear
 from phaselab.reduction import random_circuit_owf
@@ -141,6 +143,28 @@ def test_network_text_round_trip():
     x = rng.uniform(-5, 5, size=(30, 3))
     assert_allclose(eval_net(back, x), eval_net(net, x), rtol=0, atol=0)
     assert back.depth == net.depth
+
+
+# An OR and an AND with repeated references, a NOT, and an input passed to the outputs.
+HAND_CIRCUIT = BooleanCircuit(
+    3,
+    (Gate("OR", (0, 0, 1)), Gate("AND", (2, 2)), Gate("NOT", (3,)), Gate("OR", (4, 5, 1))),
+    (3, 6, 0),
+)
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: vertex_identifier(3, 0.25), "edcde65cd86003ed"),
+        (lambda: switch_net(3, 2.5), "2570cf4d9a9a250e"),
+        (lambda: circuit_to_relu(HAND_CIRCUIT), "c95cf88a1cf0d802"),
+    ],
+)
+def test_exact_builders_network_text_is_pinned(build, digest):
+    """The sparse layouts (entries, nnz, no stored zeros) of the exactly-valued builders."""
+    text = network_to_text(build())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_network_text_rejects_garbage():
