@@ -249,11 +249,7 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
         x, stats = rejection_sample(proposal, A, y, pcfg, rng, size=cfg["count"])
         rate = stats.rounds / len(x) if len(x) else None
         info.update(proposals=stats.rounds, accepted=len(x), rounds_per_accept=rate)
-        if not stats.accepted:
-            lines.append(
-                f"rejection budget exhausted after {stats.rounds} proposals: "
-                f"accepted {len(x)} of {cfg['count']} requested samples"
-            )
+        lines += shortfall(stats, len(x), cfg["count"])
     elif cfg["sampler"] == "brute-force":
         x = brute_force_posterior(params, enumerable(f), y, rng, size=cfg["count"])
     else:
@@ -263,6 +259,12 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
     lines.append(f"wrote {len(x)} posterior samples to {Path(args.out) / 'posterior.csv'}")
     table = ([f"x{j}" for j in range(params.dim)], x)
     return {"posterior.csv": table, "posterior_stats.json": info}, "\n".join(lines)
+
+
+def shortfall(stats, got: int, wanted: int) -> list[str]:
+    """The message line of a rejection run whose budget ran out, if it did."""
+    why = f"rejection budget exhausted after {stats.rounds} proposals"
+    return [] if stats.accepted else [f"{why}: accepted {got} of {wanted} requested samples"]
 
 
 def _measurement(text: str, d_prime: int) -> np.ndarray:
@@ -285,7 +287,7 @@ def cmd_invert(cfg: dict, args) -> tuple[dict, str]:
         sampler = make_rejection_sampler(params, f, cfg["max_rounds"])
     else:
         sampler = make_heuristic_sampler(params, enumerable(f))
-    rep = inversion_experiment(f, sampler, cfg["trials"], params, args.seed, jobs=args.jobs)
+    rep = inversion_experiment(f, sampler, cfg["trials"], params, args.seed)
     row = {
         "trials": rep.trials,
         "successes": rep.successes,
@@ -413,7 +415,7 @@ def cmd_demo2d(cfg: dict, args) -> tuple[dict, str]:
 
     prior = demo_prior_sample(prng.stream(args.seed, 0), n)
     pcfg = PosteriorConfig(cfg["max_rounds"], DEMO_BETA)
-    rej, _ = rejection_sample(
+    rej, stats = rejection_sample(
         lambda k, r: demo_prior_sample(r, k), A, y, pcfg, prng.stream(args.seed, 1), size=n
     )
     oracle = demo_oracle_posterior(yval, prng.stream(args.seed, 2), n)
@@ -422,9 +424,9 @@ def cmd_demo2d(cfg: dict, args) -> tuple[dict, str]:
         demo_score_provider(), A, y, pcfg, dcfg, prng.stream(args.seed, 3), size=n
     )
 
-    def upper_weight(x):
+    def upper_weight(x):  # None for an empty sample (no draw accepted)
         d = np.sum((x[:, None, :] - DEMO_MEANS) ** 2, axis=2)
-        return float(np.mean(d[:, 1] < d[:, 0]))
+        return float(np.mean(d[:, 1] < d[:, 0])) if len(x) else None
 
     weights = {
         "y": yval,
@@ -440,7 +442,7 @@ def cmd_demo2d(cfg: dict, args) -> tuple[dict, str]:
         "posterior_heuristic.csv": (cols, heur),
         "component_weights.json": weights,
     }
-    return artifacts, json.dumps(weights, indent=2)
+    return artifacts, "\n".join(shortfall(stats, len(rej), n) + [json.dumps(weights, indent=2)])
 
 
 # --- verify -----------------------------------------------------------------------
@@ -598,8 +600,8 @@ SCHEMAS = {
         "betas": (str, "0.1,0.2"),
         "ms": (str, "0,1,2,3,4"),
         "trials": (positive_int, 50),
-        "R": (float, 30.0),
-        "eps": (float, 1.0),
+        "R": (positive_float, 30.0),
+        "eps": (positive_float, 1.0),
         "max_rounds": (positive_int, 10**7),
     },
     "demo2d": {
@@ -621,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI ([run] section) or JSON config file")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--jobs", type=int, default=1, help="invert's trial threads, >= 1")
+        p.add_argument("--jobs", type=int, default=1, help="no effect; kept for old scripts, >= 1")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("overrides", nargs="*", help="key=value config overrides")
     args = parser.parse_args(argv)

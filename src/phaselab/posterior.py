@@ -86,20 +86,25 @@ def rejection_sample(
 def seed_posterior_log_weights(
     params: InstanceParams, f: OneWayCandidate, y: np.ndarray
 ) -> np.ndarray:
-    """log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j)."""
+    """log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j);
+    a y of shape (n, d_prime) gives an (n, 2^d) table, row i as for y[i] alone."""
     if f.input_len != params.d:
         raise ValueError("input length mismatch")
-    y = np.asarray(y, dtype=float)
     from .scores import DiscreteGaussianSpec, dg_smoothed_log_density
 
-    ld = np.empty((2, params.d_prime))
+    Y = np.atleast_2d(np.asarray(y, dtype=float))
+    ld = np.empty((2,) + Y.shape)
     for row, b in enumerate((1, -1)):
         spec = DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), params.beta)
-        ld[row] = dg_smoothed_log_density(spec, y)
+        ld[row] = dg_smoothed_log_density(spec, Y)
     F = f.seed_table[1]
     idx = ((1 - F) // 2).astype(np.intp)  # (2^d, d_prime)
-    logw = ld[idx, np.arange(params.d_prime)].sum(axis=1)
-    return logw - logsumexp(logw)
+    # row by row: one (2^d, d_prime) gather at a time, not an (n, 2^d, d_prime) one
+    logw = np.array([ld[idx, i, np.arange(params.d_prime)].sum(axis=1) for i in range(len(Y))])
+    logw -= logsumexp(logw, axis=-1, keepdims=True)
+    if np.isnan(logw).any():  # every seed has log-likelihood -inf
+        raise ValueError("y has zero likelihood under every seed")
+    return logw if np.ndim(y) == 2 else logw[0]
 
 
 def _tail_posterior_draws(
@@ -128,27 +133,34 @@ def brute_force_posterior(
 
     Seeds are drawn from the enumerated seed posterior; the first block is
     N(R s, I) (independent of y); tail coordinates come from the exact
-    discrete lattice posterior given y.
+    discrete lattice posterior given y. A y of shape (n, d_prime) draws row i
+    (size None or n) as the i-th of size=n draws given y[i] alone.
     """
     if params.beta <= 0:
         raise ValueError("posterior requires beta > 0")
-    n = 1 if size is None else size
-    logw = seed_posterior_log_weights(params, f, y)
+    y = np.asarray(y, dtype=float)
+    n = (len(y) if y.ndim == 2 else 1) if size is None else size
+    # inverse CDF: per weight row w, the draws of rng.choice(2^d, size=n, p=w)
+    cdf = np.cumsum(np.exp(seed_posterior_log_weights(params, f, y)), axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random(n)
+    if cdf.ndim == 1:  # one weight row: no (n, 2^d) table
+        pick = np.searchsorted(cdf, u, side="right")
+    else:  # a size that does not match the rows of y fails to broadcast here
+        pick = (cdf <= u[:, None]).sum(axis=1)
     S, F = f.seed_table
-    pick = rng.choice(S.shape[0], size=n, p=np.exp(logw))
     x = np.empty((n, params.dim))
     x[:, : params.d] = params.R * S[pick] + rng.standard_normal((n, params.d))
     bits = F[pick]
-    y = np.asarray(y, dtype=float)
+    Y = np.broadcast_to(y, (n, params.d_prime))
     for j in range(params.d_prime):
         for b in (1, -1):
             mask = bits[:, j] == b
             if mask.any():
-                yy = np.full(int(mask.sum()), y[j])
                 x[mask, params.d + j] = _tail_posterior_draws(
-                    params.eps, phase_of_bit(b, params.eps), params.beta, yy, rng
+                    params.eps, phase_of_bit(b, params.eps), params.beta, Y[mask, j], rng
                 )
-    return x[0] if size is None else x
+    return x[0] if size is None and y.ndim == 1 else x
 
 
 def heuristic_posterior_sample(

@@ -2,14 +2,15 @@
 
 Given a target bit string z, synthesize a measurement y whose law matches the
 measurement marginal conditioned on {s : f(s) = z}, run a posterior sampler,
-and decode the first block with round_R. Also ships toy one-way-function
-candidate constructors (random local circuits, output stretching).
+and decode the first block with round_R. An experiment draws every trial's
+target and measurement from the trial's own stream, then runs the sampler
+once on all the measurements. Also ships toy one-way-function candidate
+constructors (random local circuits, output stretching).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,65 +51,47 @@ def sample_measurement_for_target(
     return y[0] if size is None else y
 
 
-def invert(sampler, z: np.ndarray, params: InstanceParams, rng: np.random.Generator):
-    """One inversion attempt: guess = round_R(first d coords of a posterior draw).
+def invert(sampler, y: np.ndarray, params: InstanceParams, rng: np.random.Generator):
+    """Inversion attempts for measurements y of shape (n, d_prime): (guesses, no_guess).
 
-    sampler(y, rng) may return None (budget exhausted); that propagates as a
-    no-guess outcome (None).
+    sampler(y, rng) returns one posterior draw per row of y, a row of NaN where
+    it made none (budget exhausted); a guess is round_R of its draw's first d coordinates.
     """
-    y = sample_measurement_for_target(z, params, rng)
-    x = sampler(y, rng)
-    if x is None:
-        return None, y
-    return round_R(np.asarray(x)[: params.d], params.R), y
+    x = np.asarray(sampler(y, rng))
+    return round_R(x[:, : params.d], params.R), np.isnan(x).any(axis=1)
 
 
 def inversion_experiment(
-    f: OneWayCandidate,
-    sampler,
-    trials: int,
-    params: InstanceParams,
-    master_seed: int,
-    jobs: int = 1,
+    f: OneWayCandidate, sampler, trials: int, params: InstanceParams, master_seed: int
 ) -> InversionReport:
-    """Aggregate invert() over i.i.d. targets z = f(uniform s), split streams."""
+    """Aggregate invert() over i.i.d. targets z = f(uniform s).
+
+    Trial i draws s, z = f(s) and y from stream(master_seed, i), so a trial's
+    target does not depend on the trial count. The sampler then runs once on
+    all trials' y, with the batch stream stream(master_seed, rng.BATCH);
+    mean_sampler_nanos is that batch's wall time divided by trials.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    def one(i: int):
-        r = prng.stream(master_seed, i)
-        s = r.choice(np.array([-1, 1]), size=params.d)
-        z = f(s)
-        t0 = time.perf_counter_ns()
-        guess, y = invert(sampler, z, params, r)
-        dt = time.perf_counter_ns() - t0
-        if guess is None:
-            return (False, False, bool(np.array_equal(bits_eps(y, params.eps), z)), True, dt)
-        return (
-            bool(np.array_equal(f(guess), z)),
-            bool(np.array_equal(guess, s)),
-            bool(np.array_equal(bits_eps(y, params.eps), z)),
-            False,
-            dt,
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(one, range(trials)))  # ordered by trial index
-    else:
-        results = [one(i) for i in range(trials)]
-    succ = sum(r[0] for r in results)
-    hits = sum(r[1] for r in results)
-    bits = sum(r[2] for r in results)
-    nog = sum(r[3] for r in results)
-    nanos = float(np.mean([r[4] for r in results]))
-    return InversionReport(trials, succ, hits, bits, nog, nanos)
+    streams = [prng.stream(master_seed, i) for i in range(trials)]
+    s = np.array([r.choice(np.array([-1, 1]), size=params.d) for r in streams])
+    z = f(s)
+    y = np.array([sample_measurement_for_target(zi, params, r) for zi, r in zip(z, streams)])
+    t0 = time.perf_counter_ns()
+    guess, no_guess = invert(sampler, y, params, prng.stream(master_seed, prng.BATCH))
+    nanos = (time.perf_counter_ns() - t0) / trials
+    solved = np.all(f(guess) == z, axis=1) & ~no_guess
+    hits = solved & np.all(guess == s, axis=1)
+    bits = np.all(bits_eps(y, params.eps) == z, axis=1)
+    return InversionReport(
+        trials, int(solved.sum()), int(hits.sum()), int(bits.sum()), int(no_guess.sum()), nanos
+    )
 
 
 def make_brute_force_sampler(params: InstanceParams, f: OneWayCandidate):
     from .posterior import brute_force_posterior
 
-    return lambda y, rng: brute_force_posterior(params, f, y, rng)
+    return lambda y, rng: brute_force_posterior(params, f, y, rng, size=len(y))
 
 
 def make_rejection_sampler(params: InstanceParams, f: OneWayCandidate, max_rounds: int):
@@ -117,11 +100,11 @@ def make_rejection_sampler(params: InstanceParams, f: OneWayCandidate, max_round
 
     A = measurement_matrix(params)
     cfg = PosteriorConfig(max_rounds, params.beta)
+    proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
 
-    def sampler(y, rng):
-        proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
-        x, _ = rejection_sample(proposal, A, y, cfg, rng)
-        return x
+    def sampler(y, rng):  # one rejection loop per row; NaN where the budget ran out
+        draws = [rejection_sample(proposal, A, row, cfg, rng)[0] for row in y]
+        return np.array([np.full(params.dim, np.nan) if x is None else x for x in draws])
 
     return sampler
 
@@ -136,7 +119,7 @@ def make_heuristic_sampler(params: InstanceParams, f: OneWayCandidate, diffusion
     dcfg = default_config(params) if diffusion_cfg is None else diffusion_cfg
     cfg = PosteriorConfig(1, params.beta)
     provider = exact_provider(params, f)
-    return lambda y, rng: heuristic_posterior_sample(provider, A, y, cfg, dcfg, rng)
+    return lambda y, rng: heuristic_posterior_sample(provider, A, y, cfg, dcfg, rng, size=len(y))
 
 
 # --- candidate constructors ---------------------------------------------------

@@ -1,14 +1,17 @@
 """Deterministic random-stream management.
 
-Every operation in the package takes an explicit numpy Generator. Parallel or
-repeated trials derive independent streams from a single master seed with
-`stream(master, index)`; the stream id is the trial index, so results are
-reproducible regardless of scheduling order.
+Every operation in the package takes an explicit numpy Generator. Trial i of
+an experiment draws from `stream(master, i)`, so its draws do not depend on
+how many trials run; work done once for all trials, such as the batched
+posterior sampler of `reduction.inversion_experiment`, draws from
+`stream(master, BATCH)`, an index no trial uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BATCH = 2**32 - 1  # the batch stream's index; trial indices stay below it
 
 
 def stream(master_seed: int, index: int = 0) -> np.random.Generator:

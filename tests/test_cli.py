@@ -72,6 +72,8 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         (("sample", "method=diffusion", "d=2", "d_prime=2", "provider=bogus"), "'provider'"),
         (("sample", "d=0"), "'d'"),
         (("sample", "--jobs", "0"), "'jobs'"),
+        (("bench-acceptance", "ms=0", "R=-1"), "'R'"),
+        (("bench-acceptance", "ms=0", "eps=nan"), "'eps'"),
     ],
 )
 def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
@@ -250,6 +252,22 @@ def test_demo2d_weights_match_bayes(tmp_path):
     assert 0.0 <= w["heuristic_weight_upper"] <= 1.0
     for name in ("prior", "posterior_rejection", "posterior_oracle", "posterior_heuristic"):
         assert (tmp_path / f"{name}.csv").exists()
+
+
+def test_demo2d_with_nothing_accepted_writes_strict_json(tmp_path, capsys):
+    """An exhausted budget with no accepted draw gives a null weight and a shortfall line."""
+    assert run(
+        "demo2d", "--out", str(tmp_path), "count=20", "steps=10", "max_rounds=1", "y=40"
+    ) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    text = (tmp_path / "component_weights.json").read_text()
+    w = json.loads(text, parse_constant=reject)
+    assert w["rejection_weight_upper"] is None and w["oracle_weight_upper"] == 1.0
+    assert len((tmp_path / "posterior_rejection.csv").read_text().splitlines()) == 2
+    assert "accepted 0 of 20 requested samples" in capsys.readouterr().out
 
 
 def test_verify_detects_tampered_artifact(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phaselab.circuits import sign_identity
@@ -17,7 +19,7 @@ from phaselab.posterior import (
     rejection_sample,
     seed_posterior_log_weights,
 )
-from phaselab.reduction import sample_measurement_for_target
+from phaselab.reduction import random_circuit_owf, sample_measurement_for_target
 
 
 def test_config_validation():
@@ -132,6 +134,44 @@ def test_seed_posterior_weights_normalized_and_peaked():
     S = all_inputs(3)
     best = S[np.argmax(logw)]
     assert np.array_equal(f(best), f(s))
+
+
+small_instances = given(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.sampled_from([0.025, 0.1, 0.3]),
+    st.integers(0, 2**31),
+)
+
+
+@small_instances
+@settings(max_examples=30, deadline=None)
+def test_batched_seed_weights_rows_equal_single_measurement(d, d_prime, n, beta, seed):
+    params = canonical_params(d, d_prime, beta=beta)
+    f = random_circuit_owf(d, d_prime, 2 * d_prime, seed)
+    y = np.random.default_rng(seed).uniform(-2, 2, size=(n, d_prime))
+    batched = seed_posterior_log_weights(params, f, y)
+    assert batched.shape == (n, 2**d)
+    for i in range(n):
+        assert np.array_equal(batched[i], seed_posterior_log_weights(params, f, y[i]))
+
+
+@small_instances
+@settings(max_examples=30, deadline=None)
+def test_brute_force_on_tiled_measurement_equals_size_n_draws(d, d_prime, n, beta, seed):
+    params = canonical_params(d, d_prime, beta=beta)
+    f = random_circuit_owf(d, d_prime, 2 * d_prime, seed)
+    y = np.random.default_rng(seed).uniform(-2, 2, size=d_prime)
+    tiled = brute_force_posterior(params, f, np.tile(y, (n, 1)), np.random.default_rng(seed))
+    sized = brute_force_posterior(params, f, y, np.random.default_rng(seed), size=n)
+    assert tiled.shape == (n, params.dim) and np.array_equal(tiled, sized)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+def test_brute_force_rejects_measurement_that_no_seed_explains():
+    """A y with zero likelihood under every seed has no posterior to sample."""
+    params = canonical_params(2, 2)
+    for y in (np.full(2, 1000.0), np.array([[0.0, 0.0], [1000.0, 1000.0]])):
+        with pytest.raises(ValueError, match="zero likelihood under every seed"):
+            brute_force_posterior(params, sign_identity(2), y, np.random.default_rng(0))
 
 
 def test_brute_force_posterior_head_matches_seed_law():

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from phaselab import rng as prng
 from phaselab.circuits import all_inputs, constant_candidate, sign_identity
 from phaselab.instance import bits_eps, canonical_params
 from phaselab.reduction import (
@@ -9,6 +12,7 @@ from phaselab.reduction import (
     inversion_experiment,
     invert,
     make_brute_force_sampler,
+    make_rejection_sampler,
     random_circuit_owf,
     sample_measurement_for_target,
     stretch_owf,
@@ -38,8 +42,10 @@ def test_invert_constant_function_always_succeeds():
     f = constant_candidate(3, np.array([1, -1]))
     sampler = make_brute_force_sampler(params, f)
     rng = np.random.default_rng(1)
-    guess, _ = invert(sampler, f(np.array([1, 1, -1])), params, rng)
-    assert np.array_equal(f(guess), np.array([1, -1]))
+    y = sample_measurement_for_target(f(np.array([1, 1, -1])), params, rng, size=4)
+    guesses, no_guess = invert(sampler, y, params, rng)
+    assert guesses.shape == (4, 3) and not no_guess.any()
+    assert np.all(f(guesses) == np.array([1, -1]))
 
 
 def test_inversion_identity_exact_hits_equal_successes():
@@ -52,19 +58,48 @@ def test_inversion_identity_exact_hits_equal_successes():
     assert rep.no_guess_count == 0
 
 
-def test_inversion_deterministic_and_parallel_equal():
+def test_inversion_deterministic_and_trial_draws_independent_of_trial_count():
+    """Repeat runs give one report; trial i's (s, z, y) are the same at 10 and 40 trials."""
     params = canonical_params(6, 6)
     f = random_circuit_owf(6, 6, 18, seed=5)
     sampler = make_brute_force_sampler(params, f)
     a = inversion_experiment(f, sampler, 40, params, master_seed=3)
     b = inversion_experiment(f, sampler, 40, params, master_seed=3)
-    c = inversion_experiment(f, sampler, 40, params, master_seed=3, jobs=4)
-    assert (a.successes, a.exact_seed_hits, a.bits_match_count) == (
-        b.successes, b.exact_seed_hits, b.bits_match_count,
-    )
-    assert (a.successes, a.exact_seed_hits, a.bits_match_count) == (
-        c.successes, c.exact_seed_hits, c.bits_match_count,
-    )
+    assert replace(a, mean_sampler_nanos=0.0) == replace(b, mean_sampler_nanos=0.0)
+
+    def trial_draws(trials):
+        seen = {}
+
+        def f_seen(s):  # the first call evaluates the trials' seeds, the second the guesses
+            out = f(s)
+            seen.setdefault("sz", (s, out))
+            return out
+
+        def sampler_seen(y, rng):
+            seen["y"] = y
+            return sampler(y, rng)
+
+        inversion_experiment(f_seen, sampler_seen, trials, params, master_seed=3)
+        return (*seen["sz"], seen["y"])
+
+    small, large = trial_draws(10), trial_draws(40)
+    for got, want in zip(small, large):
+        assert len(got) == 10 and np.array_equal(got, want[:10])
+    s, z, y = small
+    for i in (0, 9):  # trial i draws s, then y, from stream(master_seed, i)
+        r = prng.stream(3, i)
+        assert np.array_equal(r.choice(np.array([-1, 1]), size=6), s[i])
+        assert np.array_equal(sample_measurement_for_target(z[i], params, r), y[i])
+
+
+def test_exhausted_rejection_budget_is_a_no_guess_not_a_success():
+    """f is constant, so every draw made inverts it; a trial without a draw must not count."""
+    params = canonical_params(3, 8)
+    f = constant_candidate(3, np.ones(8, dtype=int))
+    sampler = make_rejection_sampler(params, f, max_rounds=1)
+    rep = inversion_experiment(f, sampler, 10, params, master_seed=4)
+    assert rep.no_guess_count > 0
+    assert rep.successes == rep.trials - rep.no_guess_count
 
 
 def test_stretch_pad_appends_constant_plus_one():
