@@ -251,7 +251,7 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
         info.update(proposals=stats.rounds, accepted=len(x), rounds_per_accept=rate)
         lines += shortfall(stats, len(x), cfg["count"])
     elif cfg["sampler"] == "brute-force":
-        x = brute_force_posterior(params, enumerable(f), y, rng, size=cfg["count"])
+        x = _field("y", brute_force_posterior, params, enumerable(f), y, rng, size=cfg["count"])
     else:
         provider = build_provider(cfg["provider"], params, f)
         dcfg = diffusion_config(cfg, params)

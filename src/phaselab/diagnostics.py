@@ -133,11 +133,8 @@ def clipped_noise_tv(beta: float, beta_max: float) -> float:
     def diff_in(u):
         return excess * norm.pdf(u)
 
-    def tail(u):
-        return norm.pdf(u)
-
     part_in, _ = quad(diff_in, 0.0, z, epsabs=1e-12, limit=200)
-    part_out, _ = quad(tail, z, z + 5.0, epsabs=1e-300, epsrel=1e-12, limit=200)
+    part_out, _ = quad(norm.pdf, z, z + 5.0, epsabs=1e-300, epsrel=1e-12, limit=200)
     return 0.5 * (2.0 * part_in + 2.0 * (part_out + norm.sf(z + 5.0)))
 
 

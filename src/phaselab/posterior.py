@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .circuits import OneWayCandidate
+from .circuits import OneWayCandidate, sign_identity
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .diffusion import DiffusionConfig, reverse_run
 from .instance import InstanceParams, check_operator_norm, lattice_atoms, phase_of_bit
-from .scores import ScoreProvider
+from .scores import ScoreProvider, _phase_specs, _seed_tail_loglik, dg_smoothed_log_density
 
 
 @dataclass(frozen=True)
@@ -90,20 +90,14 @@ def seed_posterior_log_weights(
     a y of shape (n, d_prime) gives an (n, 2^d) table, row i as for y[i] alone."""
     if f.input_len != params.d:
         raise ValueError("input length mismatch")
-    from .scores import DiscreteGaussianSpec, dg_smoothed_log_density
-
     Y = np.atleast_2d(np.asarray(y, dtype=float))
-    ld = np.empty((2,) + Y.shape)
-    for row, b in enumerate((1, -1)):
-        spec = DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), params.beta)
-        ld[row] = dg_smoothed_log_density(spec, Y)
-    F = f.seed_table[1]
-    idx = ((1 - F) // 2).astype(np.intp)  # (2^d, d_prime)
-    # row by row: one (2^d, d_prime) gather at a time, not an (n, 2^d, d_prime) one
-    logw = np.array([ld[idx, i, np.arange(params.d_prime)].sum(axis=1) for i in range(len(Y))])
-    logw -= logsumexp(logw, axis=-1, keepdims=True)
-    if np.isnan(logw).any():  # every seed has log-likelihood -inf
+    ld = np.stack([dg_smoothed_log_density(sp, Y) for sp in _phase_specs(params.eps, params.beta)])
+    # on a 2^-40 grid every GEMM sum below 2^13 is exact in any order: batch rows = lone rows
+    ld = np.rint(ld * 2.0**40) * 2.0**-40
+    logw = _seed_tail_loglik(ld, (f.seed_table[1] == 1).astype(float))
+    if np.isneginf(logw).all(axis=1).any():
         raise ValueError("y has zero likelihood under every seed")
+    logw -= logsumexp(logw, axis=-1, keepdims=True)
     return logw if np.ndim(y) == 2 else logw[0]
 
 
@@ -197,47 +191,33 @@ def acceptance_curve(
     """Mean rounds-to-accept of rejection sampling vs measurement count m.
 
     For each (beta, m): a d=m, dPrime=m instance with the sign-identity map,
-    exact-direct proposal, fresh target y per trial. Returns a list of dict
-    rows; censored trials (budget hit) count as max_rounds rounds.
+    exact-direct proposal; trial t draws its target y and proposals from
+    child_stream(master_seed, m, t) (see rng), so no row depends on the others.
+    Returns a list of dict rows; censored trials (budget hit) count as max_rounds rounds.
     """
     from . import rng as prng
-    from .circuits import sign_identity
     from .instance import measurement_matrix, sample_unconditional
     from .reduction import sample_measurement_for_target
 
     rows = []
-    sid = 0  # stream counter: one independent stream per (beta, m, trial)
     for beta in betas:
         for m in ms:
-            if m == 0:
-                rows.append(
-                    {"beta": beta, "m": 0, "mean_rounds": 1.0, "log_mean_rounds": 0.0,
-                     "trials": trials, "censored": 0}
-                )
-                continue
-            params = InstanceParams(m, m, R, eps, beta, eps / 4)
-            f = sign_identity(m)
-            A = measurement_matrix(params)
-            cfg = PosteriorConfig(max_rounds, beta)
-            counts = np.empty(trials)
-            censored = 0
-            for t in range(trials):
-                r = prng.stream(master_seed, sid)
-                sid += 1
-                s = r.choice(np.array([-1, 1]), size=m)
-                y = sample_measurement_for_target(f(s), params, r)
+            counts, censored = np.ones(trials), 0  # m = 0 measures nothing: one round each
+            if m > 0:
+                params = InstanceParams(m, m, R, eps, beta, eps / 4)
+                f = sign_identity(m)
+                A = measurement_matrix(params)
+                cfg = PosteriorConfig(max_rounds, beta)
                 proposal = lambda n, rr: sample_unconditional(params, f, rr, size=n)[1]
-                _, stats = rejection_sample(proposal, A, y, cfg, r, chunk=4096)
-                counts[t] = stats.rounds
-                censored += 0 if stats.accepted else 1
-            rows.append(
-                {
-                    "beta": beta,
-                    "m": m,
-                    "mean_rounds": float(counts.mean()),
-                    "log_mean_rounds": float(np.log(counts.mean())),
-                    "trials": trials,
-                    "censored": censored,
-                }
-            )
+                for t in range(trials):
+                    r = prng.child_stream(master_seed, m, t)
+                    s = r.choice(np.array([-1, 1]), size=m)
+                    y = sample_measurement_for_target(f(s), params, r)
+                    _, stats = rejection_sample(proposal, A, y, cfg, r, chunk=4096)
+                    counts[t] = stats.rounds
+                    censored += 0 if stats.accepted else 1
+            mean = float(counts.mean())
+            log_mean = float(np.log(mean))
+            rows.append({"beta": beta, "m": m, "mean_rounds": mean, "log_mean_rounds": log_mean,
+                         "trials": trials, "censored": censored})
     return rows

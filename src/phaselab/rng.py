@@ -2,9 +2,10 @@
 
 Every operation in the package takes an explicit numpy Generator. Trial i of
 an experiment draws from `stream(master, i)`, so its draws do not depend on
-how many trials run; work done once for all trials, such as the batched
-posterior sampler of `reduction.inversion_experiment`, draws from
-`stream(master, BATCH)`, an index no trial uses.
+how many trials run; work done once for all trials, such as the batched sampler
+of `reduction.inversion_experiment`, draws from `stream(master, BATCH)`, an
+index no trial uses. Trial t of row m of `posterior.acceptance_curve` draws from
+`child_stream(master, m, t)`, whose SeedSequence spawn key no `stream` key matches.
 """
 
 from __future__ import annotations
@@ -17,3 +18,8 @@ BATCH = 2**32 - 1  # the batch stream's index; trial indices stay below it
 def stream(master_seed: int, index: int = 0) -> np.random.Generator:
     """Return the generator for sub-stream `index` of `master_seed`."""
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
+
+
+def child_stream(master_seed: int, *path: int) -> np.random.Generator:
+    """The generator of SeedSequence(master_seed).spawn descendant `path` (child, grandchild...)."""
+    return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=path))

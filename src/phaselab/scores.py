@@ -2,8 +2,8 @@
 
 Two independent routes are implemented for the smoothed discretized Gaussian:
 a truncated Fourier (Poisson-summation) series and a direct lattice
-convolution sum. They must agree to 1e-10 relative; tests enforce this.
-All mixture computations run in log-space via log-sum-exp.
+convolution sum. They must agree to 1e-10 relative; tests enforce this. The
+exact mixture score is two GEMMs and one softmax, in log-space; see mixture_score_exact.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .circuits import OneWayCandidate
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .instance import InstanceParams, LATTICE_EXTENT, lattice_atoms, phase_of_bit
 
 _LOG_CUTOFF = -700.0  # densities below e^-700 are reported as -inf log-density
+_FLOOR = -1e300  # stands in for -inf inside a GEMM; far below any sum of finite log-densities
 
 # Smallest J with exp(-J^2 rho^2 / (2 eps^2 (1+rho^2))) < 1e-18. This is far
 # more conservative than the true series decay exp(-2 pi^2 j^2 rho^2/(eps^2 v)).
@@ -112,7 +113,8 @@ def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
         diff = xs - pts[None, :]
         lg = logp[None, :] - diff**2 / (2.0 * rho2)
         m = lg.max(axis=1, keepdims=True)
-        w = np.exp(lg - m)
+        # exp is slow where it underflows; e^-700 is lost next to the largest term, 1
+        w = np.exp(np.maximum(lg - m, _LOG_CUTOFF))
         tot = w.sum(axis=1)
         logd[lo : lo + chunk] = m[:, 0] + np.log(tot) - 0.5 * np.log(2.0 * np.pi * rho2)
         score[lo : lo + chunk] = (w @ (pts / rho2) - (w.sum(axis=1)) * xs[:, 0] / rho2) / tot
@@ -137,7 +139,6 @@ def _resolve_method(spec: DiscreteGaussianSpec, method: str) -> str:
 def dg_smoothed_log_density(spec: DiscreteGaussianSpec, x, method: str = "auto"):
     if spec.rho == 0:
         raise ValueError("rho = 0 is atomic; no density")
-    x = np.asarray(x, dtype=float)
     if _resolve_method(spec, method) == "series":
         return _dg_series_log_density(spec, x)
     return _dg_lattice_parts(spec, x)[0]
@@ -150,10 +151,14 @@ def dg_smoothed_density(spec: DiscreteGaussianSpec, x, method: str = "auto"):
 def dg_smoothed_score(spec: DiscreteGaussianSpec, x, method: str = "auto"):
     if spec.rho == 0:
         raise ValueError("rho = 0 is atomic (unsmoothed); score undefined")
-    x = np.asarray(x, dtype=float)
     if _resolve_method(spec, method) == "series":
         return _dg_series_score(spec, x)
     return _dg_lattice_parts(spec, x)[1]
+
+
+def _phase_specs(eps: float, rho: float) -> list[DiscreteGaussianSpec]:
+    """The smoothed lattices of bit +1 and bit -1, in that order."""
+    return [DiscreteGaussianSpec(eps, phase_of_bit(b, eps), rho) for b in (1, -1)]
 
 
 def _tail_phase_parts(params: InstanceParams, sigma: float, x_tail: np.ndarray):
@@ -161,13 +166,21 @@ def _tail_phase_parts(params: InstanceParams, sigma: float, x_tail: np.ndarray):
 
     Returns (logd, sc) of shape (2,) + x_tail.shape, index 0 = bit +1, 1 = bit -1.
     """
-    out_ld = np.empty((2,) + x_tail.shape)
-    out_sc = np.empty((2,) + x_tail.shape)
-    for row, b in enumerate((1, -1)):
-        spec = DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), sigma)
-        out_ld[row] = dg_smoothed_log_density(spec, x_tail)
-        out_sc[row] = dg_smoothed_score(spec, x_tail)
-    return out_ld, out_sc
+    specs = _phase_specs(params.eps, sigma)
+    ld = np.stack([dg_smoothed_log_density(spec, x_tail) for spec in specs])
+    return ld, np.stack([dg_smoothed_score(spec, x_tail) for spec in specs])
+
+
+def _seed_tail_loglik(ld: np.ndarray, Fp: np.ndarray) -> np.ndarray:
+    """(n, 2^d) log-likelihood of the tail under each seed: ld[0] @ Fp.T + ld[1] @ (1-Fp).T.
+
+    ld is (2, n, d_prime) as from _tail_phase_parts; Fp is the 0/1 table of f(s)_j == +1.
+    The GEMM sees -inf floored at _FLOOR (-inf * 0 is NaN); a sum that met the floor is -inf.
+    """
+    lhs = np.concatenate(np.maximum(ld, _FLOOR), axis=1)  # (n, 2 d_prime)
+    out = lhs @ np.concatenate((Fp, 1.0 - Fp), axis=1).T
+    out[out < 0.5 * _FLOOR] = -np.inf
+    return out
 
 
 def mixture_score_exact(
@@ -177,7 +190,14 @@ def mixture_score_exact(
     x,
     return_log_density: bool = False,
 ):
-    """Exact score of the smoothed uniform seed mixture (cost 2^d; d <= 12)."""
+    """Exact score of the smoothed uniform seed mixture (cost 2^d; d <= 12).
+
+    With v = 1 + sigma^2 and |s|^2 = d, the log-likelihood under seed s is
+    (R/v) head.s + tail(s) + terms free of s: the weights w are one softmax of
+    two GEMMs. The head score is (R w@S - head)/v; tail coordinate j mixes the
+    phase scores by w@Fp_j. A seed with a -inf tail term gets weight exactly 0;
+    a point that every seed rules out gets a NaN score and log density -inf.
+    """
     if f.input_len != params.d:
         raise ValueError("input length mismatch")
     if sigma <= 0:
@@ -189,32 +209,31 @@ def mixture_score_exact(
         raise ValueError("dimension mismatch")
 
     S, F = f.seed_table  # (2^d, d), (2^d, d_prime)
-    S = S.astype(float)
-    F_idx = ((1 - F) // 2).astype(np.intp)  # 0 for +1, 1 for -1
+    S, Fp = S.astype(float), (F == 1).astype(float)
     v = 1.0 + sigma**2
-    n = X.shape[0]
-
     head = X[:, : params.d]
-    tail = X[:, params.d :]
-    ld_ph, sc_ph = _tail_phase_parts(params, sigma, tail)  # (2, n, d_prime)
+    ld_ph, sc_ph = _tail_phase_parts(params, sigma, X[:, params.d :])  # (2, n, d_prime)
 
-    loglik = np.empty((n, S.shape[0]))
-    # head block: sum_i log N(x_i; R s_i, v)
-    diff = head[:, None, :] - params.R * S[None, :, :]  # (n, 2^d, d)
-    loglik[:] = -(diff**2).sum(axis=2) / (2.0 * v) - params.d * 0.5 * np.log(2.0 * np.pi * v)
-    # tail block: per seed, pick the phase of f(s)_j
-    for j in range(params.d_prime):
-        loglik += ld_ph[F_idx[:, j], :, j].T  # (n, 2^d)
-
-    log_mix = logsumexp(loglik, axis=1) - params.d * np.log(2.0)
-    w = np.exp(loglik - loglik.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
+    loglik = _seed_tail_loglik(ld_ph, Fp)  # (n, 2^d); updated in place from here on
+    loglik += head @ ((params.R / v) * S.T)
+    # terms free of s: from |head - R s|^2, the normalizer and the seed weight 2^-d
+    shift = ((head**2).sum(axis=1) + params.R**2 * params.d) / (2.0 * v)
+    shift += params.d * (0.5 * np.log(2.0 * np.pi * v) + np.log(2.0))
+    with np.errstate(invalid="ignore", divide="ignore"):  # rows every seed rules out
+        m = loglik.max(axis=1, keepdims=True)
+        m[np.isneginf(m)] = 0.0  # such a row: weights 0/0 = NaN, log density -inf
+        loglik -= m
+        # as in _dg_lattice_parts: no slow underflow in exp; -inf stays -inf (weight 0)
+        np.maximum(loglik, _LOG_CUTOFF, out=loglik, where=np.isfinite(loglik))
+        w = np.exp(loglik, out=loglik)
+        tot = w.sum(axis=1, keepdims=True)
+        w /= tot
+        log_mix = (m + np.log(tot))[:, 0] - shift
 
     out = np.empty_like(X)
     out[:, : params.d] = (-head + params.R * (w @ S)) / v
-    for j in range(params.d_prime):
-        w_plus = w @ (F[:, j] == 1).astype(float)
-        out[:, params.d + j] = w_plus * sc_ph[0, :, j] + (1.0 - w_plus) * sc_ph[1, :, j]
+    wp = w @ Fp  # (n, d_prime): weight of bit +1 per tail coordinate
+    out[:, params.d :] = wp * sc_ph[0] + (1.0 - wp) * sc_ph[1]
 
     if single:
         out, log_mix = out[0], log_mix[0]
@@ -235,10 +254,8 @@ def orthant_score(
     v = 1.0 + sigma**2
     out = np.empty_like(X)
     out[:, : params.d] = -(X[:, : params.d] - params.R * r) / v
-    ld_ph, sc_ph = _tail_phase_parts(params, sigma, X[:, params.d :])
-    idx = ((1 - bits) // 2).astype(np.intp)
-    for j in range(params.d_prime):
-        out[:, params.d + j] = sc_ph[idx[:, j], np.arange(X.shape[0]), j]
+    sc_ph = _tail_phase_parts(params, sigma, X[:, params.d :])[1]
+    out[:, params.d :] = np.where(bits == 1, sc_ph[0], sc_ph[1])
     return out[0] if single else out
 
 

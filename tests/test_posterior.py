@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from phaselab import rng as prng
 from phaselab.circuits import sign_identity
 from phaselab.diagnostics import tv_binned
 from phaselab.instance import (
@@ -165,7 +166,7 @@ def test_brute_force_on_tiled_measurement_equals_size_n_draws(d, d_prime, n, bet
     assert tiled.shape == (n, params.dim) and np.array_equal(tiled, sized)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@pytest.mark.filterwarnings("error")
 def test_brute_force_rejects_measurement_that_no_seed_explains():
     """A y with zero likelihood under every seed has no posterior to sample."""
     params = canonical_params(2, 2)
@@ -223,6 +224,26 @@ def test_acceptance_curve_rows_and_monotonicity():
     assert table[(0.4, 2)]["mean_rounds"] < table[(0.2, 2)]["mean_rounds"]
     # more measurements cost more rounds
     assert table[(0.2, 2)]["mean_rounds"] > table[(0.2, 0)]["mean_rounds"]
+
+
+def test_acceptance_curve_row_does_not_depend_on_the_other_rows():
+    """Trial t of row m draws from a stream keyed by (master_seed, m, t) alone."""
+
+    def m2_row(betas, ms):
+        rows = acceptance_curve(betas, ms, trials=5, master_seed=3)
+        return next(r for r in rows if (r["beta"], r["m"]) == (0.3, 2))
+
+    want = m2_row([0.3], [2])
+    assert m2_row([0.3], [1, 2]) == want
+    assert m2_row([0.5, 0.3], [2]) == want
+
+
+def test_row_streams_meet_no_trial_or_batch_stream():
+    """A row's child stream (m, t) differs from every stream(seed, i)."""
+    first = lambda r: int(r.integers(2**62))
+    rows = {first(prng.child_stream(3, m, t)) for m in (1, 2) for t in range(3)}
+    others = {first(prng.stream(3, i)) for i in (0, 1, 2, prng.BATCH)}
+    assert len(rows) == 6 and not rows & others
 
 
 def test_heuristic_posterior_uninformative_limit():

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
-from phaselab.circuits import sign_identity
+from phaselab.circuits import constant_candidate, sign_identity
 from phaselab.instance import canonical_params, phase_of_bit
+from phaselab.posterior import seed_posterior_log_weights
+from phaselab.reduction import random_circuit_owf
 from phaselab.scores import (
     DiscreteGaussianSpec,
     ScoreProvider,
@@ -105,6 +110,83 @@ def test_mixture_score_single_point_shape():
     f = sign_identity(2)
     x = np.array([30.0, -30.0, 0.2, 0.7])
     assert mixture_score_exact(params, f, 1.0, x).shape == (4,)
+
+
+def tensor_mixture_score(params, f, sigma, X):
+    """Reference: the per-seed (n, 2^d, d) head tensor and a per-coordinate tail gather."""
+    S, F = f.seed_table
+    S = S.astype(float)
+    v = 1.0 + sigma**2
+    head, tail = X[:, : params.d], X[:, params.d :]
+    specs = [DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), sigma) for b in (1, -1)]
+    ld = np.stack([dg_smoothed_log_density(spec, tail) for spec in specs])
+    sc = np.stack([dg_smoothed_score(spec, tail) for spec in specs])
+    diff = head[:, None, :] - params.R * S[None, :, :]
+    loglik = -(diff**2).sum(axis=2) / (2.0 * v) - params.d * 0.5 * np.log(2.0 * np.pi * v)
+    for j in range(params.d_prime):
+        loglik += ld[(1 - F[:, j]) // 2, :, j].T
+    with np.errstate(invalid="ignore"):
+        log_mix = logsumexp(loglik, axis=1) - params.d * np.log(2.0)
+        w = np.exp(loglik - loglik.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+    out = np.empty_like(X)
+    out[:, : params.d] = (-head + params.R * (w @ S)) / v
+    for j in range(params.d_prime):
+        wp = w @ (F[:, j] == 1).astype(float)
+        out[:, params.d + j] = wp * sc[0, :, j] + (1.0 - wp) * sc[1, :, j]
+    return out, log_mix
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.one_of(st.floats(0.01, 0.34), st.floats(0.36, 6.0)),  # lattice and series routes
+    st.integers(1, 40),
+    st.booleans(),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_mixture_score_matches_per_seed_tensor_formula(d, d_prime, sigma, n, single, seed):
+    params = canonical_params(d, d_prime)
+    f = random_circuit_owf(d, d_prime, 2 * d_prime, seed)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d + d_prime)) * (1.0 + sigma)
+    X[:, :d] += params.R * rng.choice([-1.0, 0.0, 1.0], size=(n, d))
+    X[:, d:] += rng.integers(-3, 4, size=(n, d_prime)) * params.eps / 2
+    want, want_log = tensor_mixture_score(params, f, sigma, X)
+    if single:
+        X, want, want_log = X[0], want[0], want_log[0]
+    got, got_log = mixture_score_exact(params, f, sigma, X, return_log_density=True)
+    assert got.shape == X.shape
+    assert_allclose(got, want, atol=1e-9, rtol=1e-12)
+    assert_allclose(got_log, want_log, atol=1e-9, rtol=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mixture_score_gives_ruled_out_seeds_zero_weight():
+    """At sigma = 0.01 a tail coordinate on an eps/2-phase atom rules out bit +1 there."""
+    params = canonical_params(2, 2)
+    sigma = 0.01
+    x = np.array([30.0, 30.0, 0.5, 0.25])  # coordinate 2: eps/2 from every phase-0 atom
+    score = mixture_score_exact(params, sign_identity(2), sigma, x)
+    assert np.all(np.isfinite(score))
+    # no weight on the seeds with s_0 = +1, though the head favours them by e^1800
+    minus = DiscreteGaussianSpec(params.eps, phase_of_bit(-1, params.eps), sigma)
+    assert score[2] == dg_smoothed_score(minus, np.array([0.5]))[0]
+    assert_allclose(score[0], (-30.0 - params.R) / (1.0 + sigma**2), rtol=1e-12)
+    # the brute-force oracle's seed weights come from the same tail term
+    logw = seed_posterior_log_weights(canonical_params(2, 2, beta=sigma), sign_identity(2), x[2:])
+    plus = sign_identity(2).seed_table[1][:, 0] == 1
+    assert np.all(np.isneginf(logw[plus])) and np.all(np.isfinite(logw[~plus]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_provider_raises_where_every_seed_is_ruled_out():
+    params = canonical_params(2, 2)
+    f = constant_candidate(2, np.array([1, 1]))  # every seed has bit +1 everywhere
+    x = np.array([30.0, 30.0, 0.5, 0.0])
+    with pytest.raises(FloatingPointError):
+        exact_provider(params, f)(0.01, x)
 
 
 def test_two_point_score_matches_log_density_gradient():
