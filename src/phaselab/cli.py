@@ -107,6 +107,7 @@ def choice(*names: str):
 positive_int = checked(int, lambda v: v >= 1, ">= 1")
 non_negative_int = checked(int, lambda v: v >= 0, ">= 0")
 positive_float = checked(float, lambda v: 0 < v < np.inf, "positive and finite")
+finite_float = checked(float, np.isfinite, "finite")
 
 
 def config_hash(cfg: dict) -> str:
@@ -607,7 +608,7 @@ SCHEMAS = {
     "demo2d": {
         "count": (positive_int, 2000),
         "steps": (non_negative_int, 1500),
-        "y": (float, 4.0),
+        "y": (finite_float, 4.0),
         "max_rounds": (positive_int, 10**6),
     },
     "verify": {},

@@ -1,4 +1,4 @@
-"""Statistical distances: binned/discrete TV, exact 1-D W2, KS, pair closeness.
+"""Statistical distances: binned/discrete TV, KS, clipped-noise TV.
 
 The binned-TV protocol is fixed repo-wide: 20 equal-mass bins per coordinate,
 bin edges taken from the first (oracle) sample, bootstrap CI with 200
@@ -138,23 +138,6 @@ def clipped_noise_tv(beta: float, beta_max: float) -> float:
     return 0.5 * (2.0 * part_in + 2.0 * (part_out + norm.sf(z + 5.0)))
 
 
-def w2_1d(a, b) -> float:
-    """Exact empirical 2-Wasserstein distance between 1-D samples.
-
-    Unequal sizes are handled by quantile matching at k = min(len) midpoints.
-    """
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
-        raise ValueError("empty input")
-    if a.size != b.size:
-        k = min(a.size, b.size)
-        qs = (np.arange(k) + 0.5) / k
-        a = np.quantile(a, qs)
-        b = np.quantile(b, qs)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
-
-
 def ks(a, cdf) -> float:
     """Kolmogorov-Smirnov statistic of samples against a callable CDF."""
     a = np.sort(np.asarray(a, dtype=float).ravel())
@@ -164,14 +147,3 @@ def ks(a, cdf) -> float:
     n = a.size
     i = np.arange(n)
     return float(np.max(np.maximum(np.abs(c - i / n), np.abs(c - (i + 1) / n))))
-
-
-def close_pair_rate(a, b, tau: float) -> float:
-    """Fraction of paired draws with ||a_i - b_i|| > tau (the exceedance rate)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float).T).T
-    b = np.atleast_2d(np.asarray(b, dtype=float).T).T
-    if a.shape != b.shape:
-        raise ValueError("pairs must have matching shapes")
-    if a.size == 0:
-        raise ValueError("empty input")
-    return float(np.mean(np.linalg.norm(a - b, axis=1) > tau))

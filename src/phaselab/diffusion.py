@@ -49,37 +49,29 @@ def default_config(params: InstanceParams, N: int = 2000, t_min: float = 1e-4) -
     return DiffusionConfig(T=10.0 * coordinate_second_moment(params), t_min=t_min, N=N)
 
 
-def forward_sample(x0, t: float, rng: np.random.Generator) -> np.ndarray:
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
-    return x0 + np.sqrt(t) * rng.standard_normal(x0.shape)
-
-
 def reverse_run(
     provider: ScoreProvider,
     cfg: DiffusionConfig,
     rng: np.random.Generator,
+    size: int,
     init: np.ndarray | None = None,
     dim: int | None = None,
-    size: int | None = None,
     extra_drift=None,
 ) -> np.ndarray:
-    """Run the discretized reverse SDE down to t_min; returns the final state.
+    """Run size independent chains of the discretized reverse SDE down to t_min.
 
-    With size given, runs a batch of independent chains, shape (size, dim).
-    extra_drift(t, x), if given, is added to the score (posterior guidance).
+    Returns the final states, shape (size, dim). extra_drift(t, x), if given,
+    is added to the score (posterior guidance).
     """
-    n = 1 if size is None else size
     if init is None:
         if dim is None:
             dim = provider.dim
         if dim is None:
             raise ValueError("need dim or init")
-        x = np.sqrt(cfg.T) * rng.standard_normal((n, dim))
+        x = np.sqrt(cfg.T) * rng.standard_normal((size, dim))
     else:
         init = np.asarray(init, dtype=float)
-        x = np.broadcast_to(init, (n,) + init.shape[-1:]).copy()
+        x = np.broadcast_to(init, (size,) + init.shape[-1:]).copy()
     times = geometric_grid(cfg)
     for k in range(cfg.N):
         t, t_next = times[k], times[k + 1]
@@ -88,5 +80,5 @@ def reverse_run(
         if extra_drift is not None:
             drift = drift + extra_drift(t, x)
         x = x + h * drift + np.sqrt(h) * rng.standard_normal(x.shape)
-    return x[0] if size is None else x
+    return x
 

@@ -44,30 +44,6 @@ class InstanceParams:
     def dim(self) -> int:
         return self.d + self.d_prime
 
-    def to_text(self) -> str:
-        return (
-            f"d = {self.d}\nd_prime = {self.d_prime}\nR = {self.R!r}\n"
-            f"eps = {self.eps!r}\nbeta = {self.beta!r}\nbeta_max = {self.beta_max!r}\n"
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "InstanceParams":
-        kv = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-        return cls(
-            d=int(kv["d"]),
-            d_prime=int(kv["d_prime"]),
-            R=float(kv["R"]),
-            eps=float(kv["eps"]),
-            beta=float(kv["beta"]),
-            beta_max=float(kv["beta_max"]),
-        )
-
 
 def canonical_params(d: int = 8, d_prime: int = 8, beta: float | None = None) -> InstanceParams:
     """Desk-scale defaults: R=30, eps=1, beta=eps/40, beta_max=eps/4."""
@@ -99,38 +75,16 @@ def sample_discretized_gaussian(b: int, eps: float, rng: np.random.Generator, si
     return pts[idx]
 
 
-def sample_component(
-    s: np.ndarray,
-    params: InstanceParams,
-    f: OneWayCandidate,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    """Draw from the product component for seed s; shape (size, d+dPrime) or (d+dPrime,)."""
-    s = np.asarray(s)
-    if s.shape != (params.d,):
-        raise ValueError("seed length mismatch")
-    n = 1 if size is None else size
-    x = np.empty((n, params.dim))
-    x[:, : params.d] = params.R * s + rng.standard_normal((n, params.d))
-    bits = f(s)
-    for j in range(params.d_prime):
-        x[:, params.d + j] = sample_discretized_gaussian(int(bits[j]), params.eps, rng, size=n)
-    return x[0] if size is None else x
-
-
 def sample_unconditional(
     params: InstanceParams,
     f: OneWayCandidate,
     rng: np.random.Generator,
-    size: int | None = None,
-    scaled: bool = False,
+    size: int,
 ):
-    """Draw (s, x) with s uniform and x from the seed-s component; scaled divides x by R."""
-    n = 1 if size is None else size
-    s = rng.choice(np.array([-1, 1]), size=(n, params.d))
-    x = np.empty((n, params.dim))
-    x[:, : params.d] = params.R * s + rng.standard_normal((n, params.d))
+    """Draw size pairs (s, x) with s uniform and x from the seed-s component."""
+    s = rng.choice(np.array([-1, 1]), size=(size, params.d))
+    x = np.empty((size, params.dim))
+    x[:, : params.d] = params.R * s + rng.standard_normal((size, params.d))
     bits = f(s)  # (n, d_prime)
     eps = params.eps
     for b in (1, -1):
@@ -139,20 +93,7 @@ def sample_unconditional(
         cnt = int(mask.sum())
         if cnt:
             x[:, params.d :][mask] = pts[rng.choice(len(pts), size=cnt, p=p)]
-    if scaled:
-        x = x / params.R
-    if size is None:
-        return s[0], x[0]
     return s, x
-
-
-def measure(x: np.ndarray, params: InstanceParams, rng: np.random.Generator) -> np.ndarray:
-    """y = last dPrime coordinates of x plus beta*N(0, I)."""
-    x = np.asarray(x)
-    tail = x[..., params.d :]
-    if tail.shape[-1] != params.d_prime:
-        raise ValueError("sample dimension mismatch")
-    return tail + params.beta * rng.standard_normal(tail.shape)
 
 
 def check_operator_norm(A: np.ndarray) -> np.ndarray:
@@ -161,14 +102,6 @@ def check_operator_norm(A: np.ndarray) -> np.ndarray:
     if np.linalg.norm(A, 2) > 1.0 + 1e-9:
         raise ValueError("measurement matrix must have operator norm <= 1")
     return A
-
-
-def measure_general(
-    A: np.ndarray, x: np.ndarray, beta: float, rng: np.random.Generator
-) -> np.ndarray:
-    """y = A x + beta*N(0, I); requires operator norm of A at most 1 (tol 1e-9)."""
-    y = np.asarray(x) @ check_operator_norm(A).T
-    return y + beta * rng.standard_normal(y.shape)
 
 
 def measurement_matrix(params: InstanceParams) -> np.ndarray:

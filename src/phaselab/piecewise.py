@@ -139,17 +139,6 @@ def _grid(gamma: float, lo: float, hi: float) -> np.ndarray:
     return np.arange(k_lo, k_hi + 1, dtype=float) * gamma
 
 
-def build_interpolant(score, gamma: float, lo: float, hi: float) -> PiecewiseLinear:
-    """Linear interpolation of the score at grid points i*gamma over [lo, hi]."""
-    grid = _grid(gamma, lo, hi)
-    vals = np.asarray(score(grid), dtype=float)
-    if grid.size == 1:
-        return PiecewiseLinear(grid, vals, 0.0, 0.0)
-    ls = (vals[1] - vals[0]) / gamma
-    rs = (vals[-1] - vals[-2]) / gamma
-    return PiecewiseLinear(grid, vals, ls, rs)
-
-
 def build_good_interval(
     score, gamma: float, threshold: float, lo: float, hi: float
 ) -> PiecewiseLinear:
@@ -167,8 +156,6 @@ def build_good_interval(
     if grid.size < 2:
         raise ValueError("range shorter than one grid interval")
     vals = np.asarray(score(grid), dtype=float)
-    if np.isinf(threshold):
-        return build_interpolant(score, gamma, lo, hi)
 
     # 21-point sup of |score| per interval
     offs = np.linspace(0.0, 1.0, 21)
@@ -250,12 +237,14 @@ def measure_l2_error(l, score, sampler, n: int, rng: np.random.Generator) -> flo
 
 # --- named 1-D test families (score + sampler of the smoothed law) ---
 
+EPS_DG = 0.5  # lattice period of the 'dg' family
 
-def score_family(name: str, sigma: float, eps_dg: float = 0.5):
+
+def score_family(name: str, sigma: float):
     """Return (score, sampler, m2, mu) for a named smoothed 1-D family.
 
     gaussian: N(0,1); two_point: 0.5 N(-3,1) + 0.5 N(3,1); dg: unit Gaussian on
-    the phase-0 lattice with period eps_dg. All smoothed by N(0, sigma^2).
+    the phase-0 lattice with period EPS_DG. All smoothed by N(0, sigma^2).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -271,16 +260,16 @@ def score_family(name: str, sigma: float, eps_dg: float = 0.5):
             return c + np.sqrt(v) * rng.standard_normal(n)
         return score, sampler, float(np.sqrt(9.0 + v)), 0.0
     if name == "dg":
-        spec = DiscreteGaussianSpec(eps_dg, 0.0, sigma)
+        spec = DiscreteGaussianSpec(EPS_DG, 0.0, sigma)
         score = lambda x: dg_smoothed_score(spec, x)
-        pts, p = lattice_atoms(eps_dg, 0.0)
+        pts, p = lattice_atoms(EPS_DG, 0.0)
         def sampler(n, rng):
             return pts[rng.choice(len(pts), size=n, p=p)] + sigma * rng.standard_normal(n)
         return score, sampler, float(np.sqrt(v)), 0.0
     raise ValueError(f"unknown test family {name!r}")
 
 
-def score_family_log_density(name: str, sigma: float, eps_dg: float = 0.5):
+def score_family_log_density(name: str, sigma: float):
     """Log density matching score_family (for finite-difference cross-checks)."""
     v = 1.0 + sigma**2
     if name == "gaussian":
@@ -290,7 +279,7 @@ def score_family_log_density(name: str, sigma: float, eps_dg: float = 0.5):
     if name == "dg":
         from .scores import dg_smoothed_log_density
 
-        spec = DiscreteGaussianSpec(eps_dg, 0.0, sigma)
+        spec = DiscreteGaussianSpec(EPS_DG, 0.0, sigma)
         return lambda x: dg_smoothed_log_density(spec, x)
     raise ValueError(f"unknown test family {name!r}")
 

@@ -164,7 +164,7 @@ def heuristic_posterior_sample(
     cfg: PosteriorConfig,
     diffusion_cfg: DiffusionConfig,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
 ) -> np.ndarray:
     """Guided reverse diffusion: adds the Gaussian-likelihood gradient
     -A^T(Ax - y)/(beta^2 + t) to the score at each step. Baseline only."""

@@ -4,8 +4,8 @@ Given a target bit string z, synthesize a measurement y whose law matches the
 measurement marginal conditioned on {s : f(s) = z}, run a posterior sampler,
 and decode the first block with round_R. An experiment draws every trial's
 target and measurement from the trial's own stream, then runs the sampler
-once on all the measurements. Also ships toy one-way-function candidate
-constructors (random local circuits, output stretching).
+once on all the measurements. Also ships a toy one-way-function candidate
+constructor (random local circuits).
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as prng
-from .circuits import BooleanCircuit, Gate, OneWayCandidate, all_inputs
+from .circuits import BooleanCircuit, Gate, OneWayCandidate
+from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .instance import InstanceParams, bits_eps, round_R, sample_discretized_gaussian
 
 
@@ -125,40 +126,6 @@ def make_heuristic_sampler(params: InstanceParams, f: OneWayCandidate, diffusion
 # --- candidate constructors ---------------------------------------------------
 
 
-def stretch_owf(f: OneWayCandidate, l: int) -> OneWayCandidate:
-    """Change the output length to l.
-
-    l > outputLen: pad with constant +1 outputs. l < outputLen: restricted
-    evaluation — inputs beyond n' = max(1, round(n*l/m)) are pinned to +1 and
-    only the first l outputs are kept.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    c = f.circuit
-    if l == f.output_len:
-        return f
-    if l > f.output_len:
-        gates = list(c.gates)
-        gates.append(Gate("NOT", (0,)))
-        not0 = c.n_inputs + len(gates) - 1
-        gates.append(Gate("AND", (0, not0)))  # constant False = +1
-        const_plus = c.n_inputs + len(gates) - 1
-        outs = tuple(c.outputs) + (const_plus,) * (l - f.output_len)
-        cc = BooleanCircuit(c.n_inputs, tuple(gates), outs)
-        return OneWayCandidate(f.input_len, l, cc, f.label + f"+pad{l}")
-    n_keep = max(1, round(f.input_len * l / f.output_len))
-    gates = [Gate("NOT", (0,)), Gate("AND", (0, c.n_inputs + 0))]
-    const_plus = c.n_inputs + 1
-    remap = {i: (i if i < n_keep else const_plus) for i in range(c.n_inputs)}
-    for k, g in enumerate(c.gates):
-        gates.append(
-            Gate(g.kind, tuple(remap.get(r, r + 2) for r in g.inputs))
-        )
-    outs = tuple(remap.get(r, r + 2) for r in c.outputs[:l])
-    cc = BooleanCircuit(c.n_inputs, tuple(gates), outs)
-    return OneWayCandidate(f.input_len, l, cc, f.label + f"+trunc{l}")
-
-
 def random_circuit_owf(n: int, m: int, gate_count: int, seed: int) -> OneWayCandidate:
     """Seed-deterministic local candidate: fan-in <= 3, each output reads <= 8 inputs.
 
@@ -195,12 +162,3 @@ def random_circuit_owf(n: int, m: int, gate_count: int, seed: int) -> OneWayCand
         outputs.append(n + len(gates) - 1)
     c = BooleanCircuit(n, tuple(gates), tuple(outputs))
     return OneWayCandidate(n, m, c, f"random-{n}to{m}-seed{seed}")
-
-
-def brute_force_preimages(f: OneWayCandidate, z: np.ndarray) -> np.ndarray:
-    """All seeds s with f(s) = z, by 2^n enumeration (n <= 20)."""
-    if f.input_len > 20:
-        raise ValueError("enumeration limited to n <= 20")
-    S = all_inputs(f.input_len)
-    out = f(S)
-    return S[np.all(out == np.asarray(z), axis=1)]

@@ -78,11 +78,9 @@ def _layer(w, b, relu=None) -> Layer:
 
 
 def eval_net(net: ReluNetwork, x) -> np.ndarray:
-    """Forward evaluation on (n, inputDim) or (inputDim,) inputs."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    z = x[None, :] if single else x
-    if z.shape[1] != net.input_dim:
+    """Forward evaluation on (n, inputDim) inputs."""
+    z = np.asarray(x, dtype=float)
+    if z.ndim != 2 or z.shape[1] != net.input_dim:
         raise ValueError("input dimension mismatch")
     width = max(max(l.w.shape) for l in net.layers)
     chunk = max(1, int(2**22) // width)
@@ -97,7 +95,7 @@ def eval_net(net: ReluNetwork, x) -> np.ndarray:
     out = np.concatenate(outs, axis=0)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite activation in network evaluation")
-    return out[0] if single else out
+    return out
 
 
 def report(net: ReluNetwork) -> ParamReport:

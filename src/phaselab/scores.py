@@ -42,14 +42,6 @@ class DiscreteGaussianSpec:
             raise ValueError("rho must be nonnegative")
 
 
-def gaussian_smoothed_score(mu: float, base_var: float, sigma: float, x):
-    """Score of N(mu, base_var) smoothed by N(0, sigma^2): -(x-mu)/(base_var+sigma^2)."""
-    v = base_var + sigma**2
-    if v <= 0:
-        raise ValueError("base_var + sigma^2 must be positive")
-    return -(np.asarray(x, dtype=float) - mu) / v
-
-
 def _series_coeffs(spec: DiscreteGaussianSpec):
     """Nonzero-frequency coefficients a_j and angular frequencies 2*pi*j/eps."""
     v = 1.0 + spec.rho**2
@@ -254,8 +246,9 @@ def orthant_score(
     v = 1.0 + sigma**2
     out = np.empty_like(X)
     out[:, : params.d] = -(X[:, : params.d] - params.R * r) / v
-    sc_ph = _tail_phase_parts(params, sigma, X[:, params.d :])[1]
-    out[:, params.d :] = np.where(bits == 1, sc_ph[0], sc_ph[1])
+    tail = X[:, params.d :]
+    plus, minus = (dg_smoothed_score(spec, tail) for spec in _phase_specs(params.eps, sigma))
+    out[:, params.d :] = np.where(bits == 1, plus, minus)
     return out[0] if single else out
 
 
@@ -287,7 +280,7 @@ def large_sigma_score(params: InstanceParams, sigma: float, x) -> np.ndarray:
 
 
 class ScoreProvider:
-    """A named (sigma, x) -> score map; x is (n, dim) or (dim,)."""
+    """A named (sigma, x) -> score map on (n, dim) points; the built-in scores also take (dim,)."""
 
     def __init__(self, label: str, fn, dim: int | None = None):
         self.label = label

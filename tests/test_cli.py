@@ -75,6 +75,8 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         (("bench-acceptance", "ms=0", "R=-1"), "'R'"),
         (("bench-acceptance", "ms=0", "eps=nan"), "'eps'"),
         (("posterior", "d=2", "d_prime=2", "sampler=brute-force", "y=1000,1000"), "'y'"),
+        (("demo2d", "y=nan"), "'y'"),
+        (("demo2d", "y=inf"), "'y'"),
     ],
 )
 def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):

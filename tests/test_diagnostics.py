@@ -7,12 +7,10 @@ from scipy.stats import norm
 
 from phaselab.diagnostics import (
     clipped_noise_tv,
-    close_pair_rate,
     conditional_tv_check,
     ks,
     tv_binned,
     tv_discrete,
-    w2_1d,
 )
 
 
@@ -100,26 +98,6 @@ def test_clipped_tv_negligible_at_ten_sigma():
     assert clipped_noise_tv(0.1, 1.0) <= 1e-20
 
 
-def test_w2_constant_shift():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(10_000)
-    assert_allclose(w2_1d(a, a + 3.0), 3.0, rtol=1e-12)
-
-
-def test_w2_unequal_sizes():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal(30_000)
-    b = rng.standard_normal(10_000)
-    assert w2_1d(a, b) < 0.05
-
-
-def test_w2_triangle_inequality():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a, b, c = rng.standard_normal((3, 500)) * rng.uniform(0.5, 2, size=(3, 1))
-        assert w2_1d(a, c) <= w2_1d(a, b) + w2_1d(b, c) + 1e-9
-
-
 def test_ks_standard_gaussian_critical_value():
     rng = np.random.default_rng(8)
     n = 20_000
@@ -130,14 +108,6 @@ def test_ks_standard_gaussian_critical_value():
 def test_ks_detects_wrong_cdf():
     rng = np.random.default_rng(9)
     assert ks(rng.standard_normal(5000) + 1.0, norm.cdf) > 0.3
-
-
-def test_close_pair_rate():
-    a = np.zeros((100, 2))
-    assert close_pair_rate(a, a, 0.5) == 0.0
-    b = a.copy()
-    b[:10, 0] = 10.0
-    assert_allclose(close_pair_rate(a, b, 0.5), 0.1)
 
 
 @given(st.integers(0, 2**31), st.integers(100, 400))

@@ -9,7 +9,6 @@ from phaselab.diffusion import (
     DiffusionConfig,
     coordinate_second_moment,
     default_config,
-    forward_sample,
     geometric_grid,
     reverse_run,
 )
@@ -42,12 +41,6 @@ def test_coordinate_second_moment():
     assert_allclose(default_config(params).T, 10.0 * m2)
 
 
-def test_forward_sample_variance():
-    rng = np.random.default_rng(0)
-    x = forward_sample(np.zeros(200_000), 4.0, rng)
-    assert_allclose(x.std(), 2.0, rtol=0.02)
-
-
 def test_zero_score_accumulates_brownian_variance():
     """With score = 0 the reverse pass just adds N(0, T - t_min) to the init."""
     cfg = DiffusionConfig(T=9.0, t_min=1e-3, N=800)
@@ -70,7 +63,6 @@ def test_reverse_run_single_chain_shape():
     gauss = ScoreProvider("gauss", lambda s, x: -x / (1.0 + s**2), 3)
     rng = np.random.default_rng(3)
     cfg = DiffusionConfig(T=10.0, t_min=1e-3, N=50)
-    assert reverse_run(gauss, cfg, rng).shape == (3,)
     assert reverse_run(gauss, cfg, rng, size=7).shape == (7, 3)
 
 

@@ -11,13 +11,10 @@ from phaselab.instance import (
     canonical_params,
     clipped_noise,
     lattice_atoms,
-    measure,
     measure_clipped,
-    measure_general,
     measurement_matrix,
     phase_of_bit,
     round_R,
-    sample_component,
     sample_discretized_gaussian,
     sample_unconditional,
 )
@@ -44,11 +41,6 @@ def test_params_validation():
             InstanceParams(2, 2, *args)
     p = InstanceParams(1, 0, 4.0, 1.0, 0.1, 0.25)
     assert p.dim == 1
-
-
-def test_params_text_round_trip():
-    p = canonical_params(3, 5)
-    assert InstanceParams.from_text(p.to_text()) == p
 
 
 def test_phase_of_bit():
@@ -116,48 +108,12 @@ def test_decode_chain_clipped_channel(d, seed):
     assert np.array_equal(f(round_R(x[:, :d], params.R)), bits_eps(y, params.eps))
 
 
-def test_sample_component_matches_seed():
-    params = canonical_params(4, 4)
-    f = sign_identity(4)
-    rng = np.random.default_rng(11)
-    s = np.array([1, -1, -1, 1])
-    x = sample_component(s, params, f, rng, size=5000)
-    assert x.shape == (5000, 8)
-    assert_allclose(x[:, :4].mean(axis=0), params.R * s, atol=0.1)
-    # tail coordinates decode back to f(s)
-    assert np.array_equal(bits_eps(x[:, 4:], params.eps), np.tile(f(s), (5000, 1)))
-
-
-def test_sample_unconditional_scaled():
-    params = canonical_params(2, 2)
-    f = sign_identity(2)
-    rng = np.random.default_rng(0)
-    s, x = sample_unconditional(params, f, rng, size=100, scaled=True)
-    assert np.abs(x[:, :2]).max() < 1.5  # head near +-1 after dividing by R
-
-
-def test_measure_adds_beta_noise():
-    params = canonical_params(2, 2)
-    f = sign_identity(2)
-    rng = np.random.default_rng(5)
-    _, x = sample_unconditional(params, f, rng, size=100_000)
-    y = measure(x, params, rng)
-    resid = y - x[:, 2:]
-    assert_allclose(resid.std(), params.beta, rtol=0.02)
-
-
 def test_measurement_matrix_selects_tail():
     params = canonical_params(3, 2)
     A = measurement_matrix(params)
     x = np.arange(5.0)
     assert_allclose(A @ x, [3.0, 4.0])
     assert_allclose(np.linalg.norm(A, 2), 1.0, rtol=1e-9)
-
-
-def test_measure_general_rejects_expanding_matrix():
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        measure_general(2.0 * np.eye(3), np.zeros(3), 0.1, rng)
 
 
 def test_clipped_noise_bounded_and_gaussian_inside():
@@ -188,4 +144,3 @@ def test_clipped_noise_is_one_draw_per_value_truncated_normal(beta, beta_max):
 
 def test_clipped_noise_without_noise_is_zero():
     assert np.array_equal(clipped_noise(0.0, 0.25, np.random.default_rng(0), (2, 3)), np.zeros((2, 3)))
-

@@ -8,7 +8,6 @@ from phaselab.piecewise import (
     ApproxParams,
     PiecewiseLinear,
     build_good_interval,
-    build_interpolant,
     build_score_approx,
     estimate_sup_score_moment,
     measure_l2_error,
@@ -40,7 +39,7 @@ def test_pl_csv_round_trip():
 
 
 def test_interpolant_exact_on_linear_score():
-    l = build_interpolant(lambda x: -0.5 * x + 1.0, 0.25, -3.0, 3.0)
+    l = build_good_interval(lambda x: -0.5 * x + 1.0, 0.25, np.inf, -3.0, 3.0)
     x = np.linspace(-3, 3, 101)
     assert_allclose(l(x), -0.5 * x + 1.0, atol=1e-12)
 

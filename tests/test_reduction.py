@@ -8,14 +8,12 @@ from phaselab.circuits import all_inputs, constant_candidate, sign_identity
 from phaselab.instance import bits_eps, canonical_params
 from phaselab.reduction import (
     InversionReport,
-    brute_force_preimages,
     inversion_experiment,
     invert,
     make_brute_force_sampler,
     make_rejection_sampler,
     random_circuit_owf,
     sample_measurement_for_target,
-    stretch_owf,
 )
 
 
@@ -102,32 +100,6 @@ def test_exhausted_rejection_budget_is_a_no_guess_not_a_success():
     assert rep.successes == rep.trials - rep.no_guess_count
 
 
-def test_stretch_pad_appends_constant_plus_one():
-    f = random_circuit_owf(6, 4, 12, seed=1)
-    g = stretch_owf(f, 6)
-    S = all_inputs(6)
-    out = g(S)
-    assert np.array_equal(out[:, :4], f(S))
-    assert np.all(out[:, 4:] == 1)
-
-
-def test_stretch_identity_when_length_matches():
-    f = random_circuit_owf(5, 3, 9, seed=2)
-    assert stretch_owf(f, 3) is f
-
-
-def test_stretch_truncation_matches_restricted_oracle():
-    """Truncation equals evaluating f with the unused inputs pinned to +1."""
-    f = random_circuit_owf(8, 8, 24, seed=4)
-    l = 2
-    g = stretch_owf(f, l)
-    n_keep = max(1, round(8 * l / 8))
-    S = all_inputs(8)
-    pinned = S.copy()
-    pinned[:, n_keep:] = 1
-    assert np.array_equal(g(S), f(pinned)[:, :l])
-
-
 def test_random_circuit_determinism_and_locality():
     f = random_circuit_owf(8, 8, 24, seed=9)
     g = random_circuit_owf(8, 8, 24, seed=9)
@@ -156,15 +128,6 @@ def test_random_circuit_output_support_bounded():
             if np.any(f(flipped)[:, j] != out0[:, j]):
                 touched += 1
         assert touched <= 8
-
-
-def test_brute_force_preimages_consistent():
-    f = random_circuit_owf(8, 8, 24, seed=12)
-    rng = np.random.default_rng(3)
-    s = rng.choice(np.array([-1, 1]), size=8)
-    pre = brute_force_preimages(f, f(s))
-    assert any(np.array_equal(p, s) for p in pre)
-    assert np.all(f(pre) == f(s))
 
 
 def test_inversion_success_high_on_random_circuits():

@@ -16,7 +16,6 @@ from phaselab.scores import (
     dg_smoothed_log_density,
     dg_smoothed_score,
     exact_provider,
-    gaussian_smoothed_score,
     large_sigma_score,
     mixture_score_exact,
     orthant_score,
@@ -29,11 +28,6 @@ from phaselab.scores import (
 def fd(logd, x, h=1e-6):
     """Central finite difference of a log density; the score oracle."""
     return (logd(x + h) - logd(x - h)) / (2 * h)
-
-
-def test_gaussian_smoothed_score_analytic():
-    x = np.linspace(-4, 4, 101)
-    assert_allclose(gaussian_smoothed_score(1.5, 2.0, 0.7, x), -(x - 1.5) / (2.0 + 0.49))
 
 
 def test_dg_series_matches_lattice():
@@ -205,6 +199,19 @@ def test_orthant_score_agrees_deep_in_orthant():
     assert_allclose(
         orthant_score(params, f, 0.5, x), mixture_score_exact(params, f, 0.5, x), atol=1e-8
     )
+
+
+def test_orthant_score_runs_one_lattice_sum_per_phase(monkeypatch):
+    """The orthant surrogate reads only the phase scores, never their log densities."""
+    from phaselab import scores
+
+    calls = []
+    parts = scores._dg_lattice_parts
+    monkeypatch.setattr(scores, "_dg_lattice_parts", lambda *a: calls.append(1) or parts(*a))
+    params = canonical_params(2, 2)
+    x = np.random.default_rng(3).standard_normal((20, 4))
+    orthant_score(params, sign_identity(2), 0.1, x)  # sigma < 0.35 eps: the lattice route
+    assert len(calls) == 2
 
 
 def test_large_sigma_score_approaches_exact():
