@@ -107,7 +107,6 @@ def choice(*names: str):
 positive_int = checked(int, lambda v: v >= 1, ">= 1")
 non_negative_int = checked(int, lambda v: v >= 0, ">= 0")
 positive_float = checked(float, lambda v: 0 < v < np.inf, "positive and finite")
-finite_float = checked(float, np.isfinite, "finite")
 
 
 def config_hash(cfg: dict) -> str:
@@ -311,8 +310,8 @@ def cmd_approx_score(cfg: dict, args) -> tuple[dict, str]:
     from .piecewise import ApproxParams, build_score_approx, measure_l2_error, score_family
     from .relu import compile_piecewise, eval_net, network_to_text, report
 
-    score, sampler, m2, mu = _field("family", score_family, cfg["family"], cfg["sigma"])
-    ap = _field("kappa", ApproxParams, cfg["kappa"], cfg["sigma"], m2, mu)
+    score, sampler, m2 = _field("family", score_family, cfg["family"], cfg["sigma"])
+    ap = _field("kappa", ApproxParams, cfg["kappa"], cfg["sigma"], m2)
     l = build_score_approx(score, ap)
     net = compile_piecewise(l)
     rng = prng.stream(args.seed, 0)
@@ -366,6 +365,7 @@ def cmd_bench_acceptance(cfg: dict, args) -> tuple[dict, str]:
 DEMO_MEANS = np.array([[0.0, 0.0], [4.0, 4.0]])
 DEMO_VAR = 0.4
 DEMO_BETA = 0.9
+DEMO_Y_MAX = 1e6  # at |y| ~ 1e20 the weights lose all precision; ~1e160 overflows
 
 
 def demo_prior_sample(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -402,7 +402,7 @@ def demo_score_provider() -> ScoreProvider:
         w /= w.sum(axis=1, keepdims=True)
         return (w @ DEMO_MEANS - x) / var
 
-    return ScoreProvider("demo2d", score, 2)
+    return ScoreProvider("demo2d", score)
 
 
 def cmd_demo2d(cfg: dict, args) -> tuple[dict, str]:
@@ -608,7 +608,7 @@ SCHEMAS = {
     "demo2d": {
         "count": (positive_int, 2000),
         "steps": (non_negative_int, 1500),
-        "y": (finite_float, 4.0),
+        "y": (checked(float, lambda v: abs(v) <= DEMO_Y_MAX, "finite with |y| <= 1e6"), 4.0),
         "max_rounds": (positive_int, 10**6),
     },
     "verify": {},

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
+BINS = 20
 BOOTSTRAP_RESAMPLES = 200
 
 
@@ -29,18 +30,18 @@ class DistanceReport:
             raise ValueError("distances are nonnegative")
 
 
-def _marginal_tv(a: np.ndarray, b: np.ndarray, bins: int):
-    """TV over equal-mass bins of a; returns (tv, cell counts of a, of b).
+def _marginal_tv(a: np.ndarray, b: np.ndarray):
+    """TV over BINS equal-mass bins of a; returns (tv, cell counts of a, of b).
 
     Two overflow cells catch mass outside the range of `a`, so fully
-    disjoint samples register a TV near 1 rather than 1 - 1/bins.
+    disjoint samples register a TV near 1 rather than 1 - 1/BINS.
     """
-    edges = np.concatenate(([a.min()], np.quantile(a, np.linspace(0, 1, bins + 1)[1:-1]), [a.max()]))
-    cells = bins + 2
+    edges = np.concatenate(([a.min()], np.quantile(a, np.linspace(0, 1, BINS + 1)[1:-1]), [a.max()]))
+    cells = BINS + 2
 
     def cell_counts(v):
         idx = np.searchsorted(edges, v, side="right")
-        idx[v == edges[-1]] = bins  # the maximum itself belongs to the last regular bin
+        idx[v == edges[-1]] = BINS  # the maximum itself belongs to the last regular bin
         return np.bincount(idx, minlength=cells)[:cells]
 
     na, nb = cell_counts(a), cell_counts(b)
@@ -48,33 +49,27 @@ def _marginal_tv(a: np.ndarray, b: np.ndarray, bins: int):
     return tv, na, nb
 
 
-def tv_binned(
-    a,
-    b,
-    bins: int = 20,
-    rng: np.random.Generator | None = None,
-    resamples: int = BOOTSTRAP_RESAMPLES,
-) -> DistanceReport:
-    """Half-L1 distance over equal-mass bins (edges from `a`), bootstrap CI."""
+def tv_binned(a, b, rng: np.random.Generator | None = None) -> DistanceReport:
+    """Half-L1 distance over BINS equal-mass bins (edges from `a`), bootstrap CI."""
     a = np.atleast_2d(np.asarray(a, dtype=float).T).T
     b = np.atleast_2d(np.asarray(b, dtype=float).T).T
     if a.shape[1] != b.shape[1]:
         raise ValueError("dimension mismatch")
-    if min(a.shape[0], b.shape[0]) < 50 * bins:
-        raise ValueError(f"need at least {50 * bins} samples per side for {bins} bins")
+    if min(a.shape[0], b.shape[0]) < 50 * BINS:
+        raise ValueError(f"need at least {50 * BINS} samples per side for {BINS} bins")
     rng = np.random.default_rng(0) if rng is None else rng
 
     tvs, counts_a, counts_b = [], [], []
     for j in range(a.shape[1]):
-        tv, na_j, nb_j = _marginal_tv(a[:, j], b[:, j], bins)
+        tv, na_j, nb_j = _marginal_tv(a[:, j], b[:, j])
         tvs.append(tv)
         counts_a.append(na_j)
         counts_b.append(nb_j)
     value = float(max(tvs))
 
     na, nb = a.shape[0], b.shape[0]
-    boots = np.empty(resamples)
-    for r in range(resamples):
+    boots = np.empty(BOOTSTRAP_RESAMPLES)
+    for r in range(BOOTSTRAP_RESAMPLES):
         worst = 0.0
         for j in range(a.shape[1]):
             pa = rng.multinomial(na, counts_a[j] / na) / na

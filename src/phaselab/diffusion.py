@@ -65,8 +65,6 @@ def reverse_run(
     """
     if init is None:
         if dim is None:
-            dim = provider.dim
-        if dim is None:
             raise ValueError("need dim or init")
         x = np.sqrt(cfg.T) * rng.standard_normal((size, dim))
     else:

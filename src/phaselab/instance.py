@@ -66,8 +66,8 @@ def lattice_atoms(eps: float, phase: float, extent: float = LATTICE_EXTENT):
     return pts, w / w.sum()
 
 
-def sample_discretized_gaussian(b: int, eps: float, rng: np.random.Generator, size=None):
-    """Draw from the unit Gaussian discretized to the phase-b lattice."""
+def sample_discretized_gaussian(b: int, eps: float, rng: np.random.Generator, size: int):
+    """Draw size values from the unit Gaussian discretized to the phase-b lattice."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     pts, p = lattice_atoms(eps, phase_of_bit(b, eps))

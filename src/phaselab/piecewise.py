@@ -92,6 +92,8 @@ class PiecewiseLinear:
     @classmethod
     def from_csv(cls, text: str) -> "PiecewiseLinear":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        while lines and lines[0].startswith("#") and not lines[0].startswith("# piecewise-linear"):
+            lines.pop(0)  # a leading comment, such as the CLI's config-hash line
         if not lines or not lines[0].startswith("# piecewise-linear v1"):
             raise ValueError("not a piecewise-linear CSV")
         meta = dict(tok.split("=", 1) for tok in lines[0].split() if "=" in tok)
@@ -113,7 +115,6 @@ class ApproxParams:
     kappa: float
     sigma: float
     m2: float
-    mu: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.kappa <= 0.25):
@@ -165,44 +166,34 @@ def build_good_interval(
     if not good.any():
         raise ValueError("no good interval in range: configuration degenerate")
 
+    # anchors are the grid points next to a good interval; every other point takes the
+    # chord between its nearest anchors, or the outermost anchor's value past the last one
+    anchor = np.zeros(grid.size, dtype=bool)
+    anchor[:-1] |= good
+    anchor[1:] |= good
+    idx, k = np.flatnonzero(anchor), np.flatnonzero(~anchor)
+    pos = np.searchsorted(idx, k)
+    i, j = idx[np.maximum(pos - 1, 0)], idx[np.minimum(pos, idx.size - 1)]
     new_vals = vals.copy()
-    # good-endpoint flags: grid point k is an anchor if adjacent to a good interval
-    idx = np.flatnonzero(good)
-    first_anchor, last_anchor = idx[0], idx[-1] + 1
-    i = 0
-    n_int = good.size
-    while i < n_int:
-        if good[i]:
-            i += 1
-            continue
-        j = i
-        while j < n_int and not good[j]:
-            j += 1
-        # bad run covers intervals i..j-1, i.e. grid points i..j
-        if i == 0 and j == n_int:  # cannot happen: good.any() checked
-            raise ValueError("no good interval in range")
-        if i == 0:
-            new_vals[: j] = vals[j]
-        elif j == n_int:
-            new_vals[i + 1 :] = vals[i]
-        else:
-            t = (grid[i + 1 : j] - grid[i]) / (grid[j] - grid[i])
-            new_vals[i + 1 : j] = vals[i] + t * (vals[j] - vals[i])
-        i = j
+    new_vals[k] = vals[i]  # at an edge run i == j, the outermost anchor
+    inner = i < j
+    k, i, j = k[inner], i[inner], j[inner]
+    t = (grid[k] - grid[i]) / (grid[j] - grid[i])
+    new_vals[k] = vals[i] + t * (vals[j] - vals[i])
 
     ls = (new_vals[1] - new_vals[0]) / gamma
     rs = (new_vals[-1] - new_vals[-2]) / gamma
     out = PiecewiseLinear(grid, new_vals, ls, rs)
-    # anchors used above are endpoints of good intervals; |score| <= threshold there
-    assert np.all(np.abs(new_vals[first_anchor : last_anchor + 1]) <= threshold + 1e-12)
+    # between the outermost anchors every value is an anchor's or a chord between two
+    assert np.all(np.abs(new_vals[idx[0] : idx[-1] + 1]) <= threshold + 1e-12)
     return out
 
 
-def clamp_tails(l: PiecewiseLinear, mu: float, radius: float) -> PiecewiseLinear:
-    """Hold l constant outside |x - mu| <= radius; adds at most 2 pieces."""
+def clamp_tails(l: PiecewiseLinear, radius: float) -> PiecewiseLinear:
+    """Hold l constant outside |x| <= radius; adds at most 2 pieces."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    a, b = mu - radius, mu + radius
+    a, b = -radius, radius
     inside = (l.breakpoints > a) & (l.breakpoints < b)
     bp = np.concatenate(([a], l.breakpoints[inside], [b]))
     vals = np.concatenate(([l(a)], l.values[inside], [l(b)]))
@@ -212,15 +203,13 @@ def clamp_tails(l: PiecewiseLinear, mu: float, radius: float) -> PiecewiseLinear
 def build_score_approx(score, ap: ApproxParams, max_radius: float = np.inf) -> PiecewiseLinear:
     """Full three-stage approximation; asserts the structural bounds.
 
-    The tails are clamped at |x - mu| = min(m2/sqrt(delta), max_radius).
+    The tails are clamped at |x| = min(m2/sqrt(delta), max_radius).
     """
     gamma, delta = ap.gamma, ap.delta
     threshold = np.log(1.0 / delta) / ap.sigma
     radius = min(ap.m2 / np.sqrt(delta), max_radius)
-    l2 = build_good_interval(
-        score, gamma, threshold, ap.mu - radius - 2 * gamma, ap.mu + radius + 2 * gamma
-    )
-    l3 = clamp_tails(l2, ap.mu, radius)
+    l2 = build_good_interval(score, gamma, threshold, -radius - 2 * gamma, radius + 2 * gamma)
+    l3 = clamp_tails(l2, radius)
 
     assert l3.piece_count <= C1_PIECES * ap.m2 / (ap.sigma * ap.kappa**1.5) + 8
     assert np.all(np.abs(l3.slopes()) <= C2_SLOPE * np.log(1 / ap.kappa) / (ap.sigma**2 * np.sqrt(ap.kappa)) + 1e-9)
@@ -241,7 +230,7 @@ EPS_DG = 0.5  # lattice period of the 'dg' family
 
 
 def score_family(name: str, sigma: float):
-    """Return (score, sampler, m2, mu) for a named smoothed 1-D family.
+    """Return (score, sampler, m2) for a named smoothed 1-D family, each centred at 0.
 
     gaussian: N(0,1); two_point: 0.5 N(-3,1) + 0.5 N(3,1); dg: unit Gaussian on
     the phase-0 lattice with period EPS_DG. All smoothed by N(0, sigma^2).
@@ -252,20 +241,20 @@ def score_family(name: str, sigma: float):
     if name == "gaussian":
         score = lambda x: -np.asarray(x, dtype=float) / v
         sampler = lambda n, rng: np.sqrt(v) * rng.standard_normal(n)
-        return score, sampler, float(np.sqrt(v)), 0.0
+        return score, sampler, float(np.sqrt(v))
     if name == "two_point":
         score = lambda x: two_point_score(3.0, sigma, x)
         def sampler(n, rng):
             c = rng.choice(np.array([-3.0, 3.0]), size=n)
             return c + np.sqrt(v) * rng.standard_normal(n)
-        return score, sampler, float(np.sqrt(9.0 + v)), 0.0
+        return score, sampler, float(np.sqrt(9.0 + v))
     if name == "dg":
         spec = DiscreteGaussianSpec(EPS_DG, 0.0, sigma)
         score = lambda x: dg_smoothed_score(spec, x)
         pts, p = lattice_atoms(EPS_DG, 0.0)
         def sampler(n, rng):
             return pts[rng.choice(len(pts), size=n, p=p)] + sigma * rng.standard_normal(n)
-        return score, sampler, float(np.sqrt(v)), 0.0
+        return score, sampler, float(np.sqrt(v))
     raise ValueError(f"unknown test family {name!r}")
 
 
@@ -294,7 +283,7 @@ def estimate_sup_score_moment(
     """
     if eps > sigma:
         raise ValueError("require eps <= sigma")
-    score, sampler, _, _ = score_family(name, sigma)
+    score, sampler, _ = score_family(name, sigma)
     x = sampler(n, rng)
     offs = np.linspace(-eps, eps, 41) if eps > 0 else np.zeros(1)
     pts = x[:, None] + offs[None, :]

@@ -114,12 +114,12 @@ def make_heuristic_sampler(params: InstanceParams, f: OneWayCandidate, diffusion
     from .diffusion import default_config
     from .instance import measurement_matrix
     from .posterior import PosteriorConfig, heuristic_posterior_sample
-    from .scores import exact_provider
+    from .scores import provider_by_name
 
     A = measurement_matrix(params)
     dcfg = default_config(params) if diffusion_cfg is None else diffusion_cfg
     cfg = PosteriorConfig(1, params.beta)
-    provider = exact_provider(params, f)
+    provider = provider_by_name("exact", params, f)
     return lambda y, rng: heuristic_posterior_sample(provider, A, y, cfg, dcfg, rng, size=len(y))
 
 

@@ -65,16 +65,9 @@ class ParamReport:
     depth: int
 
 
-def _layer(w, b, relu=None) -> Layer:
+def _layer(w, b, relu: bool = False) -> Layer:
     w = sp.csr_matrix(w)
-    b = np.asarray(b, dtype=float)
-    if relu is None:
-        mask = np.zeros(w.shape[0], dtype=bool)
-    elif isinstance(relu, bool):
-        mask = np.full(w.shape[0], relu)
-    else:
-        mask = np.asarray(relu, dtype=bool)
-    return Layer(w, b, mask)
+    return Layer(w, np.asarray(b, dtype=float), np.full(w.shape[0], relu))
 
 
 def eval_net(net: ReluNetwork, x) -> np.ndarray:

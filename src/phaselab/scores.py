@@ -252,16 +252,16 @@ def orthant_score(
     return out[0] if single else out
 
 
-def two_point_score(R: float, sigma: float, x, base_var: float = 1.0):
-    """Score of 0.5 N(-R, base_var) + 0.5 N(R, base_var) smoothed by N(0, sigma^2)."""
-    v = base_var + sigma**2
+def two_point_score(R: float, sigma: float, x):
+    """Score of 0.5 N(-R, 1) + 0.5 N(R, 1) smoothed by N(0, sigma^2)."""
+    v = 1.0 + sigma**2
     x = np.asarray(x, dtype=float)
     w = expit(2.0 * R * x / v)  # posterior weight of the +R component
     return -(x - R * (2.0 * w - 1.0)) / v
 
 
-def two_point_log_density(R: float, sigma: float, x, base_var: float = 1.0):
-    v = base_var + sigma**2
+def two_point_log_density(R: float, sigma: float, x):
+    v = 1.0 + sigma**2
     x = np.asarray(x, dtype=float)
     la = -((x - R) ** 2) / (2 * v)
     lb = -((x + R) ** 2) / (2 * v)
@@ -282,10 +282,9 @@ def large_sigma_score(params: InstanceParams, sigma: float, x) -> np.ndarray:
 class ScoreProvider:
     """A named (sigma, x) -> score map on (n, dim) points; the built-in scores also take (dim,)."""
 
-    def __init__(self, label: str, fn, dim: int | None = None):
+    def __init__(self, label: str, fn):
         self.label = label
         self._fn = fn
-        self.dim = dim
 
     def __call__(self, sigma: float, x):
         out = np.asarray(self._fn(sigma, np.asarray(x, dtype=float)))
@@ -294,46 +293,35 @@ class ScoreProvider:
         return out
 
 
-def exact_provider(params: InstanceParams, f: OneWayCandidate) -> ScoreProvider:
-    return ScoreProvider("exact", lambda s, x: mixture_score_exact(params, f, s, x), params.dim)
-
-
 # Names accepted by provider_by_name. The file-backed providers are frozen: a
 # network or piecewise function built at one smoothing level evaluates the same
 # way at every requested sigma, so use them only at the sigma they were built for.
 PROVIDER_NAMES = ("exact", "orthant", "large-sigma", "relu:<file>", "piecewise:<file>")
 
 
-def provider_by_name(
-    name: str, params: InstanceParams | None = None, f: OneWayCandidate | None = None
-) -> ScoreProvider:
-    """The score provider called `name`; see PROVIDER_NAMES."""
-    if name in ("exact", "orthant"):
-        if params is None or f is None:
-            raise ValueError(f"provider {name!r} needs instance parameters and a candidate")
-        if name == "exact":
-            return exact_provider(params, f)
-        return ScoreProvider("orthant", lambda s, x: orthant_score(params, f, s, x), params.dim)
+def provider_by_name(name: str, params: InstanceParams, f: OneWayCandidate) -> ScoreProvider:
+    """The score provider called `name` for the instance (params, f); see PROVIDER_NAMES."""
+    if name == "exact":
+        return ScoreProvider(name, lambda s, x: mixture_score_exact(params, f, s, x))
+    if name == "orthant":
+        return ScoreProvider(name, lambda s, x: orthant_score(params, f, s, x))
     if name == "large-sigma":
-        if params is None:
-            raise ValueError("provider 'large-sigma' needs instance parameters")
-        return ScoreProvider("large-sigma", lambda s, x: large_sigma_score(params, s, x), params.dim)
+        return ScoreProvider(name, lambda s, x: large_sigma_score(params, s, x))
     if name.startswith("relu:"):
         from .relu import eval_net, network_from_text
 
         with open(name[5:]) as fh:
             net = network_from_text(fh.read())
-        if params is not None and (net.input_dim, net.output_dim) != (params.dim, params.dim):
+        if (net.input_dim, net.output_dim) != (params.dim, params.dim):
             raise ValueError(
                 f"network maps {net.input_dim} to {net.output_dim} coordinates; "
                 f"the instance has d + d_prime = {params.dim}"
             )
-        return ScoreProvider(name, lambda sigma, x: eval_net(net, x), net.input_dim)
+        return ScoreProvider(name, lambda sigma, x: eval_net(net, x))
     if name.startswith("piecewise:"):
         from .piecewise import PiecewiseLinear
 
         with open(name[10:]) as fh:
             pl = PiecewiseLinear.from_csv(fh.read())
-        # applied coordinatewise, so the provider has no fixed dimension
-        return ScoreProvider(name, lambda sigma, x: pl(x), None)
+        return ScoreProvider(name, lambda sigma, x: pl(x))  # applied coordinatewise
     raise ValueError(f"unknown provider {name!r}; known: {', '.join(PROVIDER_NAMES)}")

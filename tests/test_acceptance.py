@@ -134,13 +134,13 @@ def test_criterion_05_score_approximation_error():
     worst = 0.0
     for sigma in (0.5, 1.0):
         for kappa in (0.04, 0.01):
-            score, sampler, m2, mu = score_family("two_point", sigma)
-            l = build_score_approx(score, ApproxParams(kappa, sigma, m2, mu))
+            score, sampler, m2 = score_family("two_point", sigma)
+            l = build_score_approx(score, ApproxParams(kappa, sigma, m2))
             err = measure_l2_error(l, score, sampler, 200_000, rng) * sigma**2 / kappa
             worst = max(worst, err)
-    score, _, m2, mu = score_family("two_point", 1.0)
-    n1 = build_score_approx(score, ApproxParams(0.04, 1.0, m2, mu)).piece_count
-    n2 = build_score_approx(score, ApproxParams(0.01, 1.0, m2, mu)).piece_count
+    score, _, m2 = score_family("two_point", 1.0)
+    n1 = build_score_approx(score, ApproxParams(0.04, 1.0, m2)).piece_count
+    n2 = build_score_approx(score, ApproxParams(0.01, 1.0, m2)).piece_count
     ratio = n2 / n1
     ok = worst <= 10.0 and 4.0 <= ratio <= 16.0
     report(
@@ -243,16 +243,16 @@ def test_criterion_09_tv_lemma_checks():
 def test_criterion_10_diffusion_sampler_sanity():
     from phaselab.circuits import no_output_candidate
     from phaselab.diffusion import DiffusionConfig, default_config, reverse_run
-    from phaselab.scores import ScoreProvider, exact_provider
+    from phaselab.scores import ScoreProvider, provider_by_name
 
-    gauss = ScoreProvider("gauss", lambda s, x: -x / (1.0 + s**2), 1)
+    gauss = ScoreProvider("gauss", lambda s, x: -x / (1.0 + s**2))
     cfg = DiffusionConfig(T=100.0, t_min=1e-4, N=1000)
     rng = np.random.default_rng(1010)
     out = reverse_run(gauss, cfg, rng, dim=1, size=10_000)[:, 0]
     stat = ks(out, norm.cdf)
 
     params = InstanceParams(1, 0, 4.0, 1.0, 0.025, 0.25)
-    provider = exact_provider(params, no_output_candidate(1))
+    provider = provider_by_name("exact", params, no_output_candidate(1))
     cfg2 = default_config(params, N=2000)
     x = reverse_run(provider, cfg2, rng, dim=1, size=100_000)[:, 0]
     frac = float(np.mean(x > 0))

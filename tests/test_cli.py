@@ -77,6 +77,8 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         (("posterior", "d=2", "d_prime=2", "sampler=brute-force", "y=1000,1000"), "'y'"),
         (("demo2d", "y=nan"), "'y'"),
         (("demo2d", "y=inf"), "'y'"),
+        (("demo2d", "y=1e20"), "'y'"),
+        (("demo2d", "y=-1e160"), "'y'"),
     ],
 )
 def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
@@ -221,14 +223,19 @@ def test_approx_score_emits_loadable_artifacts(tmp_path):
     header = table[1].split(",")
     row = dict(zip(header, table[2].split(",")))
     assert float(row["l2_error"]) < 1e-5
-    # artifacts round-trip through the file-backed providers
-    from phaselab.scores import provider_by_name
+    # the artifact loads as written, config-hash line and all, and serves as a provider
+    from phaselab.piecewise import PiecewiseLinear
 
-    body = (tmp_path / "score_approx.csv").read_text().split("\n", 1)[1]
-    (tmp_path / "clean.csv").write_text(body)
-    pw = provider_by_name(f"piecewise:{tmp_path / 'clean.csv'}")
+    artifact = tmp_path / "score_approx.csv"
+    l = PiecewiseLinear.from_csv(artifact.read_text())
     x = np.linspace(-2, 2, 51)
-    np.testing.assert_allclose(pw(1.0, x), -x / 2.0, atol=1e-3)
+    np.testing.assert_allclose(l(x), -x / 2.0, atol=1e-3)
+    out = tmp_path / "sample"
+    assert run(
+        "sample", "--out", str(out), "d=1", "d_prime=0", "count=20", "method=diffusion",
+        "steps=10", f"provider=piecewise:{artifact}",
+    ) == 0
+    assert len((out / "samples.csv").read_text().splitlines()) == 2 + 20
 
 
 def test_bench_acceptance_rows(tmp_path):

@@ -44,7 +44,7 @@ def test_coordinate_second_moment():
 def test_zero_score_accumulates_brownian_variance():
     """With score = 0 the reverse pass just adds N(0, T - t_min) to the init."""
     cfg = DiffusionConfig(T=9.0, t_min=1e-3, N=800)
-    zero = ScoreProvider("zero", lambda s, x: np.zeros_like(x), 1)
+    zero = ScoreProvider("zero", lambda s, x: np.zeros_like(x))
     rng = np.random.default_rng(1)
     out = reverse_run(zero, cfg, rng, init=np.zeros(1), size=100_000)
     assert_allclose(out.std(), np.sqrt(9.0 - 1e-3), rtol=0.02)
@@ -53,23 +53,23 @@ def test_zero_score_accumulates_brownian_variance():
 def test_gaussian_score_reverse_run_ks():
     """Exact N(0,1) score: the reverse SDE reproduces a standard Gaussian."""
     cfg = DiffusionConfig(T=100.0, t_min=1e-4, N=2000)
-    gauss = ScoreProvider("gauss", lambda s, x: -x / (1.0 + s**2), 1)
+    gauss = ScoreProvider("gauss", lambda s, x: -x / (1.0 + s**2))
     rng = np.random.default_rng(2)
     out = reverse_run(gauss, cfg, rng, dim=1, size=20_000)[:, 0]
     assert ks(out, norm.cdf) <= 0.02
 
 
 def test_reverse_run_single_chain_shape():
-    gauss = ScoreProvider("gauss", lambda s, x: -x / (1.0 + s**2), 3)
+    gauss = ScoreProvider("gauss", lambda s, x: -x / (1.0 + s**2))
     rng = np.random.default_rng(3)
     cfg = DiffusionConfig(T=10.0, t_min=1e-3, N=50)
-    assert reverse_run(gauss, cfg, rng, size=7).shape == (7, 3)
+    assert reverse_run(gauss, cfg, rng, dim=3, size=7).shape == (7, 3)
 
 
 def test_extra_drift_shifts_mean():
     """A constant extra drift c integrates to roughly c*(T - t_min)."""
     cfg = DiffusionConfig(T=4.0, t_min=1e-3, N=2000)
-    zero = ScoreProvider("zero", lambda s, x: np.zeros_like(x), 1)
+    zero = ScoreProvider("zero", lambda s, x: np.zeros_like(x))
     rng = np.random.default_rng(4)
     out = reverse_run(
         zero, cfg, rng, init=np.zeros(1), size=50_000, extra_drift=lambda t, x: np.full_like(x, 0.5)
@@ -80,10 +80,10 @@ def test_extra_drift_shifts_mean():
 def test_seed_determinism():
     params = canonical_params(2, 2)
     f = sign_identity(2)
-    from phaselab.scores import exact_provider
+    from phaselab.scores import provider_by_name
 
-    provider = exact_provider(params, f)
+    provider = provider_by_name("exact", params, f)
     cfg = DiffusionConfig(T=10.0, t_min=1e-2, N=30)
-    a = reverse_run(provider, cfg, np.random.default_rng(9), size=4)
-    b = reverse_run(provider, cfg, np.random.default_rng(9), size=4)
+    a = reverse_run(provider, cfg, np.random.default_rng(9), dim=params.dim, size=4)
+    b = reverse_run(provider, cfg, np.random.default_rng(9), dim=params.dim, size=4)
     assert_allclose(a, b, rtol=0, atol=0)

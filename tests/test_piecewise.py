@@ -55,10 +55,31 @@ def test_good_interval_bridges_spikes():
     assert np.max(np.abs(l(np.linspace(-2, 2, 401)))) < 10.0
 
 
+def test_good_interval_bridges_edge_and_interior_runs_exactly():
+    """Bad runs at both edges and one inside: anchors (grid points next to a good
+    interval) keep the score, the inside run is the chord between its two anchors,
+    and each edge run holds the value of the outermost anchor."""
+
+    def score(x):
+        x = np.asarray(x, dtype=float)
+        spike = (x < -1.6) | (np.abs(x - 0.4) < 0.2) | (x > 1.6)
+        return np.where(spike, 100.0, np.sin(x))
+
+    l = build_good_interval(score, 0.25, threshold=10.0, lo=-2.0, hi=2.0)
+    grid = np.arange(-8, 9) * 0.25  # bad intervals: 0-1, 8-10, 14-15
+    assert np.array_equal(l.breakpoints, grid)
+    vals = score(grid)
+    anchors = np.r_[2:9, 11:15]
+    assert np.array_equal(l.values[anchors], vals[anchors])
+    t = (grid[9:11] - grid[8]) / (grid[11] - grid[8])
+    assert np.array_equal(l.values[9:11], vals[8] + t * (vals[11] - vals[8]))
+    assert np.all(l.values[:2] == vals[2]) and np.all(l.values[15:] == vals[14])
+
+
 def test_approx_params_validation():
     with pytest.raises(ValueError):
-        ApproxParams(0.3, 1.0, 1.0, 0.0)
-    ap = ApproxParams(0.04, 0.5, 2.0, 0.0)
+        ApproxParams(0.3, 1.0, 1.0)
+    ap = ApproxParams(0.04, 0.5, 2.0)
     assert_allclose(ap.gamma, 0.1)
     assert_allclose(ap.delta, 0.0016)
 
@@ -68,11 +89,11 @@ def test_approx_params_validation():
 def test_structural_bounds(family, sigma):
     """Piece count, transition range, slope, and value bounds of the approximation."""
     kappa = 0.04
-    score, sampler, m2, mu = score_family(family, sigma)
-    ap = ApproxParams(kappa, sigma, m2, mu)
+    score, sampler, m2 = score_family(family, sigma)
+    ap = ApproxParams(kappa, sigma, m2)
     l = build_score_approx(score, ap)
     assert l.piece_count <= 4 * m2 / (sigma * kappa**1.5) + 8
-    assert np.all(np.abs(l.breakpoints - mu) <= m2 / kappa + 2 * ap.gamma + 1e-9)
+    assert np.all(np.abs(l.breakpoints) <= m2 / kappa + 2 * ap.gamma + 1e-9)
     assert np.max(np.abs(l.slopes())) <= 4 * np.log(1 / kappa) / (sigma**2 * np.sqrt(kappa))
     assert np.max(np.abs(l.values)) <= 2 * np.log(1 / kappa) / sigma
 
@@ -81,26 +102,26 @@ def test_structural_bounds(family, sigma):
 def test_l2_error_scales_with_kappa(family):
     """E[(l - s)^2] * sigma^2 / kappa stays bounded as kappa decreases."""
     sigma = 1.0
-    score, sampler, m2, mu = score_family(family, sigma)
+    score, sampler, m2 = score_family(family, sigma)
     rng = np.random.default_rng(21)
     for kappa in (0.04, 0.01):
-        l = build_score_approx(score, ApproxParams(kappa, sigma, m2, mu))
+        l = build_score_approx(score, ApproxParams(kappa, sigma, m2))
         err = measure_l2_error(l, score, sampler, 100_000, rng)
         assert err * sigma**2 / kappa <= 10.0
 
 
 def test_piece_count_trend():
     """4x smaller kappa multiplies the piece count by roughly kappa^(-3/2) = 8."""
-    score, sampler, m2, mu = score_family("two_point", 1.0)
-    n1 = build_score_approx(score, ApproxParams(0.04, 1.0, m2, mu)).piece_count
-    n2 = build_score_approx(score, ApproxParams(0.01, 1.0, m2, mu)).piece_count
+    score, sampler, m2 = score_family("two_point", 1.0)
+    n1 = build_score_approx(score, ApproxParams(0.04, 1.0, m2)).piece_count
+    n2 = build_score_approx(score, ApproxParams(0.01, 1.0, m2)).piece_count
     assert 4.0 <= n2 / n1 <= 16.0
 
 
 def test_gaussian_approx_is_near_exact():
     """A linear score is reproduced up to clamping, so the error is tiny."""
-    score, sampler, m2, mu = score_family("gaussian", 1.0)
-    l = build_score_approx(score, ApproxParams(0.04, 1.0, m2, mu))
+    score, sampler, m2 = score_family("gaussian", 1.0)
+    l = build_score_approx(score, ApproxParams(0.04, 1.0, m2))
     rng = np.random.default_rng(3)
     assert measure_l2_error(l, score, sampler, 50_000, rng) < 1e-6
 
@@ -108,19 +129,19 @@ def test_gaussian_approx_is_near_exact():
 def test_families_score_matches_log_density():
     h = 1e-5
     for family in FAMILIES:
-        score, sampler, m2, mu = score_family(family, 0.8)
+        score, sampler, m2 = score_family(family, 0.8)
         logd = score_family_log_density(family, 0.8)
-        x = np.linspace(mu - 3, mu + 3, 41)
+        x = np.linspace(-3, 3, 41)
         assert_allclose(score(x), (logd(x + h) - logd(x - h)) / (2 * h), atol=1e-4)
 
 
 def test_families_sampler_second_moment():
     """Sampler second moment agrees with the declared m2 scale."""
     for family in FAMILIES:
-        score, sampler, m2, mu = score_family(family, 0.6)
+        score, sampler, m2 = score_family(family, 0.6)
         rng = np.random.default_rng(17)
         x = sampler(200_000, rng)
-        assert np.sqrt(np.mean((x - mu) ** 2)) <= m2 * (1 + 1e-2)
+        assert np.sqrt(np.mean(x**2)) <= m2 * (1 + 1e-2)
 
 
 def test_sup_score_moment_scaling():

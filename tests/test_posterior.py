@@ -250,11 +250,11 @@ def test_heuristic_posterior_uninformative_limit():
     """With huge beta the guidance vanishes and marginals match the prior family."""
     from phaselab.diffusion import default_config
     from phaselab.posterior import heuristic_posterior_sample
-    from phaselab.scores import exact_provider
+    from phaselab.scores import provider_by_name
 
     params = canonical_params(1, 1, beta=50.0)
     f = sign_identity(1)
-    provider = exact_provider(params, f)
+    provider = provider_by_name("exact", params, f)
     A = measurement_matrix(params)
     rng = np.random.default_rng(9)
     x = heuristic_posterior_sample(

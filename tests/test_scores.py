@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
-from phaselab.circuits import constant_candidate, sign_identity
+from phaselab.circuits import constant_candidate, no_output_candidate, sign_identity
 from phaselab.instance import canonical_params, phase_of_bit
 from phaselab.posterior import seed_posterior_log_weights
 from phaselab.reduction import random_circuit_owf
@@ -15,7 +15,6 @@ from phaselab.scores import (
     dg_smoothed_density,
     dg_smoothed_log_density,
     dg_smoothed_score,
-    exact_provider,
     large_sigma_score,
     mixture_score_exact,
     orthant_score,
@@ -175,12 +174,12 @@ def test_mixture_score_gives_ruled_out_seeds_zero_weight():
 
 
 @pytest.mark.filterwarnings("error")
-def test_exact_provider_raises_where_every_seed_is_ruled_out():
+def test_exact_score_provider_raises_where_every_seed_is_ruled_out():
     params = canonical_params(2, 2)
     f = constant_candidate(2, np.array([1, 1]))  # every seed has bit +1 everywhere
     x = np.array([30.0, 30.0, 0.5, 0.0])
     with pytest.raises(FloatingPointError):
-        exact_provider(params, f)(0.01, x)
+        provider_by_name("exact", params, f)(0.01, x)
 
 
 def test_two_point_score_matches_log_density_gradient():
@@ -225,7 +224,7 @@ def test_large_sigma_score_approaches_exact():
 
 
 def test_provider_raises_on_nonfinite():
-    p = ScoreProvider("bad", lambda s, x: x * np.inf, 1)
+    p = ScoreProvider("bad", lambda s, x: x * np.inf)
     with pytest.raises(FloatingPointError):
         p(1.0, np.ones(3))
 
@@ -238,10 +237,10 @@ def test_provider_registry_names():
     assert_allclose(exact(1.0, x), mixture_score_exact(params, f, 1.0, x))
     orth = provider_by_name("orthant", params, f)
     assert_allclose(orth(1.0, x), orthant_score(params, f, 1.0, x))
-    ls = provider_by_name("large-sigma", params)
+    ls = provider_by_name("large-sigma", params, f)
     assert_allclose(ls(20.0, x), large_sigma_score(params, 20.0, x))
     with pytest.raises(ValueError):
-        provider_by_name("nope")
+        provider_by_name("nope", params, f)
 
 
 def test_provider_file_round_trip(tmp_path):
@@ -252,9 +251,10 @@ def test_provider_file_round_trip(tmp_path):
     (tmp_path / "l.csv").write_text(l.to_csv())
     (tmp_path / "n.txt").write_text(network_to_text(compile_piecewise(l)))
     x = np.linspace(-3, 4, 201)
-    pw = provider_by_name(f"piecewise:{tmp_path / 'l.csv'}")
+    params, f = canonical_params(1, 0), no_output_candidate(1)
+    pw = provider_by_name(f"piecewise:{tmp_path / 'l.csv'}", params, f)
     assert_allclose(pw(1.0, x), l(x), rtol=1e-12)
-    net = provider_by_name(f"relu:{tmp_path / 'n.txt'}")
+    net = provider_by_name(f"relu:{tmp_path / 'n.txt'}", params, f)
     assert_allclose(net(1.0, x[:, None])[:, 0], l(x), atol=1e-12)
 
 
