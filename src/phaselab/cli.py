@@ -26,7 +26,7 @@ import scipy
 from . import __version__
 from . import rng as prng
 from .circuits import OneWayCandidate, candidate_from_text, no_output_candidate, sign_identity
-from .instance import InstanceParams, measurement_matrix, sample_unconditional
+from .instance import EPS_MAX, InstanceParams, measurement_matrix, sample_unconditional
 from .scores import ScoreProvider, provider_by_name
 
 FMT = "%.17g"
@@ -602,7 +602,7 @@ SCHEMAS = {
         "ms": (str, "0,1,2,3,4"),
         "trials": (positive_int, 50),
         "R": (positive_float, 30.0),
-        "eps": (positive_float, 1.0),
+        "eps": (checked(float, lambda v: 0 < v <= EPS_MAX, f"in (0, {EPS_MAX:g}]"), 1.0),
         "max_rounds": (positive_int, 10**7),
     },
     "demo2d": {

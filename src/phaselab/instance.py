@@ -18,6 +18,10 @@ from scipy.special import ndtr, ndtri
 from .circuits import OneWayCandidate
 
 LATTICE_EXTENT = 12.0  # mass of a unit Gaussian beyond |x| > 12 is < 1e-30
+# Largest accepted eps. The series and lattice routes of the smoothed density agree
+# to 4e-13 relative at eps 8, 1e-8 at 12 and only 1e-2 at 16 (spec: 1e-10); above
+# 24 the bit -1 lattice has no atom within LATTICE_EXTENT at all.
+EPS_MAX = 8.0
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,8 @@ class InstanceParams:
         for name, lo in (("d", 1), ("d_prime", 0), ("beta", 0)):
             if getattr(self, name) < lo:
                 raise ValueError(f"field {name!r} must be >= {lo}")
+        if self.eps > EPS_MAX:
+            raise ValueError(f"field 'eps' must be <= {EPS_MAX:g}")
 
     @property
     def dim(self) -> int:

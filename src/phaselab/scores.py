@@ -1,9 +1,10 @@
 """Exact sigma-smoothed densities and scores for the lattice-mixture family.
 
 Two independent routes are implemented for the smoothed discretized Gaussian:
-a truncated Fourier (Poisson-summation) series and a direct lattice
-convolution sum. They must agree to 1e-10 relative; tests enforce this. The
-exact mixture score is two GEMMs and one softmax, in log-space; see mixture_score_exact.
+a Fourier (Poisson-summation) series, cut after its last term of at least
+1e-18, and a direct lattice convolution sum. They must agree to 1e-10
+relative; tests enforce this. The exact mixture score is two GEMMs and one
+softmax, in log-space; see mixture_score_exact.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .instance import InstanceParams, LATTICE_EXTENT, lattice_atoms, phase_of_bi
 _LOG_CUTOFF = -700.0  # densities below e^-700 are reported as -inf log-density
 _FLOOR = -1e300  # stands in for -inf inside a GEMM; far below any sum of finite log-densities
 
-# Smallest J with exp(-J^2 rho^2 / (2 eps^2 (1+rho^2))) < 1e-18. This is far
-# more conservative than the true series decay exp(-2 pi^2 j^2 rho^2/(eps^2 v)).
+# The series keeps exactly its terms a_j = exp(-c j^2) >= e^-_SERIES_LOG_CUT = 1e-18,
+# c = 2 pi^2 rho^2 / (eps^2 v): j <= sqrt(_SERIES_LOG_CUT / c).
 _SERIES_LOG_CUT = 18.0 * np.log(10.0)
 
 
@@ -44,11 +45,9 @@ class DiscreteGaussianSpec:
 
 def _series_coeffs(spec: DiscreteGaussianSpec):
     """Nonzero-frequency coefficients a_j and angular frequencies 2*pi*j/eps."""
-    v = 1.0 + spec.rho**2
-    J = int(np.ceil(spec.eps * np.sqrt(2.0 * v * _SERIES_LOG_CUT) / spec.rho))
-    j = np.arange(1, J + 1, dtype=float)
-    a = np.exp(-2.0 * np.pi**2 * j**2 * spec.rho**2 / (spec.eps**2 * v))
-    return a, 2.0 * np.pi * j / spec.eps
+    c = 2.0 * np.pi**2 * spec.rho**2 / (spec.eps**2 * (1.0 + spec.rho**2))
+    j = np.arange(1, int(np.sqrt(_SERIES_LOG_CUT / c)) + 1, dtype=float)
+    return np.exp(-c * j**2), 2.0 * np.pi * j / spec.eps
 
 
 def _lattice_normalizer_series(eps: float, phase: float) -> float:
@@ -64,19 +63,22 @@ def _lattice_normalizer_series(eps: float, phase: float) -> float:
     return z
 
 
-def _series_T(spec: DiscreteGaussianSpec, x: np.ndarray):
-    """Oscillatory factor T(x) and its derivative, with g = w_sqrt(v) * T / Ztilde."""
-    v = 1.0 + spec.rho**2
+def _series_terms(spec: DiscreteGaussianSpec, x: np.ndarray):
+    """a_j, the frequencies and the phase angles (x/v - phase) * freq_j of the series terms."""
     a, freq = _series_coeffs(spec)
-    arg = np.multiply.outer(np.asarray(x, dtype=float) / v - spec.phase, freq)
-    T = 1.0 + 2.0 * (np.cos(arg) @ a)
-    Tp = -2.0 * (np.sin(arg) @ (a * freq / v))
-    return T, Tp
+    x = np.asarray(x, dtype=float)
+    return a, freq, np.multiply.outer(x / (1.0 + spec.rho**2) - spec.phase, freq)
+
+
+def _series_T(a: np.ndarray, arg: np.ndarray):
+    """Oscillatory factor T = 1 + 2 sum_j a_j cos(arg_j), with g = w_sqrt(v) * T / Ztilde."""
+    return 1.0 + 2.0 * (np.cos(arg) @ a)
 
 
 def _dg_series_log_density(spec: DiscreteGaussianSpec, x: np.ndarray):
     v = 1.0 + spec.rho**2
-    T, _ = _series_T(spec, x)
+    a, _, arg = _series_terms(spec, x)
+    T = _series_T(a, arg)
     z = _lattice_normalizer_series(spec.eps, spec.phase)
     base = -np.asarray(x, dtype=float) ** 2 / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)
     with np.errstate(divide="ignore"):
@@ -86,8 +88,9 @@ def _dg_series_log_density(spec: DiscreteGaussianSpec, x: np.ndarray):
 
 def _dg_series_score(spec: DiscreteGaussianSpec, x: np.ndarray):
     v = 1.0 + spec.rho**2
-    T, Tp = _series_T(spec, x)
-    return -np.asarray(x, dtype=float) / v + Tp / np.maximum(T, 1e-300)
+    a, freq, arg = _series_terms(spec, x)
+    Tp = -2.0 * (np.sin(arg) @ (a * freq / v))  # dT/dx
+    return -np.asarray(x, dtype=float) / v + Tp / np.maximum(_series_T(a, arg), 1e-300)
 
 
 def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
@@ -97,19 +100,24 @@ def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
     flat = x.reshape(-1)
     logd = np.empty(flat.shape)
     score = np.empty(flat.shape)
-    logp = np.log(p)
+    logp = np.log(p)[:, None]
     rho2 = spec.rho**2
     chunk = max(1, int(2**22 // len(pts)))
     for lo in range(0, flat.size, chunk):
-        xs = flat[lo : lo + chunk, None]
-        diff = xs - pts[None, :]
-        lg = logp[None, :] - diff**2 / (2.0 * rho2)
-        m = lg.max(axis=1, keepdims=True)
+        xs = flat[lo : lo + chunk]
+        # (atoms, points), in place: log of atom weight times N(x; atom, rho^2), up to a constant
+        lg = np.subtract.outer(pts, xs)
+        lg *= lg
+        lg *= -0.5 / rho2
+        lg += logp
+        m = lg.max(axis=0)
+        lg -= m
         # exp is slow where it underflows; e^-700 is lost next to the largest term, 1
-        w = np.exp(np.maximum(lg - m, _LOG_CUTOFF))
-        tot = w.sum(axis=1)
-        logd[lo : lo + chunk] = m[:, 0] + np.log(tot) - 0.5 * np.log(2.0 * np.pi * rho2)
-        score[lo : lo + chunk] = (w @ (pts / rho2) - (w.sum(axis=1)) * xs[:, 0] / rho2) / tot
+        np.maximum(lg, _LOG_CUTOFF, out=lg)
+        w = np.exp(lg, out=lg)
+        tot = w.sum(axis=0)
+        logd[lo : lo + chunk] = m + np.log(tot) - 0.5 * np.log(2.0 * np.pi * rho2)
+        score[lo : lo + chunk] = ((pts / rho2) @ w - tot * xs / rho2) / tot
     logd = np.where(logd < _LOG_CUTOFF, -np.inf, logd)
     return logd.reshape(x.shape), score.reshape(x.shape)
 

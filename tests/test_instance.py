@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from phaselab.circuits import sign_identity
 from phaselab.instance import (
+    EPS_MAX,
     InstanceParams,
     bits_eps,
     canonical_params,
@@ -39,6 +40,11 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError, match=f"'{field}' must be finite"):
             InstanceParams(2, 2, *args)
+    # past EPS_MAX the two smoothed-density routes disagree, and then no atom is left
+    InstanceParams(2, 2, 30.0, EPS_MAX, 0.1, 0.25)
+    for eps in (np.nextafter(EPS_MAX, np.inf), 16.0, 30.0):
+        with pytest.raises(ValueError, match="^field 'eps' must be <= 8$"):
+            InstanceParams(2, 2, 30.0, eps, 0.1, 0.25)
     p = InstanceParams(1, 0, 4.0, 1.0, 0.1, 0.25)
     assert p.dim == 1
 

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
 from phaselab.circuits import constant_candidate, no_output_candidate, sign_identity
-from phaselab.instance import canonical_params, phase_of_bit
+from phaselab import scores
+from phaselab.instance import LATTICE_EXTENT, canonical_params, lattice_atoms, phase_of_bit
 from phaselab.posterior import seed_posterior_log_weights
 from phaselab.reduction import random_circuit_owf
 from phaselab.scores import (
@@ -45,6 +46,90 @@ def test_dg_series_matches_lattice():
                 dg_smoothed_score(spec, x, method="lattice"),
                 atol=1e-8,
             )
+
+
+def old_series_parts(spec, x):
+    """Reference: the series summed to the old conservative J, far past its 1e-18 terms."""
+    v = 1.0 + spec.rho**2
+    J = int(np.ceil(spec.eps * np.sqrt(2.0 * v * scores._SERIES_LOG_CUT) / spec.rho))
+    j = np.arange(1, J + 1, dtype=float)
+    a = np.exp(-2.0 * np.pi**2 * j**2 * spec.rho**2 / (spec.eps**2 * v))
+    freq = 2.0 * np.pi * j / spec.eps
+    arg = np.multiply.outer(x / v - spec.phase, freq)
+    T = 1.0 + 2.0 * (np.cos(arg) @ a)
+    Tp = -2.0 * (np.sin(arg) @ (a * freq / v))
+    z = scores._lattice_normalizer_series(spec.eps, spec.phase)
+    with np.errstate(divide="ignore"):
+        logd = -(x**2) / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v) + np.log(np.maximum(T, 0.0))
+    logd -= np.log(z)
+    logd[logd < scores._LOG_CUTOFF] = -np.inf
+    return logd, -x / v + Tp / np.maximum(T, 1e-300)
+
+
+def old_lattice_parts(spec, x):
+    """Reference: the lattice sum in its former (points, atoms) layout, with temporaries."""
+    pts, p = lattice_atoms(spec.eps, spec.phase, extent=LATTICE_EXTENT + 8.0 * spec.rho)
+    logd = np.empty(x.shape)
+    score = np.empty(x.shape)
+    logp = np.log(p)
+    rho2 = spec.rho**2
+    chunk = max(1, int(2**22 // len(pts)))
+    for lo in range(0, x.size, chunk):
+        xs = x[lo : lo + chunk, None]
+        diff = xs - pts[None, :]
+        lg = logp[None, :] - diff**2 / (2.0 * rho2)
+        m = lg.max(axis=1, keepdims=True)
+        w = np.exp(np.maximum(lg - m, scores._LOG_CUTOFF))
+        tot = w.sum(axis=1)
+        logd[lo : lo + chunk] = m[:, 0] + np.log(tot) - 0.5 * np.log(2.0 * np.pi * rho2)
+        score[lo : lo + chunk] = (w @ (pts / rho2) - (w.sum(axis=1)) * xs[:, 0] / rho2) / tot
+    logd[logd < scores._LOG_CUTOFF] = -np.inf
+    return logd, score
+
+
+def assert_same_log_density(got, want):
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.isfinite(got[fin]))
+    assert_allclose(got[fin], want[fin], rtol=0, atol=1e-12)
+
+
+def test_dg_series_keeps_exactly_its_terms_above_1e18():
+    """The series stops at its true decay, and still matches the old, longer sum."""
+    for eps in (0.05, 0.5, 1.0, 8.0):
+        x = np.linspace(-40.0, 40.0, 1601) * max(1.0, eps / 2)
+        for rho in (0.35 * eps, 0.5 * eps, eps, 2 * eps, 5 * eps, 100.0):
+            for phase in (0.0, eps / 2):
+                spec = DiscreteGaussianSpec(eps, phase, rho)
+                a, _ = scores._series_coeffs(spec)
+                c = 2.0 * np.pi**2 * rho**2 / (eps**2 * (1.0 + rho**2))
+                assert np.all(a >= 1e-18)
+                assert np.exp(-c * (len(a) + 1) ** 2) < 1e-18
+                want_ld, want_sc = old_series_parts(spec, x)
+                assert_same_log_density(dg_smoothed_log_density(spec, x, method="series"), want_ld)
+                sc = dg_smoothed_score(spec, x, method="series")
+                assert np.all(np.abs(sc - want_sc) <= 1e-12 * (1.0 + np.abs(want_sc)))
+
+
+def test_dg_lattice_sum_matches_row_major_reference():
+    """The in-place (atoms, points) lattice sum gives the former layout's numbers."""
+    rng = np.random.default_rng(8)
+    for eps in (0.05, 1.0, 8.0):
+        for rho in (0.01 * eps, 0.1 * eps, 0.34 * eps):
+            for phase in (0.0, eps / 2):
+                spec = DiscreteGaussianSpec(eps, phase, rho)
+                pts, _ = lattice_atoms(eps, phase, extent=LATTICE_EXTENT + 8.0 * rho)
+                x = np.concatenate(
+                    [pts, pts + rho * rng.standard_normal(pts.size), np.linspace(-30, 30, 601)]
+                )
+                if eps == 0.05 and rho == 0.01 * eps and phase == 0.0:
+                    # more points than one chunk of 2**22 // atoms holds: the loop runs twice
+                    x = np.concatenate([x, rng.uniform(-15, 15, 2**22 // pts.size)])
+                want_ld, want_sc = old_lattice_parts(spec, x)
+                ld, sc = scores._dg_lattice_parts(spec, x)
+                assert_same_log_density(ld, want_ld)
+                tol = 1e-13 * (np.abs(x) + 12.0 + 8.0 * rho) / rho**2
+                assert np.all(np.abs(sc - want_sc) <= tol)
 
 
 def test_dg_density_integrates_to_one():
@@ -202,8 +287,6 @@ def test_orthant_score_agrees_deep_in_orthant():
 
 def test_orthant_score_runs_one_lattice_sum_per_phase(monkeypatch):
     """The orthant surrogate reads only the phase scores, never their log densities."""
-    from phaselab import scores
-
     calls = []
     parts = scores._dg_lattice_parts
     monkeypatch.setattr(scores, "_dg_lattice_parts", lambda *a: calls.append(1) or parts(*a))
