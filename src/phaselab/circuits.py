@@ -1,9 +1,9 @@
-"""Boolean circuits over {-1,+1} and one-way-function candidates.
+"""Boolean circuits over {-1,+1}: the candidate one-way maps f.
 
 Encoding convention used everywhere in the package: the bit -1 is boolean True
 and +1 is boolean False. Circuits are gate lists (AND/OR/NOT, bounded fan-in)
 in topological order; references name either a primary input or an earlier
-gate. Candidates wrap a circuit with declared input/output lengths.
+gate. A circuit is the map f itself: calling it evaluates f.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ class Gate:
 
 @dataclass(frozen=True)
 class BooleanCircuit:
-    """Acyclic gate list over n primary inputs."""
+    """Acyclic gate list over n primary inputs: the map f: {-1,+1}^n_inputs -> {-1,+1}^n_outputs."""
 
     n_inputs: int
     gates: tuple[Gate, ...]
     outputs: tuple[int, ...]  # references into inputs/gates
+    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         for k, g in enumerate(self.gates):
@@ -50,6 +51,20 @@ class BooleanCircuit:
     @property
     def n_outputs(self) -> int:
         return len(self.outputs)
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        return eval_circuit(self, s)
+
+    @cached_property
+    def seed_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, f(S)) over all 2^n_inputs seeds (n_inputs <= 12), read-only, built on first use."""
+        if self.n_inputs > 12:
+            raise ValueError(f"seed enumeration is limited to d <= 12, got d = {self.n_inputs}")
+        S = all_inputs(self.n_inputs)
+        F = self(S)
+        S.flags.writeable = False
+        F.flags.writeable = False
+        return S, F
 
 
 def eval_circuit(c: BooleanCircuit, x: np.ndarray) -> np.ndarray:
@@ -73,37 +88,7 @@ def eval_circuit(c: BooleanCircuit, x: np.ndarray) -> np.ndarray:
     return np.where(out, -1, 1).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class OneWayCandidate:
-    """A candidate hard-to-invert map f: {-1,+1}^inputLen -> {-1,+1}^outputLen."""
-
-    input_len: int
-    output_len: int
-    circuit: BooleanCircuit
-    label: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if self.circuit.n_inputs != self.input_len:
-            raise ValueError("circuit input arity mismatch")
-        if self.circuit.n_outputs != self.output_len:
-            raise ValueError("circuit output arity mismatch")
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        return eval_circuit(self.circuit, s)
-
-    @cached_property
-    def seed_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, f(S)) over all 2^input_len seeds (input_len <= 12), read-only, built on first use."""
-        if self.input_len > 12:
-            raise ValueError(f"seed enumeration is limited to d <= 12, got d = {self.input_len}")
-        S = all_inputs(self.input_len)
-        F = self(S)
-        S.flags.writeable = False
-        F.flags.writeable = False
-        return S, F
-
-
-def sign_identity(d: int) -> OneWayCandidate:
+def sign_identity(d: int) -> BooleanCircuit:
     """f(s) = s, as a circuit (NOT(NOT(x_i)) so every output is a gate)."""
     gates = []
     outs = []
@@ -111,15 +96,15 @@ def sign_identity(d: int) -> OneWayCandidate:
         gates.append(Gate("NOT", (i,)))
         gates.append(Gate("NOT", (d + len(gates) - 1,)))
         outs.append(d + len(gates) - 1)
-    return OneWayCandidate(d, d, BooleanCircuit(d, tuple(gates), tuple(outs)), "sign-identity")
+    return BooleanCircuit(d, tuple(gates), tuple(outs), "sign-identity")
 
 
-def no_output_candidate(d: int) -> OneWayCandidate:
+def no_output_candidate(d: int) -> BooleanCircuit:
     """The empty map f: {-1,+1}^d -> {-1,+1}^0 (for measurement-free instances)."""
-    return OneWayCandidate(d, 0, BooleanCircuit(d, (), ()), "no-output")
+    return BooleanCircuit(d, (), (), "no-output")
 
 
-def constant_candidate(d: int, bits: np.ndarray) -> OneWayCandidate:
+def constant_candidate(d: int, bits: np.ndarray) -> BooleanCircuit:
     """f(s) = bits for every s. +1 = AND(x0, NOT x0), -1 = OR(x0, NOT x0)."""
     bits = np.asarray(bits)
     gates = [Gate("NOT", (0,))]
@@ -129,7 +114,7 @@ def constant_candidate(d: int, bits: np.ndarray) -> OneWayCandidate:
         kind = "OR" if b == -1 else "AND"
         gates.append(Gate(kind, (0, not0)))
         outs.append(d + len(gates) - 1)
-    return OneWayCandidate(d, len(outs), BooleanCircuit(d, tuple(gates), tuple(outs)), "constant")
+    return BooleanCircuit(d, tuple(gates), tuple(outs), "constant")
 
 
 # --- text serialization: one declaration per line, refs are x<i> / g<k> ---
@@ -147,9 +132,8 @@ def _parse_ref(tok: str, n: int) -> int:
     raise ValueError(f"bad reference {tok!r}")
 
 
-def candidate_to_text(cand: OneWayCandidate) -> str:
-    c = cand.circuit
-    lines = [f"inputs {cand.input_len}"]
+def candidate_to_text(c: BooleanCircuit) -> str:
+    lines = [f"inputs {c.n_inputs}"]
     for k, g in enumerate(c.gates):
         refs = " ".join(_ref_name(r, c.n_inputs) for r in g.inputs)
         lines.append(f"g{k} {g.kind} {refs}")
@@ -157,7 +141,7 @@ def candidate_to_text(cand: OneWayCandidate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def candidate_from_text(text: str) -> OneWayCandidate:
+def candidate_from_text(text: str) -> BooleanCircuit:
     n = None
     gates: list[Gate] = []
     outputs: tuple[int, ...] | None = None
@@ -180,8 +164,7 @@ def candidate_from_text(text: str) -> OneWayCandidate:
             gates.append(Gate(toks[1], tuple(_parse_ref(t, n) for t in toks[2:])))
     if n is None or outputs is None:
         raise ValueError("missing inputs/outputs declaration")
-    circuit = BooleanCircuit(n, tuple(gates), outputs)
-    return OneWayCandidate(n, circuit.n_outputs, circuit)
+    return BooleanCircuit(n, tuple(gates), outputs)
 
 
 def all_inputs(n: int) -> np.ndarray:

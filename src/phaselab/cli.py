@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__
 from . import rng as prng
-from .circuits import OneWayCandidate, candidate_from_text, no_output_candidate, sign_identity
+from .circuits import BooleanCircuit, candidate_from_text, no_output_candidate, sign_identity
 from .instance import EPS_MAX, InstanceParams, measurement_matrix, sample_unconditional
 from .scores import ScoreProvider, provider_by_name
 
@@ -163,14 +163,14 @@ def instance_schema() -> dict:
     }
 
 
-def build_instance(cfg: dict) -> tuple[InstanceParams, OneWayCandidate]:
+def build_instance(cfg: dict) -> tuple[InstanceParams, BooleanCircuit]:
     params = InstanceParams(
         cfg["d"], cfg["d_prime"], cfg["R"], cfg["eps"], cfg["beta"], cfg["beta_max"]
     )
     return params, _field("circuit", _candidate, cfg["circuit"], params)
 
 
-def _candidate(spec: str, params: InstanceParams) -> OneWayCandidate:
+def _candidate(spec: str, params: InstanceParams) -> BooleanCircuit:
     if spec == "identity":
         if params.d_prime == 0:
             return no_output_candidate(params.d)
@@ -185,18 +185,18 @@ def _candidate(spec: str, params: InstanceParams) -> OneWayCandidate:
             raise ValueError("expected 'random:<gates>:<seed>'")
         return random_circuit_owf(params.d, params.d_prime, int(parts[1]), int(parts[2]))
     f = candidate_from_text(Path(spec).read_text())
-    if f.input_len != params.d or f.output_len != params.d_prime:
+    if f.n_inputs != params.d or f.n_outputs != params.d_prime:
         raise ValueError("circuit file arity does not match d, d_prime")
     return f
 
 
-def enumerable(f: OneWayCandidate) -> OneWayCandidate:
+def enumerable(f: BooleanCircuit) -> BooleanCircuit:
     """f, its seed table built now, so that the enumeration limit is reported as field 'd'."""
     _field("d", lambda: f.seed_table)
     return f
 
 
-def build_provider(name: str, params: InstanceParams, f: OneWayCandidate) -> ScoreProvider:
+def build_provider(name: str, params: InstanceParams, f: BooleanCircuit) -> ScoreProvider:
     provider = _field("provider", provider_by_name, name, params, f)
     if name == "exact":
         enumerable(f)
@@ -255,7 +255,7 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
     else:
         provider = build_provider(cfg["provider"], params, f)
         dcfg = diffusion_config(cfg, params)
-        x = heuristic_posterior_sample(provider, A, y, pcfg, dcfg, rng, size=cfg["count"])
+        x = heuristic_posterior_sample(provider, A, y, params.beta, dcfg, rng, size=cfg["count"])
     lines.append(f"wrote {len(x)} posterior samples to {Path(args.out) / 'posterior.csv'}")
     table = ([f"x{j}" for j in range(params.dim)], x)
     return {"posterior.csv": table, "posterior_stats.json": info}, "\n".join(lines)
@@ -312,7 +312,7 @@ def cmd_approx_score(cfg: dict, args) -> tuple[dict, str]:
 
     score, sampler, m2 = _field("family", score_family, cfg["family"], cfg["sigma"])
     ap = _field("kappa", ApproxParams, cfg["kappa"], cfg["sigma"], m2)
-    l = build_score_approx(score, ap)
+    l = _field("sigma", build_score_approx, score, ap)
     net = compile_piecewise(l)
     rng = prng.stream(args.seed, 0)
     l2 = measure_l2_error(l, score, sampler, cfg["mc_draws"], rng)
@@ -422,7 +422,7 @@ def cmd_demo2d(cfg: dict, args) -> tuple[dict, str]:
     oracle = demo_oracle_posterior(yval, prng.stream(args.seed, 2), n)
     dcfg = DiffusionConfig(T=10 * (DEMO_VAR + 8.0), t_min=1e-4, N=cfg["steps"])
     heur = heuristic_posterior_sample(
-        demo_score_provider(), A, y, pcfg, dcfg, prng.stream(args.seed, 3), size=n
+        demo_score_provider(), A, y, DEMO_BETA, dcfg, prng.stream(args.seed, 3), size=n
     )
 
     def upper_weight(x):  # None for an empty sample (no draw accepted)

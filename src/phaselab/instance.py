@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .circuits import OneWayCandidate
+from .circuits import BooleanCircuit
 
 LATTICE_EXTENT = 12.0  # mass of a unit Gaussian beyond |x| > 12 is < 1e-30
 # Largest accepted eps. The series and lattice routes of the smoothed density agree
@@ -83,7 +83,7 @@ def sample_discretized_gaussian(b: int, eps: float, rng: np.random.Generator, si
 
 def sample_unconditional(
     params: InstanceParams,
-    f: OneWayCandidate,
+    f: BooleanCircuit,
     rng: np.random.Generator,
     size: int,
 ):
@@ -92,13 +92,11 @@ def sample_unconditional(
     x = np.empty((size, params.dim))
     x[:, : params.d] = params.R * s + rng.standard_normal((size, params.d))
     bits = f(s)  # (n, d_prime)
-    eps = params.eps
     for b in (1, -1):
-        pts, p = lattice_atoms(eps, phase_of_bit(b, eps))
         mask = bits == b
         cnt = int(mask.sum())
         if cnt:
-            x[:, params.d :][mask] = pts[rng.choice(len(pts), size=cnt, p=p)]
+            x[:, params.d :][mask] = sample_discretized_gaussian(b, params.eps, rng, cnt)
     return s, x
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import lattice_atoms
+from .instance import sample_discretized_gaussian
 from .scores import (
     DiscreteGaussianSpec,
     dg_smoothed_score,
@@ -27,6 +27,7 @@ C1_PIECES = 4.0
 C2_SLOPE = 4.0
 C3_BOUND = 2.0
 C4_L2 = 10.0
+MAX_GRID_INTERVALS = 2**18  # largest grid build_score_approx builds: 2-4 s and 250 MB for 'dg'
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,12 @@ def build_score_approx(score, ap: ApproxParams, max_radius: float = np.inf) -> P
     gamma, delta = ap.gamma, ap.delta
     threshold = np.log(1.0 / delta) / ap.sigma
     radius = min(ap.m2 / np.sqrt(delta), max_radius)
+    intervals = 2.0 * radius / gamma + 4  # the grid spans [-radius - 2 gamma, radius + 2 gamma]
+    if intervals > MAX_GRID_INTERVALS:
+        raise ValueError(
+            f"sigma={ap.sigma:g}, kappa={ap.kappa:g} need {intervals:.3g} grid intervals, "
+            f"more than {MAX_GRID_INTERVALS}"
+        )
     l2 = build_good_interval(score, gamma, threshold, -radius - 2 * gamma, radius + 2 * gamma)
     l3 = clamp_tails(l2, radius)
 
@@ -251,9 +258,8 @@ def score_family(name: str, sigma: float):
     if name == "dg":
         spec = DiscreteGaussianSpec(EPS_DG, 0.0, sigma)
         score = lambda x: dg_smoothed_score(spec, x)
-        pts, p = lattice_atoms(EPS_DG, 0.0)
-        def sampler(n, rng):
-            return pts[rng.choice(len(pts), size=n, p=p)] + sigma * rng.standard_normal(n)
+        def sampler(n, rng):  # bit +1: the phase-0 lattice
+            return sample_discretized_gaussian(1, EPS_DG, rng, n) + sigma * rng.standard_normal(n)
         return score, sampler, float(np.sqrt(v))
     raise ValueError(f"unknown test family {name!r}")
 

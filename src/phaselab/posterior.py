@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .circuits import OneWayCandidate, sign_identity
+from .circuits import BooleanCircuit, sign_identity
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .diffusion import DiffusionConfig, reverse_run
 from .instance import InstanceParams, check_operator_norm, lattice_atoms, phase_of_bit
@@ -84,11 +84,11 @@ def rejection_sample(
 
 
 def seed_posterior_log_weights(
-    params: InstanceParams, f: OneWayCandidate, y: np.ndarray
+    params: InstanceParams, f: BooleanCircuit, y: np.ndarray
 ) -> np.ndarray:
     """log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j);
     a y of shape (n, d_prime) gives an (n, 2^d) table, row i as for y[i] alone."""
-    if f.input_len != params.d:
+    if f.n_inputs != params.d:
         raise ValueError("input length mismatch")
     Y = np.atleast_2d(np.asarray(y, dtype=float))
     ld = np.stack([dg_smoothed_log_density(sp, Y) for sp in _phase_specs(params.eps, params.beta)])
@@ -118,7 +118,7 @@ def _tail_posterior_draws(
 
 def brute_force_posterior(
     params: InstanceParams,
-    f: OneWayCandidate,
+    f: BooleanCircuit,
     y: np.ndarray,
     rng: np.random.Generator,
     size: int | None = None,
@@ -161,7 +161,7 @@ def heuristic_posterior_sample(
     provider: ScoreProvider,
     A: np.ndarray,
     y: np.ndarray,
-    cfg: PosteriorConfig,
+    beta: float,
     diffusion_cfg: DiffusionConfig,
     rng: np.random.Generator,
     size: int,
@@ -172,7 +172,7 @@ def heuristic_posterior_sample(
     y = np.asarray(y, dtype=float)
 
     def guidance(t, x):
-        return -(x @ A.T - y) @ A / (cfg.beta**2 + t)
+        return -(x @ A.T - y) @ A / (beta**2 + t)
 
     return reverse_run(
         provider, diffusion_cfg, rng, dim=A.shape[1], size=size, extra_drift=guidance

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as prng
-from .circuits import BooleanCircuit, Gate, OneWayCandidate
+from .circuits import BooleanCircuit, Gate
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .instance import InstanceParams, bits_eps, round_R, sample_discretized_gaussian
 
@@ -63,7 +63,7 @@ def invert(sampler, y: np.ndarray, params: InstanceParams, rng: np.random.Genera
 
 
 def inversion_experiment(
-    f: OneWayCandidate, sampler, trials: int, params: InstanceParams, master_seed: int
+    f: BooleanCircuit, sampler, trials: int, params: InstanceParams, master_seed: int
 ) -> InversionReport:
     """Aggregate invert() over i.i.d. targets z = f(uniform s).
 
@@ -89,13 +89,13 @@ def inversion_experiment(
     )
 
 
-def make_brute_force_sampler(params: InstanceParams, f: OneWayCandidate):
+def make_brute_force_sampler(params: InstanceParams, f: BooleanCircuit):
     from .posterior import brute_force_posterior
 
     return lambda y, rng: brute_force_posterior(params, f, y, rng, size=len(y))
 
 
-def make_rejection_sampler(params: InstanceParams, f: OneWayCandidate, max_rounds: int):
+def make_rejection_sampler(params: InstanceParams, f: BooleanCircuit, max_rounds: int):
     from .instance import measurement_matrix, sample_unconditional
     from .posterior import PosteriorConfig, rejection_sample
 
@@ -110,23 +110,24 @@ def make_rejection_sampler(params: InstanceParams, f: OneWayCandidate, max_round
     return sampler
 
 
-def make_heuristic_sampler(params: InstanceParams, f: OneWayCandidate, diffusion_cfg=None):
+def make_heuristic_sampler(params: InstanceParams, f: BooleanCircuit, diffusion_cfg=None):
     from .diffusion import default_config
     from .instance import measurement_matrix
-    from .posterior import PosteriorConfig, heuristic_posterior_sample
+    from .posterior import heuristic_posterior_sample
     from .scores import provider_by_name
 
     A = measurement_matrix(params)
     dcfg = default_config(params) if diffusion_cfg is None else diffusion_cfg
-    cfg = PosteriorConfig(1, params.beta)
     provider = provider_by_name("exact", params, f)
-    return lambda y, rng: heuristic_posterior_sample(provider, A, y, cfg, dcfg, rng, size=len(y))
+    return lambda y, rng: heuristic_posterior_sample(
+        provider, A, y, params.beta, dcfg, rng, size=len(y)
+    )
 
 
 # --- candidate constructors ---------------------------------------------------
 
 
-def random_circuit_owf(n: int, m: int, gate_count: int, seed: int) -> OneWayCandidate:
+def random_circuit_owf(n: int, m: int, gate_count: int, seed: int) -> BooleanCircuit:
     """Seed-deterministic local candidate: fan-in <= 3, each output reads <= 8 inputs.
 
     Each output block builds a small random gate tree over its support and
@@ -160,5 +161,4 @@ def random_circuit_owf(n: int, m: int, gate_count: int, seed: int) -> OneWayCand
         g2 = n + len(gates) - 1
         gates.append(Gate("OR", (g1, g2)))
         outputs.append(n + len(gates) - 1)
-    c = BooleanCircuit(n, tuple(gates), tuple(outputs))
-    return OneWayCandidate(n, m, c, f"random-{n}to{m}-seed{seed}")
+    return BooleanCircuit(n, tuple(gates), tuple(outputs), f"random-{n}to{m}-seed{seed}")

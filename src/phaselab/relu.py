@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .circuits import BooleanCircuit, OneWayCandidate
+from .circuits import BooleanCircuit
 from .instance import InstanceParams, phase_of_bit
 from .piecewise import ApproxParams, PiecewiseLinear, build_score_approx
 from .scores import DiscreteGaussianSpec, dg_smoothed_score, two_point_score
@@ -201,7 +201,7 @@ def _identity_then_rows(width: int, rows: list[dict[int, float]], n_cols: int) -
     return sp.csr_matrix((vals, (ri, ci)), shape=(width + len(rows), n_cols))
 
 
-def circuit_to_relu(c: BooleanCircuit | OneWayCandidate) -> ReluNetwork:
+def circuit_to_relu(c: BooleanCircuit) -> ReluNetwork:
     """Exact network computing the circuit on {-1,+1}^n inputs.
 
     Interior wires use {0,1} with 1 = True (input translation b = (1-x)/2,
@@ -209,8 +209,6 @@ def circuit_to_relu(c: BooleanCircuit | OneWayCandidate) -> ReluNetwork:
     OR = ReLU(1 - ReLU(1 - sum)), NOT = ReLU(1 - y); earlier wires pass
     through ReLU identity rows (safe: all interior values are in {0,1}).
     """
-    if isinstance(c, OneWayCandidate):
-        c = c.circuit
     n = c.n_inputs
     layers = [_layer(sp.eye(n) * -0.5, np.full(n, 0.5))]  # +-1 -> {0,1}
 
@@ -267,7 +265,7 @@ def _linear_pl(slope: float, radius: float) -> PiecewiseLinear:
 
 def assemble_score_net_small_sigma(
     params: InstanceParams,
-    f: BooleanCircuit | OneWayCandidate,
+    f: BooleanCircuit,
     sigma: float,
     kappa: float,
     alpha: float = 0.5,

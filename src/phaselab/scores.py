@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .circuits import OneWayCandidate
+from .circuits import BooleanCircuit
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .instance import InstanceParams, LATTICE_EXTENT, lattice_atoms, phase_of_bit
 
@@ -96,6 +96,8 @@ def _dg_series_score(spec: DiscreteGaussianSpec, x: np.ndarray):
 def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
     """(log density, score) by direct convolution over atoms |t| <= 12 + 8 rho."""
     pts, p = lattice_atoms(spec.eps, spec.phase, extent=LATTICE_EXTENT + 8.0 * spec.rho)
+    if p[0] == 0 or p[-1] == 0:  # outermost weights underflow at large rho (forced route only)
+        pts, p = pts[p > 0], p[p > 0]
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     logd = np.empty(flat.shape)
@@ -185,7 +187,7 @@ def _seed_tail_loglik(ld: np.ndarray, Fp: np.ndarray) -> np.ndarray:
 
 def mixture_score_exact(
     params: InstanceParams,
-    f: OneWayCandidate,
+    f: BooleanCircuit,
     sigma: float,
     x,
     return_log_density: bool = False,
@@ -198,7 +200,7 @@ def mixture_score_exact(
     phase scores by w@Fp_j. A seed with a -inf tail term gets weight exactly 0;
     a point that every seed rules out gets a NaN score and log density -inf.
     """
-    if f.input_len != params.d:
+    if f.n_inputs != params.d:
         raise ValueError("input length mismatch")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -241,7 +243,7 @@ def mixture_score_exact(
 
 
 def orthant_score(
-    params: InstanceParams, f: OneWayCandidate, sigma: float, x
+    params: InstanceParams, f: BooleanCircuit, sigma: float, x
 ) -> np.ndarray:
     """Small-sigma surrogate: the component score of the sign orthant containing x."""
     if sigma <= 0:
@@ -307,7 +309,7 @@ class ScoreProvider:
 PROVIDER_NAMES = ("exact", "orthant", "large-sigma", "relu:<file>", "piecewise:<file>")
 
 
-def provider_by_name(name: str, params: InstanceParams, f: OneWayCandidate) -> ScoreProvider:
+def provider_by_name(name: str, params: InstanceParams, f: BooleanCircuit) -> ScoreProvider:
     """The score provider called `name` for the instance (params, f); see PROVIDER_NAMES."""
     if name == "exact":
         return ScoreProvider(name, lambda s, x: mixture_score_exact(params, f, s, x))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from phaselab.circuits import (
     BooleanCircuit,
     Gate,
-    OneWayCandidate,
     all_inputs,
     candidate_from_text,
     candidate_to_text,
@@ -70,10 +69,10 @@ def test_no_output_candidate():
 
 
 def test_candidate_text_round_trip():
-    c = BooleanCircuit(3, (Gate("NOT", (1,)), Gate("AND", (0, 3)), Gate("OR", (2, 4))), (4, 5))
-    f = OneWayCandidate(3, 2, c, "demo")
+    gates = (Gate("NOT", (1,)), Gate("AND", (0, 3)), Gate("OR", (2, 4)))
+    f = BooleanCircuit(3, gates, (4, 5), "demo")
     g = candidate_from_text(candidate_to_text(f))
-    assert g.circuit == f.circuit
+    assert g == f
     S = all_inputs(3)
     assert np.array_equal(f(S), g(S))
 
@@ -137,5 +136,4 @@ def test_seed_table_is_cached_read_only_enumeration(n, m, extra, seed):
 @given(random_circuits())
 @settings(max_examples=30, deadline=None)
 def test_text_round_trip_random(c):
-    f = OneWayCandidate(c.n_inputs, c.n_outputs, c)
-    assert candidate_from_text(candidate_to_text(f)).circuit == c
+    assert candidate_from_text(candidate_to_text(c)) == c

@@ -81,6 +81,7 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         (("demo2d", "y=-1e160"), "'y'"),
         (("sample", "eps=16"), "'eps'"),
         (("bench-acceptance", "ms=0", "eps=30"), "'eps'"),
+        (("approx-score", "family=dg", "sigma=1e-6", "kappa=0.25"), "'sigma'"),
     ],
 )
 def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phaselab.circuits import sign_identity
+from phaselab.circuits import no_output_candidate, sign_identity
 from phaselab.instance import (
     EPS_MAX,
     InstanceParams,
@@ -19,6 +19,7 @@ from phaselab.instance import (
     sample_discretized_gaussian,
     sample_unconditional,
 )
+from phaselab.reduction import random_circuit_owf
 
 
 def test_params_validation():
@@ -77,6 +78,35 @@ def test_discretized_gaussian_moments():
     assert_allclose(np.mean(x**2), p @ pts**2, atol=0.03)
     # every draw sits on the phased lattice
     assert np.allclose((x - 0.5) / 1.0, np.round((x - 0.5) / 1.0))
+
+
+def inline_draw_sample_unconditional(params, f, rng, size):
+    """Reference: sample_unconditional with its former inline draw from each phase lattice."""
+    s = rng.choice(np.array([-1, 1]), size=(size, params.d))
+    x = np.empty((size, params.dim))
+    x[:, : params.d] = params.R * s + rng.standard_normal((size, params.d))
+    bits = f(s)
+    for b in (1, -1):
+        atoms, p = lattice_atoms(params.eps, phase_of_bit(b, params.eps))
+        mask = bits == b
+        cnt = int(mask.sum())
+        if cnt:
+            x[:, params.d :][mask] = atoms[rng.choice(len(atoms), size=cnt, p=p)]
+    return s, x
+
+
+@pytest.mark.parametrize("d, d_prime, eps", [(1, 1, 0.05), (3, 0, 1.0), (4, 6, 0.5), (8, 8, 8.0)])
+def test_sample_unconditional_draws_as_inline_reference(d, d_prime, eps):
+    """Drawing the tail through sample_discretized_gaussian leaves every draw as it was."""
+    params = InstanceParams(d, d_prime, 30.0, eps, eps / 40, eps / 4)
+    f = random_circuit_owf(d, d_prime, 3 * d_prime, seed=d) if d_prime else no_output_candidate(d)
+    for size in (1, 7, 1024):
+        for seed in range(20):
+            s, x = sample_unconditional(params, f, np.random.default_rng(seed), size)
+            s_ref, x_ref = inline_draw_sample_unconditional(
+                params, f, np.random.default_rng(seed), size
+            )
+            assert np.array_equal(s, s_ref) and np.array_equal(x, x_ref)
 
 
 def test_round_R_values_and_ties():

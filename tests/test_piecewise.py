@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from phaselab.instance import lattice_atoms
 from phaselab.piecewise import (
+    EPS_DG,
     ApproxParams,
     PiecewiseLinear,
     build_good_interval,
@@ -133,6 +135,18 @@ def test_families_score_matches_log_density():
         logd = score_family_log_density(family, 0.8)
         x = np.linspace(-3, 3, 41)
         assert_allclose(score(x), (logd(x + h) - logd(x - h)) / (2 * h), atol=1e-4)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
+def test_dg_sampler_draws_as_inline_reference(sigma):
+    """The dg family draws through sample_discretized_gaussian exactly as its former inline draw."""
+    _, sampler, _ = score_family("dg", sigma)
+    atoms, p = lattice_atoms(EPS_DG, 0.0)
+    for n in (1, 7, 1024):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            want = atoms[rng.choice(len(atoms), size=n, p=p)] + sigma * rng.standard_normal(n)
+            assert np.array_equal(sampler(n, np.random.default_rng(seed)), want)
 
 
 def test_families_sampler_second_moment():

@@ -258,8 +258,7 @@ def test_heuristic_posterior_uninformative_limit():
     A = measurement_matrix(params)
     rng = np.random.default_rng(9)
     x = heuristic_posterior_sample(
-        provider, A, np.zeros(1), PosteriorConfig(1, params.beta),
-        default_config(params, N=800), rng, size=4000,
+        provider, A, np.zeros(1), params.beta, default_config(params, N=800), rng, size=4000,
     )
     # head marginal: half the mass near each of -R and +R
     frac = np.mean(x[:, 0] > 0)

@@ -103,8 +103,8 @@ def test_exhausted_rejection_budget_is_a_no_guess_not_a_success():
 def test_random_circuit_determinism_and_locality():
     f = random_circuit_owf(8, 8, 24, seed=9)
     g = random_circuit_owf(8, 8, 24, seed=9)
-    assert f.circuit == g.circuit
-    assert all(len(gate.inputs) <= 3 for gate in f.circuit.gates)
+    assert f == g
+    assert all(len(gate.inputs) <= 3 for gate in f.gates)
 
 
 def test_random_circuit_outputs_not_constant():

@@ -132,6 +132,25 @@ def test_dg_lattice_sum_matches_row_major_reference():
                 assert np.all(np.abs(sc - want_sc) <= tol)
 
 
+def test_dg_lattice_route_forced_at_large_smoothing():
+    """Far atoms whose weight underflows to 0 are dropped: no log(0), and the series' numbers."""
+    x = np.linspace(-40.0, 40.0, 801)
+    for eps in (1.0, 0.5):
+        for rho in (5.0, 10.0, 20.0):
+            for phase in (0.0, eps / 2):
+                spec = DiscreteGaussianSpec(eps, phase, rho)
+                assert_allclose(
+                    dg_smoothed_log_density(spec, x, method="lattice"),
+                    dg_smoothed_log_density(spec, x, method="series"),
+                    rtol=0, atol=1e-10,
+                )
+                assert_allclose(
+                    dg_smoothed_score(spec, x, method="lattice"),
+                    dg_smoothed_score(spec, x, method="series"),
+                    rtol=1e-10, atol=1e-10,
+                )
+
+
 def test_dg_density_integrates_to_one():
     spec = DiscreteGaussianSpec(1.0, 0.5, 0.7)
     x = np.linspace(-14, 14, 20_001)
