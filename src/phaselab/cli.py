@@ -30,6 +30,7 @@ from .instance import EPS_MAX, InstanceParams, measurement_matrix, sample_uncond
 from .scores import ScoreProvider, provider_by_name
 
 FMT = "%.17g"
+CSV_BLOCK_ROWS = 4096  # rows converted and written at a time, which bounds peak memory
 
 
 # --- config plumbing ------------------------------------------------------------
@@ -134,14 +135,23 @@ def write_manifest(out: Path, subcommand: str, cfg: dict, seed: int) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows, h: str) -> None:
-    def cell(v):
-        if isinstance(v, (float, np.floating)):
-            return FMT % v
-        return str(v)
+    """The config-hash line, the header, then per row FMT for a float cell and str otherwise."""
+    formats: dict[tuple, str] = {}  # one row format per tuple of cell types
 
-    lines = [f"# config-hash: {h}", ",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    def line(row) -> str:
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = ",".join(
+                FMT if issubclass(t, (float, np.floating)) else "%s" for t in types
+            )
+        return formats[types] % tuple(row)
+
+    with path.open("w") as fh:
+        fh.write(f"# config-hash: {h}\n{','.join(header)}\n")
+        for i in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[i : i + CSV_BLOCK_ROWS]
+            block = block.tolist() if isinstance(block, np.ndarray) else block
+            fh.write("\n".join(map(line, block)) + "\n")
 
 
 def write_json(path: Path, obj: dict, h: str) -> None:
@@ -535,8 +545,11 @@ def cmd_verify(args) -> int:
         data = json.loads(mf.read_text())
         assert config_hash(data["config"]) == data["config_hash"], "manifest hash mismatch"
         for art in Path(args.out).glob("*.csv"):
-            first = art.read_text().splitlines()[0]
-            assert first == f"# config-hash: {data['config_hash']}", f"{art.name} hash mismatch"
+            with art.open() as fh:  # the first line only: a table can run to megabytes
+                first = fh.readline().rstrip("\n")
+            assert first == f"# config-hash: {data['config_hash']}", (
+                f"{art.name}: first line {first!r} is not the manifest's config hash"
+            )
 
     check("decode-chain", decode_chain)
     check("smoothed-lattice-series", series_vs_lattice)

@@ -102,17 +102,24 @@ def seed_posterior_log_weights(
 
 
 def _tail_posterior_draws(
-    eps: float, phase: float, beta: float, y: np.ndarray, rng: np.random.Generator
+    eps: float, phase: float, beta: float, y: np.ndarray, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exact lattice-posterior draws of the tail coordinate given y (one per y)."""
+    """Exact lattice-posterior draws of the tail coordinate: `size` draws given y, which
+    holds one measurement per draw or one for all of them. Each gets one CDF row."""
     pts, p = lattice_atoms(eps, phase)
     logpost = np.log(p)[None, :] - (y[:, None] - pts[None, :]) ** 2 / (2.0 * beta**2)
     logpost -= logpost.max(axis=1, keepdims=True)
     w = np.exp(logpost)
     w /= w.sum(axis=1, keepdims=True)
     cdf = np.cumsum(w, axis=1)
-    u = rng.random(y.shape[0])
-    idx = (u[:, None] > cdf).sum(axis=1)
+    cdf[:, -1] = 1.0  # as in Generator.choice: a sum rounded below 1 must not lose any u
+    u = rng.random(size)
+    rows = np.arange(size) if len(y) > 1 else np.zeros(size, dtype=int)
+    # complex numbers order lexicographically, so one search over the (row, cdf) pairs
+    # finds, for each (row, u), the first atom of that row whose cdf is >= u
+    table = np.empty(cdf.shape, dtype=complex)
+    table.real, table.imag = np.arange(len(y))[:, None], cdf
+    idx = np.searchsorted(table.ravel(), rows + 1j * u, side="left") - rows * len(pts)
     return pts[idx]
 
 
@@ -146,13 +153,14 @@ def brute_force_posterior(
     x = np.empty((n, params.dim))
     x[:, : params.d] = params.R * S[pick] + rng.standard_normal((n, params.d))
     bits = F[pick]
-    Y = np.broadcast_to(y, (n, params.d_prime))
+    Y = np.atleast_2d(y)  # one row for every draw, or one row per draw
     for j in range(params.d_prime):
         for b in (1, -1):
-            mask = bits[:, j] == b
-            if mask.any():
-                x[mask, params.d + j] = _tail_posterior_draws(
-                    params.eps, phase_of_bit(b, params.eps), params.beta, Y[mask, j], rng
+            sel = np.flatnonzero(bits[:, j] == b)
+            if sel.size:
+                ys = Y[:, j] if len(Y) == 1 else Y[sel, j]
+                x[sel, params.d + j] = _tail_posterior_draws(
+                    params.eps, phase_of_bit(b, params.eps), params.beta, ys, sel.size, rng
                 )
     return x[0] if size is None and y.ndim == 1 else x
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from phaselab.circuits import candidate_to_text, sign_identity
+from phaselab import cli
 from phaselab.cli import config_hash, demo_bayes_weight, main
 
 
@@ -290,3 +291,59 @@ def test_verify_detects_tampered_artifact(tmp_path):
     lines[0] = "# config-hash: 0000"
     csv.write_text("\n".join(lines) + "\n")
     assert run("verify", "--out", str(tmp_path)) == 1
+
+
+def _reference_write_csv(path, header, rows, h):
+    """The CSV writer as it was before rows were formatted whole: one call per cell."""
+
+    def cell(v):
+        if isinstance(v, (float, np.floating)):
+            return cli.FMT % v
+        return str(v)
+
+    lines = [f"# config-hash: {h}", ",".join(header)]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _float_table():
+    """2 blocks + 3 rows of floats, with signed zero, inf, nan, tiny and subnormal cells."""
+    rows = 2 * cli.CSV_BLOCK_ROWS + 3
+    x = np.random.default_rng(0).standard_normal((rows, 5)) * 10.0 ** np.arange(-150, 150, 60)
+    x[1, :] = [-0.0, np.inf, -np.inf, np.nan, 1e-300]
+    x[-1, :] = [5e-324, np.nextafter(0, 1) * 7, 0.1, 1.0, -2.5]
+    return [f"x{j}" for j in range(5)], x
+
+
+def _mixed_table():
+    """List rows mixing Python and NumPy ints, floats and bools with str and None."""
+    rows = [
+        [1, np.int64(-7), 0.1, np.float64(1 / 3), True, "a b", None],
+        [np.int64(2**62), 0, -0.0, np.float64("nan"), False, "", None],
+        [3, np.int64(0), float("inf"), np.float64(1e-310), np.bool_(True), "x", np.float32(0.1)],
+    ]
+    return list("abcdefg"), rows
+
+
+TABLES = {
+    "float-array": _float_table,
+    "mixed-list": _mixed_table,
+    "empty-list": lambda: (["x0", "x1"], []),
+    "empty-array": lambda: (["x0", "x1"], np.empty((0, 2))),
+}
+
+
+@pytest.mark.parametrize("table", list(TABLES))
+def test_write_csv_matches_per_cell_writer(tmp_path, table):
+    header, rows = TABLES[table]()
+    cli.write_csv(tmp_path / "new.csv", header, rows, "abc123")
+    _reference_write_csv(tmp_path / "old.csv", header, rows, "abc123")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_verify_names_an_empty_artifact(tmp_path, capsys):
+    run("sample", "--out", str(tmp_path), "count=20", "d=2", "d_prime=2")
+    (tmp_path / "samples.csv").write_text("")
+    assert run("verify", "--out", str(tmp_path)) == 1
+    out = capsys.readouterr().out
+    assert "samples.csv: first line ''" in out and "IndexError" not in out

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phaselab import rng as prng
-from phaselab.circuits import sign_identity
+from phaselab.circuits import constant_candidate, sign_identity
 from phaselab.diagnostics import tv_binned
 from phaselab.instance import (
+    InstanceParams,
     canonical_params,
+    lattice_atoms,
     measurement_matrix,
+    phase_of_bit,
     round_R,
     sample_unconditional,
 )
@@ -173,6 +176,99 @@ def test_brute_force_rejects_measurement_that_no_seed_explains():
     for y in (np.full(2, 1000.0), np.array([[0.0, 0.0], [1000.0, 1000.0]])):
         with pytest.raises(ValueError, match="zero likelihood under every seed"):
             brute_force_posterior(params, sign_identity(2), y, np.random.default_rng(0))
+
+
+def _reference_brute_force_posterior(params, f, y, rng, size=None):
+    """The brute-force oracle as it was written before its tail CDFs were shared:
+    one (draws, atoms) lattice-posterior table per (coordinate, bit)."""
+
+    def tail_draws(eps, phase, beta, y, rng):
+        pts, p = lattice_atoms(eps, phase)
+        logpost = np.log(p)[None, :] - (y[:, None] - pts[None, :]) ** 2 / (2.0 * beta**2)
+        logpost -= logpost.max(axis=1, keepdims=True)
+        w = np.exp(logpost)
+        w /= w.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(w, axis=1)
+        u = rng.random(y.shape[0])
+        return pts[(u[:, None] > cdf).sum(axis=1)]
+
+    y = np.asarray(y, dtype=float)
+    n = (len(y) if y.ndim == 2 else 1) if size is None else size
+    cdf = np.cumsum(np.exp(seed_posterior_log_weights(params, f, y)), axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random(n)
+    if cdf.ndim == 1:
+        pick = np.searchsorted(cdf, u, side="right")
+    else:
+        pick = (cdf <= u[:, None]).sum(axis=1)
+    S, F = f.seed_table
+    x = np.empty((n, params.dim))
+    x[:, : params.d] = params.R * S[pick] + rng.standard_normal((n, params.d))
+    bits = F[pick]
+    Y = np.broadcast_to(y, (n, params.d_prime))
+    for j in range(params.d_prime):
+        for b in (1, -1):
+            mask = bits[:, j] == b
+            if mask.any():
+                x[mask, params.d + j] = tail_draws(
+                    params.eps, phase_of_bit(b, params.eps), params.beta, Y[mask, j], rng
+                )
+    return x[0] if size is None and y.ndim == 1 else x
+
+
+class _CoarseRng:
+    """A Generator whose uniforms are rounded down to quarters, so that some equal
+    CDF entries exactly: 0.0 equals every entry before the first atom of nonzero weight."""
+
+    def __init__(self, seed):
+        self._g = np.random.default_rng(seed)
+
+    def random(self, n):
+        return np.floor(self._g.random(n) * 4) / 4
+
+    def standard_normal(self, shape):
+        return self._g.standard_normal(shape)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("beta", [0.025, 0.3])
+@pytest.mark.parametrize("batched", [False, True], ids=["one-y", "y-per-draw"])
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, _CoarseRng], ids=["rng", "coarse"])
+def test_brute_force_draws_as_inline_reference(d, beta, batched, make_rng):
+    """One tail CDF per measurement row draws exactly what one CDF per draw drew,
+    ties of u with a CDF entry included.
+
+    A y per draw costs a (size, 2^d) seed-weight table per call, so that case runs
+    20000 draws at two seeds only."""
+    params = canonical_params(d, d, beta=beta)
+    for seed in range(10):
+        f = random_circuit_owf(d, d, 2 * d, seed)
+        for size in (1, 7, 20_000) if seed < 2 or not batched else (1, 7):
+            shape = (size, d) if batched else d
+            y = np.random.default_rng(seed).uniform(-2, 2, size=shape)
+            got = brute_force_posterior(params, f, y, make_rng(seed), size=size)
+            want = _reference_brute_force_posterior(params, f, y, make_rng(seed), size=size)
+            assert np.array_equal(got, want), (seed, size)
+
+
+class _TopRng:
+    """Every uniform draw is the largest double below 1; normals are 0."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_tail_draw_with_cdf_rounded_below_one_stays_on_lattice():
+    """At y = -5.772 the bit -1 lattice posterior's CDF sums to 1 - 3.3e-16; a u above
+    that picks the last atom (it indexed one past the lattice before)."""
+    params = InstanceParams(1, 1, 30.0, 1.0, 0.3, 0.25)
+    f = constant_candidate(1, np.array([-1]))
+    x = brute_force_posterior(params, f, np.array([-5.772]), _TopRng(), size=3)
+    pts, _ = lattice_atoms(1.0, 0.5)
+    assert np.array_equal(x[:, 1], np.full(3, pts[-1]))
 
 
 def test_brute_force_posterior_head_matches_seed_law():
