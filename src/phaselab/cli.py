@@ -3,10 +3,10 @@
 Subcommands: sample, posterior, invert, approx-score, compile-circuit,
 bench-acceptance, demo2d, verify. Subcommands compute and `main` writes: only
 a finished run writes its run_manifest.json (config hash, seed, library
-versions) and artifacts, and every CSV artifact embeds the same config hash
-in its first line. Configs are flat key=value files (an INI [run] section) or
-JSON objects; a bad key or value is a `config error:` naming the field.
-Numeric CSV fields use 17 significant digits.
+versions) and artifacts, and every artifact embeds the same config hash (a
+JSON field, or the first line of a CSV or text file). Configs are flat
+key=value files (an INI [run] section) or JSON objects; a bad key or value is
+a `config error:` naming the field. Numeric CSV fields use 17 significant digits.
 """
 
 from __future__ import annotations
@@ -544,12 +544,17 @@ def cmd_verify(args) -> int:
             return
         data = json.loads(mf.read_text())
         assert config_hash(data["config"]) == data["config_hash"], "manifest hash mismatch"
-        for art in Path(args.out).glob("*.csv"):
-            with art.open() as fh:  # the first line only: a table can run to megabytes
-                first = fh.readline().rstrip("\n")
-            assert first == f"# config-hash: {data['config_hash']}", (
-                f"{art.name}: first line {first!r} is not the manifest's config hash"
-            )
+        h = data["config_hash"]
+        for art in sorted(Path(args.out).iterdir()):
+            if art.suffix == ".json" and art != mf:
+                got = json.loads(art.read_text()).get("config_hash")
+                assert got == h, f"{art.name}: config_hash {got!r} is not the manifest's"
+            elif art.suffix in (".csv", ".txt"):
+                with art.open() as fh:  # the first line only: a table can run to megabytes
+                    first = fh.readline().rstrip("\n")
+                assert first == f"# config-hash: {h}", (
+                    f"{art.name}: first line {first!r} is not the manifest's config hash"
+                )
 
     check("decode-chain", decode_chain)
     check("smoothed-lattice-series", series_vs_lattice)

@@ -72,13 +72,21 @@ def lattice_atoms(eps: float, phase: float, extent: float = LATTICE_EXTENT):
     return pts, w / w.sum()
 
 
-def sample_discretized_gaussian(b: int, eps: float, rng: np.random.Generator, size: int):
-    """Draw size values from the unit Gaussian discretized to the phase-b lattice."""
+def sample_discretized_gaussian(b, eps: float, rng: np.random.Generator, size: int):
+    """Draw size values from the unit Gaussian discretized to the phase-b lattice; a bit
+    array b gives shape (size, len(b)). It runs rng.choice's own inverse CDF, so draws and
+    rng state equal those of one rng.choice(len(pts), size, p=p) per bit, bit by bit."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pts, p = lattice_atoms(eps, phase_of_bit(b, eps))
-    idx = rng.choice(len(pts), size=size, p=p)
-    return pts[idx]
+    bits = np.atleast_1d(b)
+    x = rng.random((len(bits), size))  # uniforms, replaced by their draws in place
+    for bit in set(bits.tolist()):  # one lattice and one CDF per phase present
+        pts, p = lattice_atoms(eps, phase_of_bit(bit, eps))
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        rows = bits == bit
+        x[rows] = pts[cdf.searchsorted(x[rows], side="right")]
+    return x[0] if np.ndim(b) == 0 else np.ascontiguousarray(x.T)
 
 
 def sample_unconditional(

@@ -116,10 +116,10 @@ def _tail_posterior_draws(
     u = rng.random(size)
     rows = np.arange(size) if len(y) > 1 else np.zeros(size, dtype=int)
     # complex numbers order lexicographically, so one search over the (row, cdf) pairs
-    # finds, for each (row, u), the first atom of that row whose cdf is >= u
+    # finds, for each (row, u), the first atom of that row whose cdf is > u
     table = np.empty(cdf.shape, dtype=complex)
     table.real, table.imag = np.arange(len(y))[:, None], cdf
-    idx = np.searchsorted(table.ravel(), rows + 1j * u, side="left") - rows * len(pts)
+    idx = np.searchsorted(table.ravel(), rows + 1j * u, side="right") - rows * len(pts)
     return pts[idx]
 
 

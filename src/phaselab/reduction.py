@@ -41,13 +41,9 @@ def sample_measurement_for_target(
     z: np.ndarray, params: InstanceParams, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
     """y_j ~ psi_{z_j} + beta*N(0,1), the measurement marginal for targets z."""
-    z = np.asarray(z)
-    if z.shape[-1] != params.d_prime:
+    if np.shape(z)[-1] != params.d_prime:
         raise ValueError("target length mismatch")
-    n = 1 if size is None else size
-    y = np.empty((n, params.d_prime))
-    for j in range(params.d_prime):
-        y[:, j] = sample_discretized_gaussian(int(z[j]), params.eps, rng, size=n)
+    y = sample_discretized_gaussian(z, params.eps, rng, size=1 if size is None else size)
     y += params.beta * rng.standard_normal(y.shape)
     return y[0] if size is None else y
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,44 @@ def test_verify_detects_tampered_artifact(tmp_path):
     lines[0] = "# config-hash: 0000"
     csv.write_text("\n".join(lines) + "\n")
     assert run("verify", "--out", str(tmp_path)) == 1
+
+
+def _tamper_json_hash(path):
+    data = json.loads(path.read_text())
+    data["config_hash"] = "0000"
+    path.write_text(json.dumps(data))
+
+
+def _tamper_first_line(path):
+    lines = path.read_text().splitlines()
+    lines[0] = "# config-hash: 0000"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, artifact, tamper",
+    [
+        (
+            ("posterior", "d=2", "d_prime=2", "sampler=brute-force", "count=5"),
+            "posterior_stats.json",
+            _tamper_json_hash,
+        ),
+        (
+            ("approx-score", "family=gaussian", "mc_draws=2000"),
+            "score_net.txt",
+            _tamper_first_line,
+        ),
+    ],
+    ids=["json-field", "text-first-line"],
+)
+def test_verify_checks_json_and_text_artifact_hashes(tmp_path, capsys, argv, artifact, tamper):
+    assert run(argv[0], "--out", str(tmp_path), "--seed", "1", *argv[1:]) == 0
+    assert run("verify", "--out", str(tmp_path)) == 0
+    tamper(tmp_path / artifact)
+    capsys.readouterr()
+    assert run("verify", "--out", str(tmp_path)) == 1
+    out = capsys.readouterr().out
+    assert re.search(rf"artifact-hashes +FAIL +AssertionError: {re.escape(artifact)}: ", out), out
 
 
 def _reference_write_csv(path, header, rows, h):

@@ -80,6 +80,43 @@ def test_discretized_gaussian_moments():
     assert np.allclose((x - 0.5) / 1.0, np.round((x - 0.5) / 1.0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["plus", "minus", "mixed", "empty"]),
+    length=st.integers(1, 12),
+    eps=st.floats(1e-3, EPS_MAX),
+    size=st.sampled_from([0, 1, 7, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bit_array_draws_equal_scalar_draws_bit_by_bit(kind, length, eps, size, seed):
+    """An array of bits draws, and leaves the generator, as one scalar call per bit does."""
+    bits = {
+        "plus": np.ones(length, dtype=np.int64),
+        "minus": -np.ones(length, dtype=np.int64),
+        "mixed": np.random.default_rng(seed).permutation(np.resize([1, -1], length)),
+        "empty": np.empty(0, dtype=np.int64),
+    }[kind]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = sample_discretized_gaussian(bits, eps, rng, size)
+    want = np.empty((size, len(bits)))
+    for j, b in enumerate(bits):
+        want[:, j] = sample_discretized_gaussian(int(b), eps, ref, size)
+    assert x.shape == (size, len(bits)) and np.array_equal(x, want)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("b", [1, -1])
+@pytest.mark.parametrize("eps", [0.1, 1.0, EPS_MAX])
+def test_scalar_draw_is_generator_choice(b, eps):
+    """A scalar bit draws exactly what rng.choice over the lattice atoms draws."""
+    pts, p = lattice_atoms(eps, phase_of_bit(b, eps))
+    for size in (0, 1, 7, 5000):
+        rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+        x = sample_discretized_gaussian(b, eps, rng, size)
+        assert np.array_equal(x, pts[ref.choice(len(pts), size=size, p=p)])
+        assert rng.random() == ref.random()
+
+
 def inline_draw_sample_unconditional(params, f, rng, size):
     """Reference: sample_unconditional with its former inline draw from each phase lattice."""
     s = rng.choice(np.array([-1, 1]), size=(size, params.d))

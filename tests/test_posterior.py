@@ -180,7 +180,8 @@ def test_brute_force_rejects_measurement_that_no_seed_explains():
 
 def _reference_brute_force_posterior(params, f, y, rng, size=None):
     """The brute-force oracle as it was written before its tail CDFs were shared:
-    one (draws, atoms) lattice-posterior table per (coordinate, bit)."""
+    one (draws, atoms) lattice-posterior table per (coordinate, bit). Each tail draw
+    counts the CDF entries <= u, as Generator.choice's search with side="right" does."""
 
     def tail_draws(eps, phase, beta, y, rng):
         pts, p = lattice_atoms(eps, phase)
@@ -190,7 +191,7 @@ def _reference_brute_force_posterior(params, f, y, rng, size=None):
         w /= w.sum(axis=1, keepdims=True)
         cdf = np.cumsum(w, axis=1)
         u = rng.random(y.shape[0])
-        return pts[(u[:, None] > cdf).sum(axis=1)]
+        return pts[(u[:, None] >= cdf).sum(axis=1)]
 
     y = np.asarray(y, dtype=float)
     n = (len(y) if y.ndim == 2 else 1) if size is None else size
@@ -251,11 +252,14 @@ def test_brute_force_draws_as_inline_reference(d, beta, batched, make_rng):
             assert np.array_equal(got, want), (seed, size)
 
 
-class _TopRng:
-    """Every uniform draw is the largest double below 1; normals are 0."""
+class _ConstantRng:
+    """Every uniform draw is u; normals are 0."""
+
+    def __init__(self, u):
+        self.u = u
 
     def random(self, n):
-        return np.full(n, np.nextafter(1.0, 0.0))
+        return np.full(n, self.u)
 
     def standard_normal(self, shape):
         return np.zeros(shape)
@@ -266,9 +270,18 @@ def test_tail_draw_with_cdf_rounded_below_one_stays_on_lattice():
     that picks the last atom (it indexed one past the lattice before)."""
     params = InstanceParams(1, 1, 30.0, 1.0, 0.3, 0.25)
     f = constant_candidate(1, np.array([-1]))
-    x = brute_force_posterior(params, f, np.array([-5.772]), _TopRng(), size=3)
+    top = _ConstantRng(np.nextafter(1.0, 0.0))
+    x = brute_force_posterior(params, f, np.array([-5.772]), top, size=3)
     pts, _ = lattice_atoms(1.0, 0.5)
     assert np.array_equal(x[:, 1], np.full(3, pts[-1]))
+
+
+def test_tail_draw_at_zero_uniform_skips_zero_weight_atoms():
+    """At y = 2 and beta 0.025 every atom more than 1/2 from y has posterior weight 0
+    in double precision; u = 0 picked the lattice's first atom, -12, before."""
+    params, f = canonical_params(1, 1), sign_identity(1)
+    x = brute_force_posterior(params, f, [2.0], _ConstantRng(0.0), size=2)
+    assert np.all(np.abs(x[:, 1] - 2.0) <= 0.5), x[:, 1]
 
 
 def test_brute_force_posterior_head_matches_seed_law():

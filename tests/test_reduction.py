@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phaselab import reduction
 from phaselab import rng as prng
 from phaselab.circuits import all_inputs, constant_candidate, sign_identity
-from phaselab.instance import bits_eps, canonical_params
+from phaselab.instance import bits_eps, canonical_params, sample_discretized_gaussian
 from phaselab.reduction import (
     InversionReport,
     inversion_experiment,
@@ -33,6 +34,46 @@ def test_measurement_for_target_decodes_back():
     match = np.all(bits_eps(y, params.eps) == z, axis=1)
     # per-coordinate flip probability is 2*Phi(-eps/(2*beta)) ~ 1e-89 at beta = eps/40
     assert match.all()
+
+
+def _reference_sample_measurement_for_target(z, params, rng, size=None):
+    """sample_measurement_for_target as it was before the tail was one draw:
+    one sample_discretized_gaussian call per tail coordinate."""
+    z = np.asarray(z)
+    if z.shape[-1] != params.d_prime:
+        raise ValueError("target length mismatch")
+    n = 1 if size is None else size
+    y = np.empty((n, params.d_prime))
+    for j in range(params.d_prime):
+        y[:, j] = sample_discretized_gaussian(int(z[j]), params.eps, rng, size=n)
+    y += params.beta * rng.standard_normal(y.shape)
+    return y[0] if size is None else y
+
+
+@pytest.mark.parametrize("d_prime", [0, 1, 8])
+@pytest.mark.parametrize("size", [None, 5])
+def test_measurement_for_target_draws_as_per_coordinate_reference(d_prime, size):
+    """One draw for the whole tail gives the per-coordinate draws and generator state."""
+    params = canonical_params(8, d_prime, beta=0.3)
+    for seed in range(20):
+        z = np.random.default_rng(seed).choice(np.array([-1, 1]), size=d_prime)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        y = sample_measurement_for_target(z, params, rng, size=size)
+        want = _reference_sample_measurement_for_target(z, params, ref, size=size)
+        assert y.shape == want.shape and np.array_equal(y, want)
+        assert rng.random() == ref.random()
+
+
+def test_inversion_report_as_with_per_coordinate_measurements(monkeypatch):
+    params = canonical_params(8, 8)
+    f = random_circuit_owf(8, 8, 24, seed=7)
+    sampler = make_brute_force_sampler(params, f)
+    got = inversion_experiment(f, sampler, 100, params, master_seed=11)
+    monkeypatch.setattr(
+        reduction, "sample_measurement_for_target", _reference_sample_measurement_for_target
+    )
+    want = inversion_experiment(f, sampler, 100, params, master_seed=11)
+    assert replace(got, mean_sampler_nanos=0.0) == replace(want, mean_sampler_nanos=0.0)
 
 
 def test_invert_constant_function_always_succeeds():
