@@ -2,9 +2,11 @@
 
 Subcommands: sample, posterior, invert, approx-score, compile-circuit,
 bench-acceptance, demo2d, verify. Subcommands compute and `main` writes: only
-a finished run writes its run_manifest.json (config hash, seed, library
-versions) and artifacts, and every artifact embeds the same config hash (a
-JSON field, or the first line of a CSV or text file). Configs are flat
+a finished run writes its artifacts, then, last, its run_manifest.json (config
+hash, seed, library versions, and the sha256 of every artifact it wrote).
+Every artifact embeds the same config hash (a JSON field, or the first line of
+a CSV or text file). `verify` checks the run in --out against its manifest
+and ignores files the manifest does not list. Configs are flat
 key=value files (an INI [run] section) or JSON objects; a bad key or value is
 a `config error:` naming the field. Numeric CSV fields use 17 significant digits.
 """
@@ -31,6 +33,9 @@ from .scores import ScoreProvider, provider_by_name
 
 FMT = "%.17g"
 CSV_BLOCK_ROWS = 4096  # rows converted and written at a time, which bounds peak memory
+HASH_CHUNK_BYTES = 1 << 18  # bytes read at a time when an artifact is hashed
+# Artifacts whose bytes hold wall-clock data; the manifest lists them without a digest.
+RUN_DEPENDENT = frozenset({"invert_timing.json"})
 
 
 # --- config plumbing ------------------------------------------------------------
@@ -114,9 +119,21 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest()
 
 
-def write_manifest(out: Path, subcommand: str, cfg: dict, seed: int) -> str:
-    cfg_text = {k: str(v) for k, v in cfg.items()}
-    h = config_hash(cfg_text)
+def file_sha256(path: Path) -> str:
+    """sha256 hex digest of a file, read in chunks so that no artifact is held in memory whole."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(HASH_CHUNK_BYTES), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_manifest(out: Path, subcommand: str, cfg_text: dict, h: str, seed: int, names) -> None:
+    """run_manifest.json, written after the artifacts `names` in `out`, with each one's sha256.
+
+    A RUN_DEPENDENT artifact is listed with a null digest, so that the manifest
+    of a repeated run stays byte-identical.
+    """
     manifest = {
         "subcommand": subcommand,
         "config": cfg_text,
@@ -128,10 +145,11 @@ def write_manifest(out: Path, subcommand: str, cfg: dict, seed: int) -> str:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
+        "artifacts": {
+            name: None if name in RUN_DEPENDENT else file_sha256(out / name) for name in sorted(names)
+        },
     }
-    out.mkdir(parents=True, exist_ok=True)
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    return h
 
 
 def write_csv(path: Path, header: list[str], rows, h: str) -> None:
@@ -459,118 +477,43 @@ def cmd_demo2d(cfg: dict, args) -> tuple[dict, str]:
 # --- verify -----------------------------------------------------------------------
 
 
+def require(ok: bool, message: str) -> None:
+    """AssertionError(message) unless ok; unlike `assert`, it also runs under `python -O`."""
+    if not ok:
+        raise AssertionError(message)
+
+
+def check_run(out: Path) -> None:
+    """Check the run in `out` against its manifest; raises AssertionError naming the file at fault.
+
+    Files the manifest does not list are not this run's, and are ignored.
+    """
+    mf = out / "run_manifest.json"
+    require(mf.is_file(), f"no run_manifest.json in {out}")
+    data = json.loads(mf.read_text())
+    h = data["config_hash"]
+    require(config_hash(data["config"]) == h, "run_manifest.json: config_hash does not match its config")
+    for name, digest in sorted(data["artifacts"].items()):
+        path = out / name
+        require(path.is_file(), f"{name}: listed in the manifest but missing")
+        if digest is None:  # run-dependent bytes: only the hash field can be checked
+            got = json.loads(path.read_text()).get("config_hash")
+            require(got == h, f"{name}: config_hash {got!r} is not the manifest's")
+        else:
+            got = file_sha256(path)
+            require(got == digest, f"{name}: sha256 {got} is not the manifest's {digest}")
+
+
 def cmd_verify(args) -> int:
-    """Run the internal consistency checks; writes nothing, returns the exit code."""
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as e:  # noqa: BLE001 - verify reports, never crashes
-            checks.append((name, False, f"{type(e).__name__}: {e}"))
-
-    def decode_chain():
-        from .instance import bits_eps, canonical_params, measure_clipped, round_R
-
-        params = canonical_params(4, 4)
-        f = sign_identity(4)
-        rng = prng.stream(args.seed, 10)
-        s, x = sample_unconditional(params, f, rng, size=20_000)
-        y = measure_clipped(x, params, rng)
-        z = f(round_R(x[:, :4], params.R))
-        assert np.array_equal(z, bits_eps(y, params.eps)), "decode mismatch"
-
-    def series_vs_lattice():
-        from .scores import DiscreteGaussianSpec, dg_smoothed_density, dg_smoothed_score
-
-        spec = DiscreteGaussianSpec(0.5, 0.25, 0.3)
-        x = np.linspace(-6, 6, 501)
-        for fn in (dg_smoothed_density, dg_smoothed_score):
-            a = fn(spec, x, method="series")
-            b = fn(spec, x, method="lattice")
-            assert np.max(np.abs(a - b)) < 1e-10, "series/lattice disagree"
-
-    def piecewise_compile():
-        from .piecewise import PiecewiseLinear
-        from .relu import compile_piecewise, eval_net
-
-        rng = prng.stream(args.seed, 11)
-        bp = np.sort(rng.uniform(-3, 3, size=9))
-        l = PiecewiseLinear(bp, rng.uniform(-2, 2, size=9), -1.3, 0.7)
-        g = np.linspace(-5, 5, 4001)
-        err = np.max(np.abs(eval_net(compile_piecewise(l), g[:, None])[:, 0] - l(g)))
-        assert err < 1e-9, f"compile error {err}"
-
-    def circuit_compile():
-        from .circuits import all_inputs
-        from .reduction import random_circuit_owf
-        from .relu import circuit_to_relu, eval_net
-
-        f = random_circuit_owf(6, 4, 12, seed=3)
-        S = all_inputs(6)
-        assert np.array_equal(eval_net(circuit_to_relu(f), S.astype(float)), f(S))
-
-    def accept_probability():
-        from .posterior import PosteriorConfig, rejection_sample
-
-        beta = 0.5
-        x0 = np.array([beta * np.sqrt(2 * np.log(2))])
-        rng = prng.stream(args.seed, 12)
-        cfg_p = PosteriorConfig(1, beta)
-        hits = 0
-        for _ in range(10_000):
-            got, _ = rejection_sample(
-                lambda k, r: np.tile(x0, (k, 1)), np.eye(1), np.zeros(1), cfg_p, rng
-            )
-            hits += got is not None
-        assert abs(hits / 10_000 - 0.5) < 0.02, f"acceptance rate {hits / 10_000}"
-
-    def conditional_tv():
-        from .diagnostics import conditional_tv_check
-
-        rng = prng.stream(args.seed, 13)
-        for _ in range(50):
-            p = rng.random((6, 6))
-            q = rng.random((6, 6))
-            lhs, rhs = conditional_tv_check(p / p.sum(), q / q.sum())
-            assert lhs <= rhs + 1e-12
-
-    def manifest_hashes():
-        if args.out is None:
-            return
-        mf = Path(args.out) / "run_manifest.json"
-        if not mf.exists():
-            return
-        data = json.loads(mf.read_text())
-        assert config_hash(data["config"]) == data["config_hash"], "manifest hash mismatch"
-        h = data["config_hash"]
-        for art in sorted(Path(args.out).iterdir()):
-            if art.suffix == ".json" and art != mf:
-                got = json.loads(art.read_text()).get("config_hash")
-                assert got == h, f"{art.name}: config_hash {got!r} is not the manifest's"
-            elif art.suffix in (".csv", ".txt"):
-                with art.open() as fh:  # the first line only: a table can run to megabytes
-                    first = fh.readline().rstrip("\n")
-                assert first == f"# config-hash: {h}", (
-                    f"{art.name}: first line {first!r} is not the manifest's config hash"
-                )
-
-    check("decode-chain", decode_chain)
-    check("smoothed-lattice-series", series_vs_lattice)
-    check("piecewise-compile-exact", piecewise_compile)
-    check("circuit-compile-exact", circuit_compile)
-    check("rejection-accept-probability", accept_probability)
-    check("conditional-tv-inequality", conditional_tv)
-    check("artifact-hashes", manifest_hashes)
-
-    width = max(len(n) for n, _, _ in checks)
-    failed = 0
-    for name, ok, msg in checks:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {msg}")
-        failed += not ok
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return 1 if failed else 0
+    """Check the run in --out against its manifest; writes nothing, returns the exit code."""
+    try:
+        check_run(Path(args.out))
+        ok, msg = True, ""
+    except Exception as e:  # noqa: BLE001 - verify reports, never crashes
+        ok, msg = False, f"{type(e).__name__}: {e}"
+    print(f"artifact-hashes  {'PASS' if ok else 'FAIL'}  {msg}")
+    print(f"{int(ok)}/1 checks passed")
+    return 0 if ok else 1
 
 
 # --- entry point ------------------------------------------------------------------
@@ -650,6 +593,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError("field 'jobs': --jobs must be >= 1")
+        if args.seed < 0:
+            raise ValueError("field 'seed': must be >= 0")
         cfg = resolve(SCHEMAS[name], load_config(args.config), args.overrides)
         if name == "verify":
             return cmd_verify(args)
@@ -657,7 +602,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, configparser.Error) as e:
         raise SystemExit(f"config error: {e}") from None
     out = Path(args.out)
-    h = write_manifest(out, name, cfg, args.seed)
+    cfg_text = {k: str(v) for k, v in cfg.items()}
+    h = config_hash(cfg_text)
+    out.mkdir(parents=True, exist_ok=True)
     for filename, body in artifacts.items():
         if isinstance(body, tuple):  # (header, rows)
             write_csv(out / filename, *body, h)
@@ -665,6 +612,7 @@ def main(argv: list[str] | None = None) -> int:
             write_json(out / filename, body, h)
         else:  # text, under the config-hash line
             (out / filename).write_text(f"# config-hash: {h}\n" + body)
+    write_manifest(out, name, cfg_text, h, args.seed, artifacts)
     print(message)
     return 0
 

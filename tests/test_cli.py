@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -15,10 +16,41 @@ def run(*argv):
 
 
 def test_verify_green(tmp_path, capsys):
+    assert run("sample", "--out", str(tmp_path), "d=2", "d_prime=2", "count=5") == 0
+    capsys.readouterr()
     assert run("verify", "--out", str(tmp_path)) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "7/7" in out
+    assert "1/1" in out
+
+
+@pytest.mark.parametrize("kind", ["empty", "missing"])
+def test_verify_fails_without_a_run(tmp_path, capsys, kind):
+    out = tmp_path / "out"
+    if kind == "empty":
+        out.mkdir()
+    assert run("verify", "--out", str(out)) == 1
+    assert f"artifact-hashes  FAIL  AssertionError: no run_manifest.json in {out}" in capsys.readouterr().out
+
+
+def test_verify_ignores_stale_artifacts_of_another_subcommand(tmp_path, capsys):
+    """A run into an --out that holds an earlier run's files checks only its own."""
+    assert run("sample", "--out", str(tmp_path), "d=2", "d_prime=2", "count=5") == 0
+    argv = ("posterior", "--out", str(tmp_path), "d=2", "d_prime=2", "sampler=brute-force", "count=5")
+    assert run(*argv) == 0
+    assert (tmp_path / "samples.csv").exists()
+    capsys.readouterr()
+    assert run("verify", "--out", str(tmp_path)) == 0, capsys.readouterr().out
+
+
+def test_manifest_lists_every_artifact_with_its_sha256(tmp_path):
+    assert run("invert", "--out", str(tmp_path), "d=2", "d_prime=2", "trials=2") == 0
+    listed = json.loads((tmp_path / "run_manifest.json").read_text())["artifacts"]
+    written = {p.name for p in tmp_path.iterdir()} - {"run_manifest.json"}
+    assert set(listed) == written
+    assert listed.pop("invert_timing.json") is None  # wall-clock data: no digest
+    for name, digest in listed.items():
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -84,6 +116,8 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         (("sample", "eps=16"), "'eps'"),
         (("bench-acceptance", "ms=0", "eps=30"), "'eps'"),
         (("approx-score", "family=dg", "sigma=1e-6", "kappa=0.25"), "'sigma'"),
+        (("invert", "--seed", "-3"), "'seed'"),
+        (("bench-acceptance", "--seed", "-3", "ms=0"), "'seed'"),
     ],
 )
 def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
@@ -306,21 +340,45 @@ def _tamper_first_line(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _tamper_last_line(path):
+    """Append a 0 to the last line: a CSV cell keeps its value, only its bytes change."""
+    lines = path.read_text().splitlines()
+    lines[-1] += "0"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _tamper_json_field(path):
+    data = json.loads(path.read_text())
+    data["sampler"] = "rejection"
+    path.write_text(json.dumps(data, indent=2) + "\n")
+
+
+def _tamper_manifest_config(path):
+    data = json.loads(path.read_text())
+    data["config"]["count"] = "6"
+    path.write_text(json.dumps(data, indent=2) + "\n")
+
+
+POSTERIOR = ("posterior", "d=2", "d_prime=2", "sampler=brute-force", "count=5")
+APPROX = ("approx-score", "family=gaussian", "mc_draws=2000")
+
+
 @pytest.mark.parametrize(
     "argv, artifact, tamper",
     [
-        (
-            ("posterior", "d=2", "d_prime=2", "sampler=brute-force", "count=5"),
-            "posterior_stats.json",
-            _tamper_json_hash,
-        ),
-        (
-            ("approx-score", "family=gaussian", "mc_draws=2000"),
-            "score_net.txt",
-            _tamper_first_line,
-        ),
+        (POSTERIOR, "posterior_stats.json", _tamper_json_hash),
+        (APPROX, "score_net.txt", _tamper_first_line),
+        (POSTERIOR, "posterior.csv", _tamper_last_line),
+        (POSTERIOR, "posterior_stats.json", _tamper_json_field),
+        (APPROX, "score_net.txt", _tamper_last_line),
+        (POSTERIOR, "posterior.csv", lambda path: path.unlink()),
+        (("invert", "d=2", "d_prime=2", "trials=2"), "invert_timing.json", _tamper_json_hash),
+        (POSTERIOR, "run_manifest.json", _tamper_manifest_config),
     ],
-    ids=["json-field", "text-first-line"],
+    ids=[
+        "json-field", "text-first-line", "csv-last-row", "json-other-field", "text-last-line",
+        "deleted", "run-dependent-json-field", "manifest-config",
+    ],
 )
 def test_verify_checks_json_and_text_artifact_hashes(tmp_path, capsys, argv, artifact, tamper):
     assert run(argv[0], "--out", str(tmp_path), "--seed", "1", *argv[1:]) == 0
@@ -385,4 +443,4 @@ def test_verify_names_an_empty_artifact(tmp_path, capsys):
     (tmp_path / "samples.csv").write_text("")
     assert run("verify", "--out", str(tmp_path)) == 1
     out = capsys.readouterr().out
-    assert "samples.csv: first line ''" in out and "IndexError" not in out
+    assert f"samples.csv: sha256 {hashlib.sha256(b'').hexdigest()} is not the manifest's" in out

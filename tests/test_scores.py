@@ -31,21 +31,15 @@ def fd(logd, x, h=1e-6):
 
 
 def test_dg_series_matches_lattice():
-    """Both evaluation routes agree far below the 1e-10 requirement."""
-    for eps, rho in [(1.0, 0.5), (0.5, 0.4), (1.0, 2.0)]:
+    """Both evaluation routes agree far below the 1e-10 requirement (worst gap about 5e-14)."""
+    for eps, rho in [(1.0, 0.5), (0.5, 0.4), (1.0, 2.0), (0.5, 0.3)]:
         for phase in (0.0, eps / 2):
             spec = DiscreteGaussianSpec(eps, phase, rho)
             x = np.linspace(-8, 8, 801)
-            assert_allclose(
-                dg_smoothed_density(spec, x, method="series"),
-                dg_smoothed_density(spec, x, method="lattice"),
-                atol=1e-10,
-            )
-            assert_allclose(
-                dg_smoothed_score(spec, x, method="series"),
-                dg_smoothed_score(spec, x, method="lattice"),
-                atol=1e-8,
-            )
+            for fn in (dg_smoothed_density, dg_smoothed_score):
+                assert_allclose(
+                    fn(spec, x, method="series"), fn(spec, x, method="lattice"), rtol=0, atol=1e-10
+                )
 
 
 def old_series_parts(spec, x):
