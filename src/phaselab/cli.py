@@ -490,10 +490,13 @@ def check_run(out: Path) -> None:
     """
     mf = out / "run_manifest.json"
     require(mf.is_file(), f"no run_manifest.json in {out}")
-    data = json.loads(mf.read_text())
-    h = data["config_hash"]
-    require(config_hash(data["config"]) == h, "run_manifest.json: config_hash does not match its config")
-    for name, digest in sorted(data["artifacts"].items()):
+    try:
+        data = json.loads(mf.read_text())
+        h, cfg, artifacts = data["config_hash"], data["config"], dict(data["artifacts"])
+    except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
+        raise AssertionError(f"run_manifest.json: {type(e).__name__}: {e}") from None
+    require(config_hash(cfg) == h, "run_manifest.json: config_hash does not match its config")
+    for name, digest in sorted(artifacts.items()):
         path = out / name
         require(path.is_file(), f"{name}: listed in the manifest but missing")
         if digest is None:  # run-dependent bytes: only the hash field can be checked

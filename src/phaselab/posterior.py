@@ -54,21 +54,22 @@ def rejection_sample(
     """Accept a proposal draw x with probability exp(-||Ax-y||^2/(2 beta^2)).
 
     proposal(n, rng) must return (n, dim) unconditional draws, requested in
-    chunks of `chunk` rows (default min(65536, 1024 * size)). With size=None
-    returns (x or None, SamplerStats); with size=k returns (up to k accepted
-    rows as a (rows, dim) array, SamplerStats). The budget is
-    size * cfg.max_rounds proposals; exhausting it is a reported outcome
-    (stats.accepted is False), not an error.
+    chunks of `chunk` rows or, by default, min(65536, 256 * size) rows and then
+    twice the previous chunk up to 65536, so an early hit wastes few rows; no
+    chunk exceeds the budget left. With size=None returns (x or None,
+    SamplerStats); with size=k returns (up to k accepted rows as a (rows, dim)
+    array, SamplerStats). The budget is size * cfg.max_rounds proposals;
+    exhausting it is a reported outcome (stats.accepted is False), not an error.
     """
     A = check_operator_norm(A)
     y = np.asarray(y, dtype=float)
     k = 1 if size is None else size
     budget = k * cfg.max_rounds
-    if chunk is None:
-        chunk = min(65536, 1024 * k)
+    step = chunk or min(65536, 256 * k)
     out, got, done = [], 0, 0
     while got < k and done < budget:
-        n = min(chunk, budget - done)
+        n = min(step, budget - done)
+        step = chunk or min(65536, 2 * step)
         x = np.asarray(proposal(n, rng), dtype=float)
         resid = x @ A.T - y
         logq = -np.sum(resid**2, axis=1) / (2.0 * cfg.beta**2)
@@ -201,6 +202,7 @@ def acceptance_curve(
     For each (beta, m): a d=m, dPrime=m instance with the sign-identity map,
     exact-direct proposal; trial t draws its target y and proposals from
     child_stream(master_seed, m, t) (see rng), so no row depends on the others.
+    Proposals come in rejection_sample's default chunks, which start at 256 rows.
     Returns a list of dict rows; censored trials (budget hit) count as max_rounds rounds.
     """
     from . import rng as prng
@@ -221,7 +223,7 @@ def acceptance_curve(
                     r = prng.child_stream(master_seed, m, t)
                     s = r.choice(np.array([-1, 1]), size=m)
                     y = sample_measurement_for_target(f(s), params, r)
-                    _, stats = rejection_sample(proposal, A, y, cfg, r, chunk=4096)
+                    _, stats = rejection_sample(proposal, A, y, cfg, r)
                     counts[t] = stats.rounds
                     censored += 0 if stats.accepted else 1
             mean = float(counts.mean())

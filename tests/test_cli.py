@@ -33,6 +33,19 @@ def test_verify_fails_without_a_run(tmp_path, capsys, kind):
     assert f"artifact-hashes  FAIL  AssertionError: no run_manifest.json in {out}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [("{", "JSONDecodeError: "), ('{"config_hash": "x", "config": {}}', "KeyError: 'artifacts'")],
+    ids=["not-json", "no-artifacts-key"],
+)
+def test_verify_names_a_bad_manifest(tmp_path, capsys, text, error):
+    assert run("sample", "--out", str(tmp_path), "d=2", "d_prime=2", "count=5") == 0
+    (tmp_path / "run_manifest.json").write_text(text)
+    capsys.readouterr()
+    assert run("verify", "--out", str(tmp_path)) == 1
+    assert f"artifact-hashes  FAIL  AssertionError: run_manifest.json: {error}" in capsys.readouterr().out
+
+
 def test_verify_ignores_stale_artifacts_of_another_subcommand(tmp_path, capsys):
     """A run into an --out that holds an earlier run's files checks only its own."""
     assert run("sample", "--out", str(tmp_path), "d=2", "d_prime=2", "count=5") == 0

@@ -95,6 +95,50 @@ def test_rejection_size_none_matches_first_row_of_size_one():
     assert np.array_equal(x1, xk[0]) and s1.rounds == sk.rounds > 1
 
 
+@pytest.mark.parametrize(
+    "size, max_rounds, chunk, want",
+    [
+        # 256 * 2^i up to the 65536 cap, then 65536 until the last chunk meets the budget
+        (None, 200_000, None, [256 * 2**i for i in range(9)] + [65536, 3648]),
+        (3, 1000, None, [768, 1536, 696]),
+        (300, 500, None, [65536, 65536, 18928]),
+        (None, 250, 100, [100, 100, 50]),
+    ],
+)
+def test_rejection_chunk_schedule(size, max_rounds, chunk, want):
+    """Default chunks double from 256 * size to 65536; an explicit chunk stays fixed.
+    Every chunk is capped at the budget left."""
+    calls = []
+
+    def proposal(n, r):
+        calls.append(n)
+        return np.full((n, 1), 5.0)  # log q = -125000 at beta 0.01: never accepted
+
+    cfg = PosteriorConfig(max_rounds, 0.01)
+    rng = np.random.default_rng(5)
+    _, stats = rejection_sample(proposal, np.eye(1), np.zeros(1), cfg, rng, size=size, chunk=chunk)
+    assert calls == want
+    assert not stats.accepted and stats.rounds == sum(want) == (size or 1) * max_rounds
+
+
+def test_rejection_rounds_are_geometric_across_chunk_boundaries():
+    """x ~ N(0, 1), A = [[1]], y = 2: each proposal is accepted with probability
+    p = beta / sqrt(1 + beta^2) * exp(-y^2 / (2 (1 + beta^2))), so rounds are
+    geometric with mean 1/p (about 739, past the 256 and 768 chunk boundaries) and
+    variance (1 - p) / p^2. The mean of 400 streams is within 4 standard errors."""
+    beta, y, trials = 0.01, 2.0, 400
+    p = beta / np.sqrt(1 + beta**2) * np.exp(-(y**2) / (2 * (1 + beta**2)))
+    cfg = PosteriorConfig(10**5, beta)
+    proposal = lambda n, r: r.standard_normal((n, 1))
+    rounds = []
+    for t in range(trials):
+        x, stats = rejection_sample(proposal, np.eye(1), np.array([y]), cfg, prng.stream(7, t))
+        assert stats.accepted and x.shape == (1,)
+        rounds.append(stats.rounds)
+    se = np.sqrt((1 - p) / p**2 / trials)
+    assert abs(np.mean(rounds) - 1 / p) <= 4 * se
+
+
 def test_seed_enumeration_rejects_candidate_of_other_length():
     from phaselab.scores import mixture_score_exact
 
