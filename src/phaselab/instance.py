@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .circuits import BooleanCircuit
 
@@ -36,15 +35,15 @@ class InstanceParams:
     def __post_init__(self):
         for name in ("R", "eps", "beta", "beta_max"):
             if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"field {name!r} must be finite")
+                raise ValueError(f"field {name!r}: must be finite")
         for name in ("R", "eps", "beta_max"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"field {name!r} must be > 0")
+                raise ValueError(f"field {name!r}: must be > 0")
         for name, lo in (("d", 1), ("d_prime", 0), ("beta", 0)):
             if getattr(self, name) < lo:
-                raise ValueError(f"field {name!r} must be >= {lo}")
+                raise ValueError(f"field {name!r}: must be >= {lo}")
         if self.eps > EPS_MAX:
-            raise ValueError(f"field 'eps' must be <= {EPS_MAX:g}")
+            raise ValueError(f"field 'eps': must be <= {EPS_MAX:g}")
 
     @property
     def dim(self) -> int:
@@ -130,6 +129,8 @@ def clipped_noise(
     u ~ U[Phi(-a), Phi(a)) with a = beta_max/beta; the clip only absorbs rounding."""
     if beta == 0:
         return np.zeros(shape)
+    from scipy.special import ndtr, ndtri
+
     a = beta_max / beta
     eta = beta * ndtri(rng.uniform(ndtr(-a), ndtr(a), size=shape))
     return np.clip(eta, -beta_max, beta_max)

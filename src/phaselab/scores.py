@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .circuits import BooleanCircuit
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
@@ -264,6 +263,8 @@ def orthant_score(
 
 def two_point_score(R: float, sigma: float, x):
     """Score of 0.5 N(-R, 1) + 0.5 N(R, 1) smoothed by N(0, sigma^2)."""
+    from scipy.special import expit
+
     v = 1.0 + sigma**2
     x = np.asarray(x, dtype=float)
     w = expit(2.0 * R * x / v)  # posterior weight of the +R component

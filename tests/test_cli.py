@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,39 @@ from phaselab.cli import config_hash, demo_bayes_weight, main
 
 def run(*argv):
     return main(list(argv))
+
+
+COLD_START = """
+import json, sys
+from phaselab import cli
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    assert cli.main([argv[0], "--out", f"{sys.argv[2]}/{i}", *argv[1:]]) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_sampling_runs_load_no_heavy_scipy_module(tmp_path):
+    """A fresh process's sampling runs import none of these: scipy.special alone took
+    about two thirds of `import phaselab.cli`. Clipped noise, the two-point and large-sigma
+    scores, relu and diagnostics still load them."""
+    small = ["d=3", "d_prime=3"]
+    runs = [
+        ["invert", "sampler=brute-force", "trials=3", *small],
+        ["posterior", "sampler=brute-force", "count=5", *small],
+        ["posterior", "sampler=heuristic", "count=5", "steps=20", *small],
+        ["sample", "method=diffusion", "provider=exact", "count=5", "steps=5", *small],
+        ["bench-acceptance", "betas=0.3", "ms=0,1", "trials=3"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(runs), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "phaselab.posterior" in loaded
+    assert not loaded & {"scipy.special", "scipy.stats", "scipy.integrate", "scipy.sparse"}
 
 
 def test_verify_green(tmp_path, capsys):
@@ -131,11 +168,14 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         (("approx-score", "family=dg", "sigma=1e-6", "kappa=0.25"), "'sigma'"),
         (("invert", "--seed", "-3"), "'seed'"),
         (("bench-acceptance", "--seed", "-3", "ms=0"), "'seed'"),
+        (("sample", "d_prime=-1"), "'d_prime'"),
+        (("sample", "R=0"), "'R'"),
+        (("sample", "beta_max=inf"), "'beta_max'"),
     ],
 )
 def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit, match=f"^config error: field {field}"):
+    with pytest.raises(SystemExit, match=f"^config error: field {field}: "):
         run(argv[0], "--out", str(out), *argv[1:])
     assert not out.exists()
 

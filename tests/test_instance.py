@@ -31,7 +31,7 @@ def test_params_validation():
         ("beta", (2, 2, 30.0, 1.0, -0.1, 0.25)),
         ("beta_max", (2, 2, 30.0, 1.0, 0.1, 0.0)),
     ):
-        with pytest.raises(ValueError, match=f"^field '{field}' must be >"):
+        with pytest.raises(ValueError, match=f"^field '{field}': must be >"):
             InstanceParams(*args)
     for field, args in (
         ("R", (np.inf, 1.0, 0.1, 0.25)),
@@ -39,12 +39,12 @@ def test_params_validation():
         ("beta", (30.0, 1.0, np.nan, 0.25)),
         ("beta_max", (30.0, 1.0, 0.1, np.inf)),
     ):
-        with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+        with pytest.raises(ValueError, match=f"^field '{field}': must be finite$"):
             InstanceParams(2, 2, *args)
     # past EPS_MAX the two smoothed-density routes disagree, and then no atom is left
     InstanceParams(2, 2, 30.0, EPS_MAX, 0.1, 0.25)
     for eps in (np.nextafter(EPS_MAX, np.inf), 16.0, 30.0):
-        with pytest.raises(ValueError, match="^field 'eps' must be <= 8$"):
+        with pytest.raises(ValueError, match="^field 'eps': must be <= 8$"):
             InstanceParams(2, 2, 30.0, eps, 0.1, 0.25)
     p = InstanceParams(1, 0, 4.0, 1.0, 0.1, 0.25)
     assert p.dim == 1

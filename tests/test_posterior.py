@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
+from phaselab import posterior
 from phaselab import rng as prng
 from phaselab.circuits import constant_candidate, sign_identity
 from phaselab.diagnostics import tv_binned
@@ -184,6 +188,45 @@ def test_seed_posterior_weights_normalized_and_peaked():
     assert np.array_equal(f(best), f(s))
 
 
+def scipy_logsumexp(a):
+    return logsumexp(a, axis=-1, keepdims=True)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@given(
+    st.integers(1, 3), st.integers(1, 4096), st.floats(-300, 3), st.floats(0, 1),
+    st.integers(0, 8), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_logsumexp_is_scipys_bit_for_bit(rows, n, log_scale, p_neginf, ties, seed):
+    """Magnitudes 1e-300 to 1e3, -inf entries and tied maxima; every row keeps a finite entry."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, n)) * 10.0**log_scale
+    a[rng.random((rows, n)) < p_neginf] = -np.inf
+    a[np.arange(rows), rng.integers(0, n, size=rows)] = rng.standard_normal(rows) * 10.0**log_scale
+    a[:, rng.integers(0, n, size=ties)] = a.max(axis=1, keepdims=True)
+    assert_same_bits(posterior._logsumexp(a), scipy_logsumexp(a))
+
+
+@given(
+    st.integers(1, 10), st.integers(1, 8), st.integers(1, 5), st.sampled_from([0.025, 0.1, 0.3]),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_seed_weights_normalise_as_scipy_logsumexp_does(d, d_prime, n, beta, seed):
+    params = canonical_params(d, d_prime, beta=beta)
+    f = random_circuit_owf(d, d_prime, 2 * d_prime, seed)
+    y = np.random.default_rng(seed).uniform(-2, 2, size=(n, d_prime))
+    got = [seed_posterior_log_weights(params, f, y[0]), seed_posterior_log_weights(params, f, y)]
+    with mock.patch.object(posterior, "_logsumexp", scipy_logsumexp):
+        want = [seed_posterior_log_weights(params, f, y[0]), seed_posterior_log_weights(params, f, y)]
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
 small_instances = given(
     st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.sampled_from([0.025, 0.1, 0.3]),
     st.integers(0, 2**31),
@@ -218,6 +261,8 @@ def test_brute_force_rejects_measurement_that_no_seed_explains():
     """A y with zero likelihood under every seed has no posterior to sample."""
     params = canonical_params(2, 2)
     for y in (np.full(2, 1000.0), np.array([[0.0, 0.0], [1000.0, 1000.0]])):
+        with pytest.raises(ValueError, match="^y has zero likelihood under every seed$"):
+            seed_posterior_log_weights(params, sign_identity(2), y)
         with pytest.raises(ValueError, match="zero likelihood under every seed"):
             brute_force_posterior(params, sign_identity(2), y, np.random.default_rng(0))
 
