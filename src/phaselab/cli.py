@@ -237,6 +237,18 @@ def diffusion_config(cfg: dict, params: InstanceParams):
     return _field("t_min", default_config, params, N=cfg["steps"], t_min=cfg["t_min"])
 
 
+def run_chain(steps: int, run, *args, **kwargs):
+    """run(*args, **kwargs), a reverse chain of `steps` steps; a chain whose score turned
+    non-finite is reported against field 'steps', as a coarse step grid makes it diverge."""
+    try:
+        return run(*args, **kwargs)
+    except FloatingPointError as e:
+        raise ValueError(
+            f"field 'steps': the reverse chain diverged at steps={steps} ({e}); "
+            "more steps may help"
+        ) from None
+
+
 # --- subcommands: each returns ({artifact name: body}, message) -----------------------
 
 
@@ -250,7 +262,9 @@ def cmd_sample(cfg: dict, args) -> tuple[dict, str]:
 
         provider = build_provider(cfg["provider"], params, f)
         dcfg = diffusion_config(cfg, params)
-        x = reverse_run(provider, dcfg, rng, dim=params.dim, size=cfg["count"])
+        x = run_chain(
+            cfg["steps"], reverse_run, provider, dcfg, rng, dim=params.dim, size=cfg["count"]
+        )
     message = f"wrote {cfg['count']} samples to {Path(args.out) / 'samples.csv'}"
     return {"samples.csv": ([f"x{j}" for j in range(params.dim)], x)}, message
 
@@ -265,7 +279,7 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
     if cfg["y"] == "fresh":
         from .reduction import sample_measurement_for_target
 
-        s = rng.choice(np.array([-1, 1]), size=params.d)
+        s = prng.signs(rng, params.d)
         y = sample_measurement_for_target(f(s), params, rng)
     else:
         y = _field("y", _measurement, cfg["y"], params.d_prime)
@@ -283,7 +297,10 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
     else:
         provider = build_provider(cfg["provider"], params, f)
         dcfg = diffusion_config(cfg, params)
-        x = heuristic_posterior_sample(provider, A, y, params.beta, dcfg, rng, size=cfg["count"])
+        x = run_chain(
+            cfg["steps"], heuristic_posterior_sample, provider, A, y, params.beta, dcfg, rng,
+            size=cfg["count"],
+        )
     lines.append(f"wrote {len(x)} posterior samples to {Path(args.out) / 'posterior.csv'}")
     table = ([f"x{j}" for j in range(params.dim)], x)
     return {"posterior.csv": table, "posterior_stats.json": info}, "\n".join(lines)

@@ -10,11 +10,13 @@ beta*N(0, I) noise (optionally clipped to [-betaMax, betaMax]).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import BooleanCircuit
+from .rng import signs
 
 LATTICE_EXTENT = 12.0  # mass of a unit Gaussian beyond |x| > 12 is < 1e-30
 # Largest accepted eps. The series and lattice routes of the smoothed density agree
@@ -62,13 +64,37 @@ def phase_of_bit(b: int, eps: float) -> float:
 
 
 def lattice_atoms(eps: float, phase: float, extent: float = LATTICE_EXTENT):
-    """Points {k*eps + phase : |point| <= extent} and their normalized unit-Gaussian weights."""
+    """Points {k*eps + phase : |point| <= extent} and their normalized unit-Gaussian weights.
+
+    Both arrays are cached and read-only: copy one before changing it."""
+    return _lattice_atoms(eps, phase, extent)
+
+
+# Eight entries hold the two phases of a few instances; the heuristic's per-sigma extents
+# (one per reverse step) cycle through it without growing it.
+@functools.lru_cache(maxsize=8)
+def _lattice_atoms(eps: float, phase: float, extent: float):
     k_lo = int(np.ceil((-extent - phase) / eps))
     k_hi = int(np.floor((extent - phase) / eps))
     pts = np.arange(k_lo, k_hi + 1) * eps + phase
     logw = -0.5 * pts**2
     w = np.exp(logw - logw.max())
-    return pts, w / w.sum()
+    p = w / w.sum()
+    pts.flags.writeable = p.flags.writeable = False
+    return pts, p
+
+
+def lattice_quantiles(bits: np.ndarray, eps: float, u: np.ndarray) -> np.ndarray:
+    """u with each uniform replaced, in place, by its point of the unit Gaussian discretized
+    to the phase-bit lattice: rng.choice's inverse CDF, one lookup per phase. bits has u's
+    shape (one bit per uniform) or its leading shape (one bit per row of u)."""
+    for bit in set(bits.ravel().tolist()):  # one lattice and one CDF per phase present
+        pts, p = lattice_atoms(eps, phase_of_bit(bit, eps))
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        at = bits == bit
+        u[at] = pts[cdf.searchsorted(u[at], side="right")]
+    return u
 
 
 def sample_discretized_gaussian(b, eps: float, rng: np.random.Generator, size: int):
@@ -78,13 +104,7 @@ def sample_discretized_gaussian(b, eps: float, rng: np.random.Generator, size: i
     if eps <= 0:
         raise ValueError("eps must be positive")
     bits = np.atleast_1d(b)
-    x = rng.random((len(bits), size))  # uniforms, replaced by their draws in place
-    for bit in set(bits.tolist()):  # one lattice and one CDF per phase present
-        pts, p = lattice_atoms(eps, phase_of_bit(bit, eps))
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        rows = bits == bit
-        x[rows] = pts[cdf.searchsorted(x[rows], side="right")]
+    x = lattice_quantiles(bits, eps, rng.random((len(bits), size)))
     return x[0] if np.ndim(b) == 0 else np.ascontiguousarray(x.T)
 
 
@@ -95,7 +115,7 @@ def sample_unconditional(
     size: int,
 ):
     """Draw size pairs (s, x) with s uniform and x from the seed-s component."""
-    s = rng.choice(np.array([-1, 1]), size=(size, params.d))
+    s = signs(rng, (size, params.d))
     x = np.empty((size, params.dim))
     x[:, : params.d] = params.R * s + rng.standard_normal((size, params.d))
     bits = f(s)  # (n, d_prime)

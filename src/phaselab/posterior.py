@@ -112,11 +112,9 @@ def seed_posterior_log_weights(
     return logw if np.ndim(y) == 2 else logw[0]
 
 
-def _tail_posterior_draws(
-    eps: float, phase: float, beta: float, y: np.ndarray, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact lattice-posterior draws of the tail coordinate: `size` draws given y, which
-    holds one measurement per draw or one for all of them. Each gets one CDF row."""
+def _tail_posterior_cdf(eps: float, phase: float, beta: float, y: np.ndarray):
+    """(pts, cdf): the phase lattice and one row per measurement in y of the CDF of the
+    exact lattice posterior of a tail coordinate given that measurement."""
     pts, p = lattice_atoms(eps, phase)
     logpost = np.log(p)[None, :] - (y[:, None] - pts[None, :]) ** 2 / (2.0 * beta**2)
     logpost -= logpost.max(axis=1, keepdims=True)
@@ -124,14 +122,7 @@ def _tail_posterior_draws(
     w /= w.sum(axis=1, keepdims=True)
     cdf = np.cumsum(w, axis=1)
     cdf[:, -1] = 1.0  # as in Generator.choice: a sum rounded below 1 must not lose any u
-    u = rng.random(size)
-    rows = np.arange(size) if len(y) > 1 else np.zeros(size, dtype=int)
-    # complex numbers order lexicographically, so one search over the (row, cdf) pairs
-    # finds, for each (row, u), the first atom of that row whose cdf is > u
-    table = np.empty(cdf.shape, dtype=complex)
-    table.real, table.imag = np.arange(len(y))[:, None], cdf
-    idx = np.searchsorted(table.ravel(), rows + 1j * u, side="right") - rows * len(pts)
-    return pts[idx]
+    return pts, cdf
 
 
 def brute_force_posterior(
@@ -146,7 +137,10 @@ def brute_force_posterior(
     Seeds are drawn from the enumerated seed posterior; the first block is
     N(R s, I) (independent of y); tail coordinates come from the exact
     discrete lattice posterior given y. A y of shape (n, d_prime) draws row i
-    (size None or n) as the i-th of size=n draws given y[i] alone.
+    (size None or n) as the i-th of size=n draws given y[i] alone. The tail's
+    uniforms are drawn coordinate by coordinate, bit +1 then bit -1, each group's
+    in draw order; every tail draw is the first atom whose posterior CDF exceeds its
+    uniform, as in Generator.choice.
     """
     if params.beta <= 0:
         raise ValueError("posterior requires beta > 0")
@@ -164,15 +158,28 @@ def brute_force_posterior(
     x = np.empty((n, params.dim))
     x[:, : params.d] = params.R * S[pick] + rng.standard_normal((n, params.d))
     bits = F[pick]
-    Y = np.atleast_2d(y)  # one row for every draw, or one row per draw
+    tail = x[:, params.d :]
+    phases = {b: phase_of_bit(b, params.eps) for b in (1, -1)}
+    Y = np.atleast_2d(y)
+    if len(Y) == 1:  # one y for every draw: one CDF row per (bit, coordinate)
+        tables = {
+            b: _tail_posterior_cdf(params.eps, ph, params.beta, Y[0]) for b, ph in phases.items()
+        }
+    u = np.empty(bits.shape)
     for j in range(params.d_prime):
         for b in (1, -1):
             sel = np.flatnonzero(bits[:, j] == b)
-            if sel.size:
-                ys = Y[:, j] if len(Y) == 1 else Y[sel, j]
-                x[sel, params.d + j] = _tail_posterior_draws(
-                    params.eps, phase_of_bit(b, params.eps), params.beta, ys, sel.size, rng
-                )
+            v = rng.random(sel.size)
+            if len(Y) == 1:  # the group's draws share one CDF row: search it now
+                pts, cdf = tables[b]
+                tail[sel, j] = pts[cdf[j].searchsorted(v, side="right")]
+            else:
+                u[sel, j] = v
+    if len(Y) > 1:  # one y per draw: one CDF row per (draw, coordinate), one table per bit
+        for b, ph in phases.items():
+            at = bits == b
+            pts, cdf = _tail_posterior_cdf(params.eps, ph, params.beta, Y[at])
+            tail[at] = pts[(cdf <= u[at][:, None]).sum(axis=1)]
     return x[0] if size is None and y.ndim == 1 else x
 
 
@@ -231,7 +238,7 @@ def acceptance_curve(
                 proposal = lambda n, rr: sample_unconditional(params, f, rr, size=n)[1]
                 for t in range(trials):
                     r = prng.child_stream(master_seed, m, t)
-                    s = r.choice(np.array([-1, 1]), size=m)
+                    s = prng.signs(r, m)
                     y = sample_measurement_for_target(f(s), params, r)
                     _, stats = rejection_sample(proposal, A, y, cfg, r)
                     counts[t] = stats.rounds

@@ -11,6 +11,7 @@ constructor (random local circuits).
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from . import rng as prng
 from .circuits import BooleanCircuit, Gate
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
-from .instance import InstanceParams, bits_eps, round_R, sample_discretized_gaussian
+from .instance import InstanceParams, bits_eps, lattice_quantiles, round_R
+from .instance import sample_discretized_gaussian
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,34 @@ class InversionReport:
 
 
 def sample_measurement_for_target(
-    z: np.ndarray, params: InstanceParams, rng: np.random.Generator, size: int | None = None
+    z: np.ndarray,
+    params: InstanceParams,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    size: int | None = None,
 ) -> np.ndarray:
-    """y_j ~ psi_{z_j} + beta*N(0,1), the measurement marginal for targets z."""
+    """y_j ~ psi_{z_j} + beta*N(0,1), the measurement marginal for targets z.
+
+    With one Generator, `size` draws (one for size None) for the one target z: the
+    d' * size lattice uniforms, coordinate by coordinate, then the normals. With a sequence
+    of generators, one per row of z (size must be None), row i draws its d' uniforms and
+    then its d' normals from rng[i], as the one-generator call for z[i] would; the lattice
+    lookup then runs once for the batch, so row i equals that call's draw.
+    """
     if np.shape(z)[-1] != params.d_prime:
         raise ValueError("target length mismatch")
-    y = sample_discretized_gaussian(z, params.eps, rng, size=1 if size is None else size)
-    y += params.beta * rng.standard_normal(y.shape)
-    return y[0] if size is None else y
+    if isinstance(rng, np.random.Generator):
+        y = sample_discretized_gaussian(z, params.eps, rng, size=1 if size is None else size)
+        y += params.beta * rng.standard_normal(y.shape)
+        return y[0] if size is None else y
+    if size is not None or np.ndim(z) != 2 or len(rng) != len(z):
+        raise ValueError("a batch takes a (n, d_prime) z, one generator per row and no size")
+    u, noise = np.empty(np.shape(z)), np.empty(np.shape(z))
+    for i, r in enumerate(rng):
+        r.random(out=u[i])
+        r.standard_normal(out=noise[i])
+    y = lattice_quantiles(np.asarray(z), params.eps, u)
+    y += params.beta * noise
+    return y
 
 
 def invert(sampler, y: np.ndarray, params: InstanceParams, rng: np.random.Generator):
@@ -71,9 +93,9 @@ def inversion_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     streams = [prng.stream(master_seed, i) for i in range(trials)]
-    s = np.array([r.choice(np.array([-1, 1]), size=params.d) for r in streams])
+    s = np.array([prng.signs(r, params.d) for r in streams])
     z = f(s)
-    y = np.array([sample_measurement_for_target(zi, params, r) for zi, r in zip(z, streams)])
+    y = sample_measurement_for_target(z, params, streams)
     t0 = time.perf_counter_ns()
     guess, no_guess = invert(sampler, y, params, prng.stream(master_seed, prng.BATCH))
     nanos = (time.perf_counter_ns() - t0) / trials

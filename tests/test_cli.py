@@ -180,6 +180,27 @@ def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("posterior", "sampler=heuristic", "count=5", "steps=5"),
+        ("sample", "method=diffusion", "count=5", "steps=2"),
+    ],
+)
+def test_diverged_reverse_chain_is_one_error_line_and_no_artifact(tmp_path, argv):
+    """Too few steps make the chain's exact score non-finite: the run names the provider and
+    the steps in one `config error:` line, exits 1 and writes nothing."""
+    out = tmp_path / "out"
+    steps = argv[-1].split("=")[1]
+    with pytest.raises(SystemExit) as exc:
+        run(argv[0], "--out", str(out), "d=3", "d_prime=3", *argv[1:])
+    message = str(exc.value.code)
+    assert message.startswith("config error: field 'steps': ") and "\n" not in message
+    assert f"steps={steps}" in message and "provider 'exact'" in message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["count = 5\n", "[other]\ncount = 5\n", "{not json"])
 def test_bad_config_file_is_a_config_error(tmp_path, text):
     cf = tmp_path / "run.cfg"

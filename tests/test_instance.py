@@ -70,6 +70,17 @@ def test_lattice_atoms_match_gaussian_weights():
     assert_allclose(p, w / w.sum(), rtol=1e-13)
 
 
+def test_lattice_atoms_are_cached_and_read_only():
+    """Repeat calls share one pair of arrays, so no caller may write into them."""
+    pts, p = lattice_atoms(1.0, 0.5)
+    again = lattice_atoms(1.0, 0.5)
+    assert again[0] is pts and again[1] is p
+    for a in (pts, p):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert not np.shares_memory(pts, lattice_atoms(1.0, 0.5, extent=6.0)[0])
+
+
 def test_discretized_gaussian_moments():
     rng = np.random.default_rng(7)
     x = sample_discretized_gaussian(-1, 1.0, rng, size=200_000)

@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 
 from phaselab import posterior
 from phaselab import rng as prng
-from phaselab.circuits import constant_candidate, sign_identity
+from phaselab.circuits import constant_candidate, no_output_candidate, sign_identity
 from phaselab.diagnostics import tv_binned
 from phaselab.instance import (
     InstanceParams,
@@ -339,6 +339,64 @@ def test_brute_force_draws_as_inline_reference(d, beta, batched, make_rng):
             got = brute_force_posterior(params, f, y, make_rng(seed), size=size)
             want = _reference_brute_force_posterior(params, f, y, make_rng(seed), size=size)
             assert np.array_equal(got, want), (seed, size)
+
+
+def _per_group_brute_force_posterior(params, f, y, rng, size=None):
+    """The brute-force oracle's tail as one lattice-posterior draw call per (coordinate j,
+    bit) group, j outer, bit +1 then -1, empty groups skipped; each call draws its group's
+    uniforms and searches one CDF row per measurement it is given."""
+
+    def tail_draws(phase, ys, n):
+        pts, p = lattice_atoms(params.eps, phase)
+        logpost = np.log(p) - (ys[:, None] - pts) ** 2 / (2.0 * params.beta**2)
+        logpost -= logpost.max(axis=1, keepdims=True)
+        w = np.exp(logpost)
+        w /= w.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(w, axis=1)
+        cdf[:, -1] = 1.0
+        u = rng.random(n)
+        rows = np.arange(n) if len(ys) > 1 else np.zeros(n, dtype=int)
+        return pts[(cdf[rows] <= u[:, None]).sum(axis=1)]
+
+    y = np.asarray(y, dtype=float)
+    n = (len(y) if y.ndim == 2 else 1) if size is None else size
+    cdf = np.cumsum(np.exp(seed_posterior_log_weights(params, f, y)), axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random(n)
+    if cdf.ndim == 1:
+        pick = np.searchsorted(cdf, u, side="right")
+    else:
+        pick = (cdf <= u[:, None]).sum(axis=1)
+    S, F = f.seed_table
+    x = np.empty((n, params.dim))
+    x[:, : params.d] = params.R * S[pick] + rng.standard_normal((n, params.d))
+    bits = F[pick]
+    Y = np.atleast_2d(y)
+    for j in range(params.d_prime):
+        for b in (1, -1):
+            sel = np.flatnonzero(bits[:, j] == b)
+            if sel.size:
+                ys = Y[:, j] if len(Y) == 1 else Y[sel, j]
+                x[sel, params.d + j] = tail_draws(phase_of_bit(b, params.eps), ys, sel.size)
+    return x[0] if size is None and y.ndim == 1 else x
+
+
+@pytest.mark.parametrize("d_prime", [0, 1, 8])
+@pytest.mark.parametrize("batched", [False, True], ids=["one-y", "y-per-draw"])
+def test_brute_force_tail_draws_and_state_as_per_group_calls(d_prime, batched):
+    """The tail's uniforms, drawn group by group and looked up once per phase, give the
+    draws and the generator state of one draw call per (coordinate, bit) group."""
+    params = canonical_params(4, d_prime, beta=0.3)
+    for seed in range(5):
+        f = random_circuit_owf(4, d_prime, 8, seed) if d_prime else no_output_candidate(4)
+        n = 300 if batched else 5000
+        shape = (n, d_prime) if batched else d_prime
+        y = np.random.default_rng(seed).uniform(-2, 2, size=shape)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = brute_force_posterior(params, f, y, rng, size=n)
+        want = _per_group_brute_force_posterior(params, f, y, ref, size=n)
+        assert got.shape == (n, params.dim) and np.array_equal(got, want), seed
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class _ConstantRng:

@@ -64,14 +64,42 @@ def test_measurement_for_target_draws_as_per_coordinate_reference(d_prime, size)
         assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("d_prime", [0, 1, 8])
+def test_batched_measurement_rows_equal_one_generator_draws(d_prime):
+    """Row i of a batch drawn with one generator per row equals the one-generator draw for
+    z[i] from the same stream, and leaves that generator in the same state."""
+    params = canonical_params(8, d_prime, beta=0.3)
+    z = prng.signs(np.random.default_rng(d_prime), (30, d_prime))
+    streams = [prng.stream(5, i) for i in range(30)]
+    y = sample_measurement_for_target(z, params, streams)
+    assert y.shape == (30, d_prime)
+    for i, r in enumerate(streams):
+        ref = prng.stream(5, i)
+        assert np.array_equal(y[i], sample_measurement_for_target(z[i], params, ref))
+        assert r.bit_generator.state == ref.bit_generator.state
+
+
+def test_batched_measurement_needs_one_generator_per_row():
+    params = canonical_params(3, 3)
+    z = np.ones((4, 3), dtype=int)
+    too_few, enough = [prng.stream(0, i) for i in range(3)], [prng.stream(0, i) for i in range(4)]
+    for streams, size in ((too_few, None), (enough, 2)):
+        with pytest.raises(ValueError, match="one generator per row"):
+            sample_measurement_for_target(z, params, streams, size=size)
+
+
 def test_inversion_report_as_with_per_coordinate_measurements(monkeypatch):
+    """The batched measurements give the report of per-trial, per-coordinate draws."""
     params = canonical_params(8, 8)
     f = random_circuit_owf(8, 8, 24, seed=7)
     sampler = make_brute_force_sampler(params, f)
     got = inversion_experiment(f, sampler, 100, params, master_seed=11)
-    monkeypatch.setattr(
-        reduction, "sample_measurement_for_target", _reference_sample_measurement_for_target
-    )
+
+    def per_trial(z, params, streams):  # one reference call per trial, each on its stream
+        rows = zip(z, streams)
+        return np.array([_reference_sample_measurement_for_target(zi, params, r) for zi, r in rows])
+
+    monkeypatch.setattr(reduction, "sample_measurement_for_target", per_trial)
     want = inversion_experiment(f, sampler, 100, params, master_seed=11)
     assert replace(got, mean_sampler_nanos=0.0) == replace(want, mean_sampler_nanos=0.0)
 
