@@ -62,9 +62,17 @@ class BooleanCircuit:
             raise ValueError(f"seed enumeration is limited to d <= 12, got d = {self.n_inputs}")
         S = all_inputs(self.n_inputs)
         F = self(S)
-        S.flags.writeable = False
-        F.flags.writeable = False
+        S.flags.writeable = F.flags.writeable = False
         return S, F
+
+    @cached_property
+    def float_seed_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, Fp, [Fp, 1-Fp].T) of seed_table as read-only floats, Fp = (f(S) == +1): the
+        operands of the exact score's three GEMMs, built once per circuit."""
+        S, Fp = self.seed_table[0].astype(float), (self.seed_table[1] == 1).astype(float)
+        both = np.concatenate((Fp, 1.0 - Fp), axis=1)
+        S.flags.writeable = Fp.flags.writeable = both.flags.writeable = False
+        return S, Fp, both.T
 
 
 def eval_circuit(c: BooleanCircuit, x: np.ndarray) -> np.ndarray:

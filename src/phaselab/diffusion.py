@@ -71,12 +71,11 @@ def reverse_run(
         init = np.asarray(init, dtype=float)
         x = np.broadcast_to(init, (size,) + init.shape[-1:]).copy()
     times = geometric_grid(cfg)
-    for k in range(cfg.N):
-        t, t_next = times[k], times[k + 1]
-        h = t - t_next
-        drift = provider(np.sqrt(t), x)
+    t, h = times[:-1], times[:-1] - times[1:]  # sqrt(t) and sqrt(h) too: once per grid
+    for t_k, sigma, h_k, noise in zip(t, np.sqrt(t), h, np.sqrt(h)):
+        drift = provider(sigma, x)
         if extra_drift is not None:
-            drift = drift + extra_drift(t, x)
-        x = x + h * drift + np.sqrt(h) * rng.standard_normal(x.shape)
+            drift = drift + extra_drift(t_k, x)
+        x = x + h_k * drift + noise * rng.standard_normal(x.shape)
     return x
 

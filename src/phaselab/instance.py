@@ -11,6 +11,7 @@ beta*N(0, I) noise (optionally clipped to [-betaMax, betaMax]).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +68,14 @@ def lattice_atoms(eps: float, phase: float, extent: float = LATTICE_EXTENT):
     """Points {k*eps + phase : |point| <= extent} and their normalized unit-Gaussian weights.
 
     Both arrays are cached and read-only: copy one before changing it."""
-    return _lattice_atoms(eps, phase, extent)
+    k_lo, k_hi = math.ceil((-extent - phase) / eps), math.floor((extent - phase) / eps)
+    return _lattice_atoms(eps, phase, k_lo, k_hi)
 
 
-# Eight entries hold the two phases of a few instances; the heuristic's per-sigma extents
-# (one per reverse step) cycle through it without growing it.
-@functools.lru_cache(maxsize=8)
-def _lattice_atoms(eps: float, phase: float, extent: float):
-    k_lo = int(np.ceil((-extent - phase) / eps))
-    k_hi = int(np.floor((extent - phase) / eps))
+# Keyed by the atom range: the smoothed density's extent 12 + 8 rho is a new float at every
+# reverse step, but its lattice route (rho < 0.35 eps) meets a few ranges per phase.
+@functools.lru_cache(maxsize=16)
+def _lattice_atoms(eps: float, phase: float, k_lo: int, k_hi: int):
     pts = np.arange(k_lo, k_hi + 1) * eps + phase
     logw = -0.5 * pts**2
     w = np.exp(logw - logw.max())

@@ -9,6 +9,7 @@ softmax, in log-space; see mixture_score_exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,67 +43,65 @@ class DiscreteGaussianSpec:
             raise ValueError("rho must be nonnegative")
 
 
-def _series_coeffs(spec: DiscreteGaussianSpec):
-    """Nonzero-frequency coefficients a_j and angular frequencies 2*pi*j/eps."""
-    c = 2.0 * np.pi**2 * spec.rho**2 / (spec.eps**2 * (1.0 + spec.rho**2))
+@functools.lru_cache(maxsize=2)
+def _series_coeffs(eps: float, rho: float):
+    """The series' x-free factors, the same for both phases: v = 1 + rho^2, the coefficients
+    a_j and angular frequencies 2*pi*j/eps of j >= 1, a_j freq_j / v and log sqrt(2 pi v)."""
+    v = 1.0 + rho**2
+    c = 2.0 * np.pi**2 * rho**2 / (eps**2 * v)
     j = np.arange(1, int(np.sqrt(_SERIES_LOG_CUT / c)) + 1, dtype=float)
-    return np.exp(-c * j**2), 2.0 * np.pi * j / spec.eps
+    a, freq = np.exp(-c * j**2), 2.0 * np.pi * j / eps
+    return v, a, freq, a * freq / v, 0.5 * np.log(2.0 * np.pi * v)
 
 
+@functools.lru_cache(maxsize=8)
 def _lattice_normalizer_series(eps: float, phase: float) -> float:
     """eps * sum_k w1(k*eps + phase), by Poisson summation (exact to 1e-40 terms)."""
     z = 1.0
-    j = 1
-    while j <= 400:
+    for j in range(1, 401):
         b = np.exp(-2.0 * np.pi**2 * j**2 / eps**2)
         if b < 1e-40:
             break
         z += 2.0 * b * np.cos(2.0 * np.pi * j * phase / eps)
-        j += 1
     return z
 
 
-def _series_terms(spec: DiscreteGaussianSpec, x: np.ndarray):
-    """a_j, the frequencies and the phase angles (x/v - phase) * freq_j of the series terms."""
-    a, freq = _series_coeffs(spec)
-    x = np.asarray(x, dtype=float)
-    return a, freq, np.multiply.outer(x / (1.0 + spec.rho**2) - spec.phase, freq)
-
-
-def _series_T(a: np.ndarray, arg: np.ndarray):
-    """Oscillatory factor T = 1 + 2 sum_j a_j cos(arg_j), with g = w_sqrt(v) * T / Ztilde."""
-    return 1.0 + 2.0 * (np.cos(arg) @ a)
-
-
 def _dg_series_log_density(spec: DiscreteGaussianSpec, x: np.ndarray):
-    v = 1.0 + spec.rho**2
-    a, _, arg = _series_terms(spec, x)
-    T = _series_T(a, arg)
+    v, a, freq, _, log_norm = _series_coeffs(spec.eps, spec.rho)
+    x = np.asarray(x, dtype=float)
+    # oscillatory factor T = 1 + 2 sum_j a_j cos((x/v - phase) freq_j): g = w_sqrt(v) T / Ztilde
+    T = 1.0 + 2.0 * (np.cos(np.multiply.outer(x / v - spec.phase, freq)) @ a)
     z = _lattice_normalizer_series(spec.eps, spec.phase)
-    base = -np.asarray(x, dtype=float) ** 2 / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)
     with np.errstate(divide="ignore"):
-        out = base + np.log(np.maximum(T, 0.0)) - np.log(z)
+        out = -(x**2) / (2.0 * v) - log_norm + np.log(np.maximum(T, 0.0)) - np.log(z)
     return np.where(out < _LOG_CUTOFF, -np.inf, out)
 
 
 def _dg_series_score(spec: DiscreteGaussianSpec, x: np.ndarray):
-    v = 1.0 + spec.rho**2
-    a, freq, arg = _series_terms(spec, x)
-    Tp = -2.0 * (np.sin(arg) @ (a * freq / v))  # dT/dx
-    return -np.asarray(x, dtype=float) / v + Tp / np.maximum(_series_T(a, arg), 1e-300)
+    v, a, freq, afv, _ = _series_coeffs(spec.eps, spec.rho)
+    x = np.asarray(x, dtype=float)
+    arg = np.multiply.outer(x / v - spec.phase, freq)
+    Tp = -2.0 * (np.sin(arg) @ afv)  # dT/dx
+    return -x / v + Tp / np.maximum(1.0 + 2.0 * (np.cos(arg) @ a), 1e-300)
+
+
+@functools.lru_cache(maxsize=2)
+def _lattice_tables(spec: DiscreteGaussianSpec):
+    """The lattice route's x-free factors: the atoms |t| <= 12 + 8 rho, their log weights as a
+    column, rho^2, pts / rho^2 and log sqrt(2 pi rho^2)."""
+    pts, p = lattice_atoms(spec.eps, spec.phase, extent=LATTICE_EXTENT + 8.0 * spec.rho)
+    if p[0] == 0 or p[-1] == 0:  # outermost weights underflow at large rho (forced route only)
+        pts, p = pts[p > 0], p[p > 0]
+    rho2 = spec.rho**2
+    return pts, np.log(p)[:, None], rho2, pts / rho2, 0.5 * np.log(2.0 * np.pi * rho2)
 
 
 def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
     """(log density, score) by direct convolution over atoms |t| <= 12 + 8 rho."""
-    pts, p = lattice_atoms(spec.eps, spec.phase, extent=LATTICE_EXTENT + 8.0 * spec.rho)
-    if p[0] == 0 or p[-1] == 0:  # outermost weights underflow at large rho (forced route only)
-        pts, p = pts[p > 0], p[p > 0]
+    pts, logp, rho2, pts_scaled, log_norm = _lattice_tables(spec)
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    logd = np.empty(flat.shape)
-    score = np.empty(flat.shape)
-    logp = np.log(p)[:, None]
-    rho2 = spec.rho**2
+    logd, score = np.empty((2,) + flat.shape)
     chunk = max(1, int(2**22 // len(pts)))
     for lo in range(0, flat.size, chunk):
         xs = flat[lo : lo + chunk]
@@ -111,14 +110,14 @@ def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
         lg *= lg
         lg *= -0.5 / rho2
         lg += logp
-        m = lg.max(axis=0)
+        m = np.maximum.reduce(lg, axis=0)
         lg -= m
         # exp is slow where it underflows; e^-700 is lost next to the largest term, 1
         np.maximum(lg, _LOG_CUTOFF, out=lg)
         w = np.exp(lg, out=lg)
-        tot = w.sum(axis=0)
-        logd[lo : lo + chunk] = m + np.log(tot) - 0.5 * np.log(2.0 * np.pi * rho2)
-        score[lo : lo + chunk] = ((pts / rho2) @ w - tot * xs / rho2) / tot
+        tot = np.add.reduce(w, axis=0)
+        logd[lo : lo + chunk] = m + np.log(tot) - log_norm
+        score[lo : lo + chunk] = (pts_scaled @ w - tot * xs / rho2) / tot
     logd = np.where(logd < _LOG_CUTOFF, -np.inf, logd)
     return logd.reshape(x.shape), score.reshape(x.shape)
 
@@ -130,6 +129,8 @@ def _resolve_method(spec: DiscreteGaussianSpec, method: str) -> str:
     atoms (the true density there underflows the series' roundoff floor), so
     small smoothing uses the direct lattice convolution.
     """
+    if spec.rho == 0:
+        raise ValueError("rho = 0 is atomic (unsmoothed): no density, score undefined")
     if method == "auto":
         return "lattice" if spec.rho < 0.35 * spec.eps else "series"
     if method in ("series", "lattice"):
@@ -138,23 +139,13 @@ def _resolve_method(spec: DiscreteGaussianSpec, method: str) -> str:
 
 
 def dg_smoothed_log_density(spec: DiscreteGaussianSpec, x, method: str = "auto"):
-    if spec.rho == 0:
-        raise ValueError("rho = 0 is atomic; no density")
-    if _resolve_method(spec, method) == "series":
-        return _dg_series_log_density(spec, x)
-    return _dg_lattice_parts(spec, x)[0]
-
-
-def dg_smoothed_density(spec: DiscreteGaussianSpec, x, method: str = "auto"):
-    return np.exp(dg_smoothed_log_density(spec, x, method=method))
+    series = _resolve_method(spec, method) == "series"
+    return _dg_series_log_density(spec, x) if series else _dg_lattice_parts(spec, x)[0]
 
 
 def dg_smoothed_score(spec: DiscreteGaussianSpec, x, method: str = "auto"):
-    if spec.rho == 0:
-        raise ValueError("rho = 0 is atomic (unsmoothed); score undefined")
-    if _resolve_method(spec, method) == "series":
-        return _dg_series_score(spec, x)
-    return _dg_lattice_parts(spec, x)[1]
+    series = _resolve_method(spec, method) == "series"
+    return _dg_series_score(spec, x) if series else _dg_lattice_parts(spec, x)[1]
 
 
 def _phase_specs(eps: float, rho: float) -> list[DiscreteGaussianSpec]:
@@ -163,23 +154,23 @@ def _phase_specs(eps: float, rho: float) -> list[DiscreteGaussianSpec]:
 
 
 def _tail_phase_parts(params: InstanceParams, sigma: float, x_tail: np.ndarray):
-    """Per tail coordinate: log density and score for both phases.
+    """(logd, sc) per tail coordinate and phase, each of shape (2,) + x_tail.shape: the log
+    density and score of bit +1 at index 0 and of bit -1 at index 1."""
+    ld, sc = np.empty((2, 2) + x_tail.shape)
+    for i, spec in enumerate(_phase_specs(params.eps, sigma)):
+        ld[i], sc[i] = dg_smoothed_log_density(spec, x_tail), dg_smoothed_score(spec, x_tail)
+    return ld, sc
 
-    Returns (logd, sc) of shape (2,) + x_tail.shape, index 0 = bit +1, 1 = bit -1.
-    """
-    specs = _phase_specs(params.eps, sigma)
-    ld = np.stack([dg_smoothed_log_density(spec, x_tail) for spec in specs])
-    return ld, np.stack([dg_smoothed_score(spec, x_tail) for spec in specs])
 
-
-def _seed_tail_loglik(ld: np.ndarray, Fp: np.ndarray) -> np.ndarray:
+def _seed_tail_loglik(ld: np.ndarray, tail_rhs: np.ndarray) -> np.ndarray:
     """(n, 2^d) log-likelihood of the tail under each seed: ld[0] @ Fp.T + ld[1] @ (1-Fp).T.
 
-    ld is (2, n, d_prime) as from _tail_phase_parts; Fp is the 0/1 table of f(s)_j == +1.
-    The GEMM sees -inf floored at _FLOOR (-inf * 0 is NaN); a sum that met the floor is -inf.
+    ld is (2, n, d_prime) as from _tail_phase_parts; tail_rhs is [Fp, 1-Fp].T, Fp the 0/1 table
+    of f(s)_j == +1 (BooleanCircuit.float_seed_table). The GEMM sees -inf floored at _FLOOR
+    (-inf * 0 is NaN); a sum that met the floor is -inf.
     """
     lhs = np.concatenate(np.maximum(ld, _FLOOR), axis=1)  # (n, 2 d_prime)
-    out = lhs @ np.concatenate((Fp, 1.0 - Fp), axis=1).T
+    out = lhs @ tail_rhs
     out[out < 0.5 * _FLOOR] = -np.inf
     return out
 
@@ -209,36 +200,36 @@ def mixture_score_exact(
     if X.shape[-1] != params.dim:
         raise ValueError("dimension mismatch")
 
-    S, F = f.seed_table  # (2^d, d), (2^d, d_prime)
-    S, Fp = S.astype(float), (F == 1).astype(float)
+    S, Fp, tail_rhs = f.float_seed_table  # (2^d, d), (2^d, d_prime), (2 d_prime, 2^d)
     v = 1.0 + sigma**2
     head = X[:, : params.d]
     ld_ph, sc_ph = _tail_phase_parts(params, sigma, X[:, params.d :])  # (2, n, d_prime)
 
-    loglik = _seed_tail_loglik(ld_ph, Fp)  # (n, 2^d); updated in place from here on
+    loglik = _seed_tail_loglik(ld_ph, tail_rhs)  # (n, 2^d); updated in place from here on
     loglik += head @ ((params.R / v) * S.T)
-    # terms free of s: from |head - R s|^2, the normalizer and the seed weight 2^-d
-    shift = ((head**2).sum(axis=1) + params.R**2 * params.d) / (2.0 * v)
-    shift += params.d * (0.5 * np.log(2.0 * np.pi * v) + np.log(2.0))
     with np.errstate(invalid="ignore", divide="ignore"):  # rows every seed rules out
-        m = loglik.max(axis=1, keepdims=True)
-        m[np.isneginf(m)] = 0.0  # such a row: weights 0/0 = NaN, log density -inf
+        m = np.maximum.reduce(loglik, axis=1, keepdims=True)
+        m[m == -np.inf] = 0.0  # such a row: weights 0/0 = NaN, log density -inf
         loglik -= m
         # as in _dg_lattice_parts: no slow underflow in exp; -inf stays -inf (weight 0)
         np.maximum(loglik, _LOG_CUTOFF, out=loglik, where=np.isfinite(loglik))
         w = np.exp(loglik, out=loglik)
-        tot = w.sum(axis=1, keepdims=True)
+        tot = np.add.reduce(w, axis=1, keepdims=True)
         w /= tot
-        log_mix = (m + np.log(tot))[:, 0] - shift
+        if return_log_density:
+            # terms free of s: from |head - R s|^2, the normalizer and the seed weight 2^-d
+            shift = ((head**2).sum(axis=1) + params.R**2 * params.d) / (2.0 * v)
+            shift += params.d * (0.5 * np.log(2.0 * np.pi * v) + np.log(2.0))
+            log_mix = (m + np.log(tot))[:, 0] - shift
 
     out = np.empty_like(X)
     out[:, : params.d] = (-head + params.R * (w @ S)) / v
     wp = w @ Fp  # (n, d_prime): weight of bit +1 per tail coordinate
     out[:, params.d :] = wp * sc_ph[0] + (1.0 - wp) * sc_ph[1]
 
-    if single:
-        out, log_mix = out[0], log_mix[0]
-    return (out, log_mix) if return_log_density else out
+    if not return_log_density:
+        return out[0] if single else out
+    return (out[0], log_mix[0]) if single else (out, log_mix)
 
 
 def orthant_score(
@@ -299,7 +290,7 @@ class ScoreProvider:
 
     def __call__(self, sigma: float, x):
         out = np.asarray(self._fn(sigma, np.asarray(x, dtype=float)))
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise FloatingPointError(f"provider {self.label!r} produced non-finite score")
         return out
 

@@ -51,7 +51,7 @@ from phaselab.relu import (
     compile_piecewise,
     eval_net,
 )
-from phaselab.scores import DiscreteGaussianSpec, dg_smoothed_density, mixture_score_exact
+from phaselab.scores import DiscreteGaussianSpec, dg_smoothed_log_density, mixture_score_exact
 
 
 def report(num, name, ok, detail):
@@ -204,7 +204,7 @@ def test_criterion_08_fourier_bound_and_route_agreement():
         bound = 3.0 * np.exp(-(rho**2) / (2.0 * eps**2 * v))
         for phase in (0.0, eps / 2):
             spec = DiscreteGaussianSpec(eps, phase, rho)
-            g = dg_smoothed_density(spec, x)
+            g = np.exp(dg_smoothed_log_density(spec, x))
             w = norm.pdf(x, scale=np.sqrt(v))
             dev = float(np.max(np.abs(g - w) / w))
             # the analytic bound can sit far below double precision; allow
@@ -215,8 +215,8 @@ def test_criterion_08_fourier_bound_and_route_agreement():
     for eps, rho in ((0.5, 0.4), (1.0, 0.5), (1.0, 2.0)):
         spec = DiscreteGaussianSpec(eps, 0.0, rho)
         x = np.linspace(-8, 8, 601)
-        a = dg_smoothed_density(spec, x, method="series")
-        b = dg_smoothed_density(spec, x, method="lattice")
+        a = np.exp(dg_smoothed_log_density(spec, x, method="series"))
+        b = np.exp(dg_smoothed_log_density(spec, x, method="lattice"))
         agree = max(agree, float(np.max(np.abs(a - b) / np.maximum(b, 1e-300))))
     ok = ok and agree <= 1e-10
     report(8, "Fourier comparison", ok, "; ".join(details) + f"; route agreement {agree:.1e} <= 1e-10")

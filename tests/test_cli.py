@@ -251,6 +251,26 @@ def test_artifacts_repeat_byte_for_byte_and_verify(tmp_path, capsys, argv):
     assert run("verify", "--out", str(tmp_path / "a")) == 0, capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invert", "sampler=heuristic", "trials=2"),
+        ("posterior", "sampler=heuristic", "count=5", "steps=50"),
+    ],
+)
+def test_heuristic_runs_repeat_in_process_across_another_instance(tmp_path, argv):
+    """The exact score's caches (per circuit, per phase and sigma, per atom range) carry no
+    state from one run into the next: a run of another instance (another circuit and eps)
+    between two same-seed runs leaves their manifests, and so every artifact, equal."""
+    small = ("d=4", "d_prime=4")
+    same = ("circuit=random:12:5", "eps=1")
+    for sub, inst in (("a", same), ("other", ("circuit=random:12:9", "eps=0.5")), ("b", same)):
+        out = str(tmp_path / sub)
+        assert run(argv[0], "--out", out, "--seed", "7", *argv[1:], *small, *inst) == 0
+    manifests = [(tmp_path / sub / "run_manifest.json").read_bytes() for sub in ("a", "other", "b")]
+    assert manifests[0] == manifests[2] != manifests[1]
+
+
 def test_sample_writes_artifacts_with_hash(tmp_path):
     assert run("sample", "--out", str(tmp_path), "--seed", "5", "d=2", "d_prime=2", "count=50") == 0
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())

@@ -12,8 +12,9 @@ from phaselab.diffusion import (
     geometric_grid,
     reverse_run,
 )
+from phaselab import instance
 from phaselab.instance import canonical_params
-from phaselab.scores import ScoreProvider
+from phaselab.scores import ScoreProvider, provider_by_name
 
 
 def test_config_validation():
@@ -87,3 +88,21 @@ def test_seed_determinism():
     a = reverse_run(provider, cfg, np.random.default_rng(9), dim=params.dim, size=4)
     b = reverse_run(provider, cfg, np.random.default_rng(9), dim=params.dim, size=4)
     assert_allclose(a, b, rtol=0, atol=0)
+
+
+def test_exact_reverse_run_misses_lattice_atoms_once_per_atom_range():
+    """The lattice route asks for atoms within 12 + 8 sigma, a new extent at every step below
+    sigma = 0.35 eps; the cache is keyed by the atom range those extents give, so one chain
+    misses it at most once per distinct (phase, k_lo, k_hi)."""
+    params = canonical_params(2, 2)
+    cfg = default_config(params)
+    provider = provider_by_name("exact", params, sign_identity(2))
+    sig = np.sqrt(geometric_grid(cfg)[:-1])
+    ranges = {
+        (ph, int(np.ceil((-e - ph) / params.eps)), int(np.floor((e - ph) / params.eps)))
+        for e in 12.0 + 8.0 * sig[sig < 0.35 * params.eps]
+        for ph in (0.0, params.eps / 2)
+    }
+    instance._lattice_atoms.cache_clear()
+    reverse_run(provider, cfg, np.random.default_rng(0), size=1, dim=params.dim)
+    assert 0 < instance._lattice_atoms.cache_info().misses <= len(ranges) < 16

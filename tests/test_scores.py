@@ -7,13 +7,13 @@ from scipy.special import logsumexp
 
 from phaselab.circuits import constant_candidate, no_output_candidate, sign_identity
 from phaselab import scores
+from phaselab.diffusion import default_config, geometric_grid
 from phaselab.instance import LATTICE_EXTENT, canonical_params, lattice_atoms, phase_of_bit
 from phaselab.posterior import seed_posterior_log_weights
 from phaselab.reduction import random_circuit_owf
 from phaselab.scores import (
     DiscreteGaussianSpec,
     ScoreProvider,
-    dg_smoothed_density,
     dg_smoothed_log_density,
     dg_smoothed_score,
     large_sigma_score,
@@ -23,6 +23,10 @@ from phaselab.scores import (
     two_point_log_density,
     two_point_score,
 )
+
+
+def density(spec, x, method="auto"):
+    return np.exp(dg_smoothed_log_density(spec, x, method=method))
 
 
 def fd(logd, x, h=1e-6):
@@ -36,7 +40,7 @@ def test_dg_series_matches_lattice():
         for phase in (0.0, eps / 2):
             spec = DiscreteGaussianSpec(eps, phase, rho)
             x = np.linspace(-8, 8, 801)
-            for fn in (dg_smoothed_density, dg_smoothed_score):
+            for fn in (density, dg_smoothed_score):
                 assert_allclose(
                     fn(spec, x, method="series"), fn(spec, x, method="lattice"), rtol=0, atol=1e-10
                 )
@@ -95,7 +99,7 @@ def test_dg_series_keeps_exactly_its_terms_above_1e18():
         for rho in (0.35 * eps, 0.5 * eps, eps, 2 * eps, 5 * eps, 100.0):
             for phase in (0.0, eps / 2):
                 spec = DiscreteGaussianSpec(eps, phase, rho)
-                a, _ = scores._series_coeffs(spec)
+                _, a, *_ = scores._series_coeffs(eps, rho)
                 c = 2.0 * np.pi**2 * rho**2 / (eps**2 * (1.0 + rho**2))
                 assert np.all(a >= 1e-18)
                 assert np.exp(-c * (len(a) + 1) ** 2) < 1e-18
@@ -148,7 +152,7 @@ def test_dg_lattice_route_forced_at_large_smoothing():
 def test_dg_density_integrates_to_one():
     spec = DiscreteGaussianSpec(1.0, 0.5, 0.7)
     x = np.linspace(-14, 14, 20_001)
-    mass = np.trapezoid(dg_smoothed_density(spec, x), x)
+    mass = np.trapezoid(density(spec, x), x)
     assert_allclose(mass, 1.0, rtol=1e-8)
 
 
@@ -251,6 +255,132 @@ def test_mixture_score_matches_per_seed_tensor_formula(d, d_prime, sigma, n, sin
     assert got.shape == X.shape
     assert_allclose(got, want, atol=1e-9, rtol=1e-12)
     assert_allclose(got_log, want_log, atol=1e-9, rtol=0)
+
+
+def frozen_normalizer(eps, phase):
+    """Frozen reference: _lattice_normalizer_series before it was cached."""
+    z = 1.0
+    j = 1
+    while j <= 400:
+        b = np.exp(-2.0 * np.pi**2 * j**2 / eps**2)
+        if b < 1e-40:
+            break
+        z += 2.0 * b * np.cos(2.0 * np.pi * j * phase / eps)
+        j += 1
+    return z
+
+
+def frozen_series_parts(spec, x):
+    """Frozen reference: the series route's log density and score, op for op as they were
+    before their x-free factors were cached."""
+    v = 1.0 + spec.rho**2
+    c = 2.0 * np.pi**2 * spec.rho**2 / (spec.eps**2 * (1.0 + spec.rho**2))
+    j = np.arange(1, int(np.sqrt(scores._SERIES_LOG_CUT / c)) + 1, dtype=float)
+    a, freq = np.exp(-c * j**2), 2.0 * np.pi * j / spec.eps
+    arg = np.multiply.outer(x / (1.0 + spec.rho**2) - spec.phase, freq)
+    T = 1.0 + 2.0 * (np.cos(arg) @ a)
+    base = -x**2 / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)
+    with np.errstate(divide="ignore"):
+        ld = base + np.log(np.maximum(T, 0.0)) - np.log(frozen_normalizer(spec.eps, spec.phase))
+    Tp = -2.0 * (np.sin(arg) @ (a * freq / v))
+    return np.where(ld < scores._LOG_CUTOFF, -np.inf, ld), -x / v + Tp / np.maximum(T, 1e-300)
+
+
+def frozen_lattice_parts(spec, x):
+    """Frozen reference: the lattice route as it was before its x-free factors were cached."""
+    pts, p = lattice_atoms(spec.eps, spec.phase, extent=LATTICE_EXTENT + 8.0 * spec.rho)
+    flat = x.reshape(-1)
+    logp = np.log(p)[:, None]
+    rho2 = spec.rho**2
+    lg = np.subtract.outer(pts, flat)  # one chunk: at most 2**22 // atoms points
+    lg *= lg
+    lg *= -0.5 / rho2
+    lg += logp
+    m = lg.max(axis=0)
+    lg -= m
+    np.maximum(lg, scores._LOG_CUTOFF, out=lg)
+    w = np.exp(lg, out=lg)
+    tot = w.sum(axis=0)
+    logd = m + np.log(tot) - 0.5 * np.log(2.0 * np.pi * rho2)
+    score = ((pts / rho2) @ w - tot * flat / rho2) / tot
+    logd = np.where(logd < scores._LOG_CUTOFF, -np.inf, logd)
+    return logd.reshape(x.shape), score.reshape(x.shape)
+
+
+def frozen_tail_phase_parts(params, sigma, x_tail):
+    """Frozen reference: _tail_phase_parts as it was, on the frozen routes."""
+    parts = []
+    for b in (1, -1):
+        spec = DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), sigma)
+        lattice = spec.rho < 0.35 * spec.eps
+        parts.append((frozen_lattice_parts if lattice else frozen_series_parts)(spec, x_tail))
+    return np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])
+
+
+def frozen_mixture_score_exact(params, f, sigma, x, return_log_density=False):
+    """Frozen reference: mixture_score_exact as it was before its seed tables were cached,
+    with _seed_tail_loglik inlined."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    X = x[None, :] if single else x
+    S, F = f.seed_table
+    S, Fp = S.astype(float), (F == 1).astype(float)
+    v = 1.0 + sigma**2
+    head = X[:, : params.d]
+    ld_ph, sc_ph = frozen_tail_phase_parts(params, sigma, X[:, params.d :])
+    lhs = np.concatenate(np.maximum(ld_ph, scores._FLOOR), axis=1)
+    loglik = lhs @ np.concatenate((Fp, 1.0 - Fp), axis=1).T
+    loglik[loglik < 0.5 * scores._FLOOR] = -np.inf
+    loglik += head @ ((params.R / v) * S.T)
+    shift = ((head**2).sum(axis=1) + params.R**2 * params.d) / (2.0 * v)
+    shift += params.d * (0.5 * np.log(2.0 * np.pi * v) + np.log(2.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        m = loglik.max(axis=1, keepdims=True)
+        m[np.isneginf(m)] = 0.0
+        loglik -= m
+        np.maximum(loglik, scores._LOG_CUTOFF, out=loglik, where=np.isfinite(loglik))
+        w = np.exp(loglik, out=loglik)
+        tot = w.sum(axis=1, keepdims=True)
+        w /= tot
+        log_mix = (m + np.log(tot))[:, 0] - shift
+    out = np.empty_like(X)
+    out[:, : params.d] = (-head + params.R * (w @ S)) / v
+    wp = w @ Fp
+    out[:, params.d :] = wp * sc_ph[0] + (1.0 - wp) * sc_ph[1]
+    if single:
+        out, log_mix = out[0], log_mix[0]
+    return (out, log_mix) if return_log_density else out
+
+
+def test_mixture_score_is_bit_identical_to_frozen_reference():
+    """Cached seed tables and per-spec factors change no bit of the exact score: on the
+    default reverse grid's sigmas (both sides of the route switch at 0.35 eps), for 1, 2 and
+    500 points, with and without the log density, and on a row that every seed rules out."""
+    params = canonical_params(8, 8)
+    sig = np.sqrt(geometric_grid(default_config(params))[:-1])
+    k = int(np.argmax(sig < 0.35 * params.eps))  # first sigma on the lattice route
+    sigmas = np.unique(np.concatenate([sig[::97], sig[k - 2 : k + 2], sig[-1:], [0.01]]))
+    assert np.any(sigmas < 0.35) and np.any(sigmas >= 0.35)
+    rng = np.random.default_rng(16)
+    cases = [(random_circuit_owf(8, 8, 24, 16), n) for n in (1, 2, 500)]
+    cases.append((constant_candidate(8, np.ones(8)), 2))  # every seed has bit +1 everywhere
+    for f, n in cases:
+        for sigma in sigmas:
+            X = rng.standard_normal((n, params.dim)) * (1.0 + sigma)
+            X[:, : params.d] += params.R * rng.choice([-1.0, 1.0], size=(n, params.d))
+            X[:, params.d :] += rng.integers(-3, 4, size=(n, params.d_prime)) * params.eps / 2
+            ruled_out = f.label == "constant" and sigma == 0.01
+            if ruled_out:
+                X[0, params.d :] = 0.5  # on eps/2-phase atoms only: bit +1 impossible
+            for x in (X, X[0]) if n == 1 else (X,):
+                want_sc, want_ld = frozen_mixture_score_exact(params, f, sigma, x, True)
+                got_sc, got_ld = mixture_score_exact(params, f, sigma, x, return_log_density=True)
+                assert np.array_equal(got_sc, want_sc, equal_nan=True)
+                assert np.array_equal(got_ld, want_ld, equal_nan=True)
+                got = mixture_score_exact(params, f, sigma, x)
+                assert np.array_equal(got, want_sc, equal_nan=True)
+            if ruled_out:
+                assert np.all(np.isnan(got[0])) and np.isneginf(got_ld[0])
 
 
 @pytest.mark.filterwarnings("error")
@@ -358,6 +488,6 @@ def test_tail_phases_differ():
     """The two phase lattices are distinguishable at moderate smoothing."""
     eps = 1.0
     x = np.linspace(-2, 2, 201)
-    d0 = dg_smoothed_density(DiscreteGaussianSpec(eps, phase_of_bit(1, eps), 0.2), x)
-    d1 = dg_smoothed_density(DiscreteGaussianSpec(eps, phase_of_bit(-1, eps), 0.2), x)
+    d0 = density(DiscreteGaussianSpec(eps, phase_of_bit(1, eps), 0.2), x)
+    d1 = density(DiscreteGaussianSpec(eps, phase_of_bit(-1, eps), 0.2), x)
     assert np.max(np.abs(d0 - d1)) > 0.5
