@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import platform
@@ -28,7 +29,8 @@ import scipy
 from . import __version__
 from . import rng as prng
 from .circuits import BooleanCircuit, candidate_from_text, no_output_candidate, sign_identity
-from .instance import EPS_MAX, InstanceParams, measurement_matrix, sample_unconditional
+from .instance import DEFAULT_BETA, DEFAULT_EPS, DEFAULT_R, EPS_MAX, InstanceParams
+from .instance import measurement_matrix, sample_unconditional
 from .scores import ScoreProvider, provider_by_name
 
 FMT = "%.17g"
@@ -183,18 +185,15 @@ def instance_schema() -> dict:
     return {
         "d": (int, 8),
         "d_prime": (int, 8),
-        "R": (float, 30.0),
-        "eps": (float, 1.0),
-        "beta": (float, 0.025),
-        "beta_max": (float, 0.25),
+        "R": (float, DEFAULT_R),
+        "eps": (float, DEFAULT_EPS),
+        "beta": (float, DEFAULT_BETA),
         "circuit": (str, "identity"),
     }
 
 
 def build_instance(cfg: dict) -> tuple[InstanceParams, BooleanCircuit]:
-    params = InstanceParams(
-        cfg["d"], cfg["d_prime"], cfg["R"], cfg["eps"], cfg["beta"], cfg["beta_max"]
-    )
+    params = InstanceParams(cfg["d"], cfg["d_prime"], cfg["R"], cfg["eps"], cfg["beta"])
     return params, _field("circuit", _candidate, cfg["circuit"], params)
 
 
@@ -582,8 +581,8 @@ SCHEMAS = {
         "betas": (str, "0.1,0.2"),
         "ms": (str, "0,1,2,3,4"),
         "trials": (positive_int, 50),
-        "R": (positive_float, 30.0),
-        "eps": (checked(float, lambda v: 0 < v <= EPS_MAX, f"in (0, {EPS_MAX:g}]"), 1.0),
+        "R": (positive_float, DEFAULT_R),
+        "eps": (checked(float, lambda v: 0 < v <= EPS_MAX, f"in (0, {EPS_MAX:g}]"), DEFAULT_EPS),
         "max_rounds": (positive_int, 10**7),
     },
     "demo2d": {
@@ -596,8 +595,9 @@ SCHEMAS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Resolve, run, then write; any bad value, file or config before that is a `config error:`."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call (not at import) and then reused."""
     parser = argparse.ArgumentParser(prog="phaselab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -608,7 +608,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--jobs", type=int, default=1, help="no effect; kept for old scripts, >= 1")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("overrides", nargs="*", help="key=value config overrides")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Resolve, run, then write; any bad value, file or config before that is a `config error:`."""
+    args = _parser().parse_args(argv)
     name = args.subcommand
     try:
         if args.jobs < 1:

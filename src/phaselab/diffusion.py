@@ -54,22 +54,16 @@ def reverse_run(
     cfg: DiffusionConfig,
     rng: np.random.Generator,
     size: int,
-    init: np.ndarray | None = None,
-    dim: int | None = None,
+    dim: int,
     extra_drift=None,
 ) -> np.ndarray:
-    """Run size independent chains of the discretized reverse SDE down to t_min.
+    """Run size independent chains of the discretized reverse SDE from sqrt(T) N(0, I)
+    down to t_min.
 
     Returns the final states, shape (size, dim). extra_drift(t, x), if given,
     is added to the score (posterior guidance).
     """
-    if init is None:
-        if dim is None:
-            raise ValueError("need dim or init")
-        x = np.sqrt(cfg.T) * rng.standard_normal((size, dim))
-    else:
-        init = np.asarray(init, dtype=float)
-        x = np.broadcast_to(init, (size,) + init.shape[-1:]).copy()
+    x = np.sqrt(cfg.T) * rng.standard_normal((size, dim))
     times = geometric_grid(cfg)
     t, h = times[:-1], times[:-1] - times[1:]  # sqrt(t) and sqrt(h) too: once per grid
     for t_k, sigma, h_k, noise in zip(t, np.sqrt(t), h, np.sqrt(h)):

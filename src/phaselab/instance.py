@@ -5,7 +5,8 @@ product distributions: the first d coordinates are N(R*s_i, 1); the last dPrime
 coordinates are standard Gaussians discretized to the lattice {k*eps + phase}
 with phase 0 (bit +1) or eps/2 (bit -1), the bit pattern being f(s) for a fixed
 candidate map f. Measurements observe the last dPrime coordinates plus
-beta*N(0, I) noise (optionally clipped to [-betaMax, betaMax]).
+beta*N(0, I) noise. A bounded-noise variant clips that noise to the decode radius
+eps/4; only the checks of the bounded-noise reduction use it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ LATTICE_EXTENT = 12.0  # mass of a unit Gaussian beyond |x| > 12 is < 1e-30
 # to 4e-13 relative at eps 8, 1e-8 at 12 and only 1e-2 at 16 (spec: 1e-10); above
 # 24 the bit -1 lattice has no atom within LATTICE_EXTENT at all.
 EPS_MAX = 8.0
+# Desk-scale instance defaults, the CLI's too: R=30, eps=1, beta=eps/40.
+DEFAULT_R, DEFAULT_EPS = 30.0, 1.0
+DEFAULT_BETA = DEFAULT_EPS / 40
 
 
 @dataclass(frozen=True)
@@ -33,13 +37,12 @@ class InstanceParams:
     R: float
     eps: float
     beta: float
-    beta_max: float
 
     def __post_init__(self):
-        for name in ("R", "eps", "beta", "beta_max"):
+        for name in ("R", "eps", "beta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"field {name!r}: must be finite")
-        for name in ("R", "eps", "beta_max"):
+        for name in ("R", "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"field {name!r}: must be > 0")
         for name, lo in (("d", 1), ("d_prime", 0), ("beta", 0)):
@@ -54,9 +57,9 @@ class InstanceParams:
 
 
 def canonical_params(d: int = 8, d_prime: int = 8, beta: float | None = None) -> InstanceParams:
-    """Desk-scale defaults: R=30, eps=1, beta=eps/40, beta_max=eps/4."""
-    eps = 1.0
-    return InstanceParams(d, d_prime, 30.0, eps, eps / 40 if beta is None else beta, eps / 4)
+    """Desk-scale defaults: R=30, eps=1, beta=eps/40."""
+    beta = DEFAULT_BETA if beta is None else beta
+    return InstanceParams(d, d_prime, DEFAULT_R, DEFAULT_EPS, beta)
 
 
 def phase_of_bit(b: int, eps: float) -> float:
@@ -97,15 +100,12 @@ def lattice_quantiles(bits: np.ndarray, eps: float, u: np.ndarray) -> np.ndarray
     return u
 
 
-def sample_discretized_gaussian(b, eps: float, rng: np.random.Generator, size: int):
-    """Draw size values from the unit Gaussian discretized to the phase-b lattice; a bit
-    array b gives shape (size, len(b)). It runs rng.choice's own inverse CDF, so draws and
-    rng state equal those of one rng.choice(len(pts), size, p=p) per bit, bit by bit."""
+def sample_discretized_gaussian(b: int, eps: float, rng: np.random.Generator, size: int):
+    """Draw size values from the unit Gaussian discretized to the phase-b lattice. It runs
+    rng.choice's own inverse CDF, so draws and rng state equal rng.choice(len(pts), size, p=p)'s."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    bits = np.atleast_1d(b)
-    x = lattice_quantiles(bits, eps, rng.random((len(bits), size)))
-    return x[0] if np.ndim(b) == 0 else np.ascontiguousarray(x.T)
+    return lattice_quantiles(np.array([b]), eps, rng.random((1, size)))[0]
 
 
 def sample_unconditional(
@@ -157,10 +157,10 @@ def clipped_noise(
 
 
 def measure_clipped(x: np.ndarray, params: InstanceParams, rng: np.random.Generator) -> np.ndarray:
-    """Measurement under the bounded-noise channel: |noise| <= betaMax per coordinate."""
+    """Measurement under the bounded-noise channel: |noise| <= eps/4, bits_eps's decode radius."""
     x = np.asarray(x)
     tail = x[..., params.d :]
-    return tail + clipped_noise(params.beta, params.beta_max, rng, tail.shape)
+    return tail + clipped_noise(params.beta, params.eps / 4, rng, tail.shape)
 
 
 def round_R(v: np.ndarray, R: float) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 from .circuits import BooleanCircuit, sign_identity
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .diffusion import DiffusionConfig, reverse_run
-from .instance import InstanceParams, check_operator_norm, lattice_atoms, phase_of_bit
+from .instance import DEFAULT_EPS, DEFAULT_R, InstanceParams, check_operator_norm, lattice_atoms
+from .instance import phase_of_bit
 from .scores import ScoreProvider, _phase_specs, _seed_tail_loglik, dg_smoothed_log_density
 
 
@@ -47,7 +48,7 @@ def rejection_sample(
     y: np.ndarray,
     cfg: PosteriorConfig,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int = 1,
     chunk: int | None = None,
 ):
     """Accept a proposal draw x with probability exp(-||Ax-y||^2/(2 beta^2)).
@@ -55,32 +56,27 @@ def rejection_sample(
     proposal(n, rng) must return (n, dim) unconditional draws, requested in
     chunks of `chunk` rows or, by default, min(65536, 256 * size) rows and then
     twice the previous chunk up to 65536, so an early hit wastes few rows; no
-    chunk exceeds the budget left. With size=None returns (x or None,
-    SamplerStats); with size=k returns (up to k accepted rows as a (rows, dim)
-    array, SamplerStats). The budget is size * cfg.max_rounds proposals;
+    chunk exceeds the budget left. Returns (up to size accepted rows as a
+    (rows, dim) array, SamplerStats). The budget is size * cfg.max_rounds proposals;
     exhausting it is a reported outcome (stats.accepted is False), not an error.
     """
     A = check_operator_norm(A)
     y = np.asarray(y, dtype=float)
-    k = 1 if size is None else size
-    budget = k * cfg.max_rounds
-    step = chunk or min(65536, 256 * k)
+    budget = size * cfg.max_rounds
+    step = chunk or min(65536, 256 * size)
     out, got, done = [], 0, 0
-    while got < k and done < budget:
+    while got < size and done < budget:
         n = min(step, budget - done)
         step = chunk or min(65536, 2 * step)
         x = np.asarray(proposal(n, rng), dtype=float)
         resid = x @ A.T - y
         logq = -np.sum(resid**2, axis=1) / (2.0 * cfg.beta**2)
-        hits = np.flatnonzero(np.log(rng.random(n)) < logq)[: k - got]
+        hits = np.flatnonzero(np.log(rng.random(n)) < logq)[: size - got]
         out.append(x[hits])
         got += hits.size
-        done += int(hits[-1]) + 1 if got == k else n
+        done += int(hits[-1]) + 1 if got == size else n
     rows = np.concatenate(out) if out else np.empty((0, A.shape[1]))
-    stats = SamplerStats(done, got == k)
-    if size is None:
-        return (rows[0] if got else None), stats
-    return rows, stats
+    return rows, SamplerStats(done, got == size)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -132,14 +128,14 @@ def brute_force_posterior(
     f: BooleanCircuit,
     y: np.ndarray,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
 ) -> np.ndarray:
     """Exact posterior draws given y under A = (0 | I).
 
     Seeds are drawn from the enumerated seed posterior; the first block is
     N(R s, I) (independent of y); tail coordinates come from the exact
     discrete lattice posterior given y. A y of shape (n, d_prime) draws row i
-    (size None or n) as the i-th of size=n draws given y[i] alone. The tail's
+    (size n) as the i-th of size=n draws given y[i] alone. The tail's
     uniforms are drawn coordinate by coordinate, bit +1 then bit -1, each group's
     in draw order; every tail draw is the first atom whose posterior CDF exceeds its
     uniform, as in Generator.choice.
@@ -147,18 +143,17 @@ def brute_force_posterior(
     if params.beta <= 0:
         raise ValueError("posterior requires beta > 0")
     y = np.asarray(y, dtype=float)
-    n = (len(y) if y.ndim == 2 else 1) if size is None else size
-    # inverse CDF: per weight row w, the draws of rng.choice(2^d, size=n, p=w)
+    # inverse CDF: per weight row w, the draws of rng.choice(2^d, size, p=w)
     cdf = np.cumsum(np.exp(seed_posterior_log_weights(params, f, y)), axis=-1)
     cdf /= cdf[..., -1:]
-    u = rng.random(n)
+    u = rng.random(size)
     if cdf.ndim == 1:  # one weight row: no (n, 2^d) table
         pick = np.searchsorted(cdf, u, side="right")
     else:  # a size that does not match the rows of y fails to broadcast here
         pick = (cdf <= u[:, None]).sum(axis=1)
     S, F = f.seed_table
-    x = np.empty((n, params.dim))
-    x[:, : params.d] = params.R * S[pick] + rng.standard_normal((n, params.d))
+    x = np.empty((size, params.dim))
+    x[:, : params.d] = params.R * S[pick] + rng.standard_normal((size, params.d))
     bits = F[pick]
     tail = x[:, params.d :]
     phases = {b: phase_of_bit(b, params.eps) for b in (1, -1)}
@@ -182,7 +177,7 @@ def brute_force_posterior(
             at = bits == b
             pts, cdf = _tail_posterior_cdf(params.eps, ph, params.beta, Y[at])
             tail[at] = pts[(cdf <= u[at][:, None]).sum(axis=1)]
-    return x[0] if size is None and y.ndim == 1 else x
+    return x
 
 
 def heuristic_posterior_sample(
@@ -212,8 +207,8 @@ def acceptance_curve(
     ms,
     trials: int,
     master_seed: int,
-    R: float = 30.0,
-    eps: float = 1.0,
+    R: float = DEFAULT_R,
+    eps: float = DEFAULT_EPS,
     max_rounds: int = 10**7,
 ):
     """Mean rounds-to-accept of rejection sampling vs measurement count m.
@@ -233,7 +228,7 @@ def acceptance_curve(
         for m in ms:
             counts, censored = np.ones(trials), 0  # m = 0 measures nothing: one round each
             if m > 0:
-                params = InstanceParams(m, m, R, eps, beta, eps / 4)
+                params = InstanceParams(m, m, R, eps, beta)
                 f = sign_identity(m)
                 A = measurement_matrix(params)
                 cfg = PosteriorConfig(max_rounds, beta)

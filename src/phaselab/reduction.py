@@ -20,7 +20,7 @@ from . import rng as prng
 from .circuits import BooleanCircuit, Gate
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .instance import InstanceParams, bits_eps, lattice_quantiles, round_R
-from .instance import sample_discretized_gaussian
+from .instance import sample_discretized_gaussian  # noqa: F401 - bench/spans.py traces this binding
 
 
 @dataclass(frozen=True)
@@ -43,31 +43,27 @@ def sample_measurement_for_target(
     z: np.ndarray,
     params: InstanceParams,
     rng: np.random.Generator | Sequence[np.random.Generator],
-    size: int | None = None,
 ) -> np.ndarray:
     """y_j ~ psi_{z_j} + beta*N(0,1), the measurement marginal for targets z.
 
-    With one Generator, `size` draws (one for size None) for the one target z: the
-    d' * size lattice uniforms, coordinate by coordinate, then the normals. With a sequence
-    of generators, one per row of z (size must be None), row i draws its d' uniforms and
-    then its d' normals from rng[i], as the one-generator call for z[i] would; the lattice
-    lookup then runs once for the batch, so row i equals that call's draw.
+    A z of shape (n, d_prime) takes one generator per row: row i draws its d' uniforms and
+    then its d' normals from rng[i], and the lattice lookup runs once for the batch. One
+    Generator with a 1-D z is the one-row batch, and gives one 1-D measurement.
     """
     if np.shape(z)[-1] != params.d_prime:
         raise ValueError("target length mismatch")
-    if isinstance(rng, np.random.Generator):
-        y = sample_discretized_gaussian(z, params.eps, rng, size=1 if size is None else size)
-        y += params.beta * rng.standard_normal(y.shape)
-        return y[0] if size is None else y
-    if size is not None or np.ndim(z) != 2 or len(rng) != len(z):
-        raise ValueError("a batch takes a (n, d_prime) z, one generator per row and no size")
+    one = isinstance(rng, np.random.Generator)
+    if one:
+        z, rng = np.asarray(z)[None], [rng]
+    if np.ndim(z) != 2 or len(rng) != len(z):
+        raise ValueError("a batch takes a (n, d_prime) z and one generator per row")
     u, noise = np.empty(np.shape(z)), np.empty(np.shape(z))
     for i, r in enumerate(rng):
         r.random(out=u[i])
         r.standard_normal(out=noise[i])
     y = lattice_quantiles(np.asarray(z), params.eps, u)
     y += params.beta * noise
-    return y
+    return y[0] if one else y
 
 
 def invert(sampler, y: np.ndarray, params: InstanceParams, rng: np.random.Generator):
@@ -123,7 +119,7 @@ def make_rejection_sampler(params: InstanceParams, f: BooleanCircuit, max_rounds
 
     def sampler(y, rng):  # one rejection loop per row; NaN where the budget ran out
         draws = [rejection_sample(proposal, A, row, cfg, rng)[0] for row in y]
-        return np.array([np.full(params.dim, np.nan) if x is None else x for x in draws])
+        return np.array([x[0] if len(x) else np.full(params.dim, np.nan) for x in draws])
 
     return sampler
 

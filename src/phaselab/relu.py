@@ -255,6 +255,9 @@ def circuit_to_relu(c: BooleanCircuit) -> ReluNetwork:
 # is < 1e-30 and the capped clamp adds no measurable error while keeping
 # hidden-layer width manageable.
 _CLAMP_CAP_SDS = 12.0
+# Vertex-identifier threshold of the small-sigma net: clamp(x_head/alpha, -1, 1) equals
+# sign(x_head) wherever |x_head| > alpha.
+_VERTEX_ALPHA = 0.5
 
 
 def _linear_pl(slope: float, radius: float) -> PiecewiseLinear:
@@ -268,7 +271,6 @@ def assemble_score_net_small_sigma(
     f: BooleanCircuit,
     sigma: float,
     kappa: float,
-    alpha: float = 0.5,
 ) -> ReluNetwork:
     """Orthant-surrogate network: vertex identification, circuit evaluation of
     the phase bits, re-centered Gaussian scores on the first block, and
@@ -289,7 +291,7 @@ def assemble_score_net_small_sigma(
     T = float(np.ceil(max(np.abs(pl.values).max() for pl in phase_pls.values()))) + 1.0
 
     # stage 1: r = clamp(x_head/alpha, -1, 1), bundle [x; r; r]
-    v1, v2 = vertex_identifier(d, alpha).layers
+    v1, v2 = vertex_identifier(d, _VERTEX_ALPHA).layers
     keep = np.zeros(D)
     s1a = Layer(
         sp.vstack([sp.eye(D), v1.w @ sp.eye(d, D)], format="csr"),  # v1 reads x_head

@@ -177,7 +177,7 @@ def test_criterion_06_relu_exactness():
 
 
 def test_criterion_07_well_modeled_networks():
-    params = InstanceParams(2, 2, 30.0, 0.05, 0.00125, 0.0125)
+    params = InstanceParams(2, 2, 30.0, 0.05, 0.00125)
     f = sign_identity(2)
     rng = np.random.default_rng(707)
     lines = []
@@ -251,7 +251,7 @@ def test_criterion_10_diffusion_sampler_sanity():
     out = reverse_run(gauss, cfg, rng, dim=1, size=10_000)[:, 0]
     stat = ks(out, norm.cdf)
 
-    params = InstanceParams(1, 0, 4.0, 1.0, 0.025, 0.25)
+    params = InstanceParams(1, 0, 4.0, 1.0, 0.025)
     provider = provider_by_name("exact", params, no_output_candidate(1))
     cfg2 = default_config(params, N=2000)
     x = reverse_run(provider, cfg2, rng, dim=1, size=100_000)[:, 0]

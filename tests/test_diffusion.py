@@ -43,12 +43,12 @@ def test_coordinate_second_moment():
 
 
 def test_zero_score_accumulates_brownian_variance():
-    """With score = 0 the reverse pass just adds N(0, T - t_min) to the init."""
+    """With score = 0 the reverse pass just adds N(0, T - t_min) to its sqrt(T) N(0, 1) start."""
     cfg = DiffusionConfig(T=9.0, t_min=1e-3, N=800)
     zero = ScoreProvider("zero", lambda s, x: np.zeros_like(x))
     rng = np.random.default_rng(1)
-    out = reverse_run(zero, cfg, rng, init=np.zeros(1), size=100_000)
-    assert_allclose(out.std(), np.sqrt(9.0 - 1e-3), rtol=0.02)
+    out = reverse_run(zero, cfg, rng, size=100_000, dim=1)
+    assert_allclose(out.std(), np.sqrt(9.0 + (9.0 - 1e-3)), rtol=0.02)
 
 
 def test_gaussian_score_reverse_run_ks():
@@ -73,7 +73,7 @@ def test_extra_drift_shifts_mean():
     zero = ScoreProvider("zero", lambda s, x: np.zeros_like(x))
     rng = np.random.default_rng(4)
     out = reverse_run(
-        zero, cfg, rng, init=np.zeros(1), size=50_000, extra_drift=lambda t, x: np.full_like(x, 0.5)
+        zero, cfg, rng, size=50_000, dim=1, extra_drift=lambda t, x: np.full_like(x, 0.5)
     )
     assert_allclose(out.mean(), 0.5 * 4.0, atol=0.05)
 

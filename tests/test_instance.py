@@ -24,29 +24,27 @@ from phaselab.reduction import random_circuit_owf
 
 def test_params_validation():
     for field, args in (
-        ("d", (0, 2, 30.0, 1.0, 0.1, 0.25)),
-        ("d_prime", (2, -1, 30.0, 1.0, 0.1, 0.25)),
-        ("R", (2, 2, -30.0, 1.0, 0.1, 0.25)),
-        ("eps", (2, 2, 30.0, -1.0, 0.1, 0.25)),
-        ("beta", (2, 2, 30.0, 1.0, -0.1, 0.25)),
-        ("beta_max", (2, 2, 30.0, 1.0, 0.1, 0.0)),
+        ("d", (0, 2, 30.0, 1.0, 0.1)),
+        ("d_prime", (2, -1, 30.0, 1.0, 0.1)),
+        ("R", (2, 2, -30.0, 1.0, 0.1)),
+        ("eps", (2, 2, 30.0, -1.0, 0.1)),
+        ("beta", (2, 2, 30.0, 1.0, -0.1)),
     ):
         with pytest.raises(ValueError, match=f"^field '{field}': must be >"):
             InstanceParams(*args)
     for field, args in (
-        ("R", (np.inf, 1.0, 0.1, 0.25)),
-        ("eps", (30.0, np.nan, 0.1, 0.25)),
-        ("beta", (30.0, 1.0, np.nan, 0.25)),
-        ("beta_max", (30.0, 1.0, 0.1, np.inf)),
+        ("R", (np.inf, 1.0, 0.1)),
+        ("eps", (30.0, np.nan, 0.1)),
+        ("beta", (30.0, 1.0, np.nan)),
     ):
         with pytest.raises(ValueError, match=f"^field '{field}': must be finite$"):
             InstanceParams(2, 2, *args)
     # past EPS_MAX the two smoothed-density routes disagree, and then no atom is left
-    InstanceParams(2, 2, 30.0, EPS_MAX, 0.1, 0.25)
+    InstanceParams(2, 2, 30.0, EPS_MAX, 0.1)
     for eps in (np.nextafter(EPS_MAX, np.inf), 16.0, 30.0):
         with pytest.raises(ValueError, match="^field 'eps': must be <= 8$"):
-            InstanceParams(2, 2, 30.0, eps, 0.1, 0.25)
-    p = InstanceParams(1, 0, 4.0, 1.0, 0.1, 0.25)
+            InstanceParams(2, 2, 30.0, eps, 0.1)
+    p = InstanceParams(1, 0, 4.0, 1.0, 0.1)
     assert p.dim == 1
 
 
@@ -91,31 +89,6 @@ def test_discretized_gaussian_moments():
     assert np.allclose((x - 0.5) / 1.0, np.round((x - 0.5) / 1.0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    kind=st.sampled_from(["plus", "minus", "mixed", "empty"]),
-    length=st.integers(1, 12),
-    eps=st.floats(1e-3, EPS_MAX),
-    size=st.sampled_from([0, 1, 7, 1000]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_bit_array_draws_equal_scalar_draws_bit_by_bit(kind, length, eps, size, seed):
-    """An array of bits draws, and leaves the generator, as one scalar call per bit does."""
-    bits = {
-        "plus": np.ones(length, dtype=np.int64),
-        "minus": -np.ones(length, dtype=np.int64),
-        "mixed": np.random.default_rng(seed).permutation(np.resize([1, -1], length)),
-        "empty": np.empty(0, dtype=np.int64),
-    }[kind]
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    x = sample_discretized_gaussian(bits, eps, rng, size)
-    want = np.empty((size, len(bits)))
-    for j, b in enumerate(bits):
-        want[:, j] = sample_discretized_gaussian(int(b), eps, ref, size)
-    assert x.shape == (size, len(bits)) and np.array_equal(x, want)
-    assert rng.random() == ref.random()
-
-
 @pytest.mark.parametrize("b", [1, -1])
 @pytest.mark.parametrize("eps", [0.1, 1.0, EPS_MAX])
 def test_scalar_draw_is_generator_choice(b, eps):
@@ -146,7 +119,7 @@ def inline_draw_sample_unconditional(params, f, rng, size):
 @pytest.mark.parametrize("d, d_prime, eps", [(1, 1, 0.05), (3, 0, 1.0), (4, 6, 0.5), (8, 8, 8.0)])
 def test_sample_unconditional_draws_as_inline_reference(d, d_prime, eps):
     """Drawing the tail through sample_discretized_gaussian leaves every draw as it was."""
-    params = InstanceParams(d, d_prime, 30.0, eps, eps / 40, eps / 4)
+    params = InstanceParams(d, d_prime, 30.0, eps, eps / 40)
     f = random_circuit_owf(d, d_prime, 3 * d_prime, seed=d) if d_prime else no_output_candidate(d)
     for size in (1, 7, 1024):
         for seed in range(20):
@@ -190,6 +163,19 @@ def test_decode_chain_clipped_channel(d, seed):
     s, x = sample_unconditional(params, f, rng, size=64)
     y = measure_clipped(x, params, rng)
     assert np.array_equal(f(round_R(x[:, :d], params.R)), bits_eps(y, params.eps))
+
+
+@pytest.mark.parametrize("eps", [0.5, 2.0])
+def test_clipped_channel_noise_stays_within_the_decode_radius(eps):
+    """The bounded channel clips at eps/4, so bits_eps decodes every draw exactly at any eps."""
+    params = InstanceParams(3, 3, 30.0, eps, eps / 4)  # beta = eps/4: the clip binds often
+    f = sign_identity(3)
+    rng = np.random.default_rng(int(4 * eps))
+    _, x = sample_unconditional(params, f, rng, size=20_000)
+    y = measure_clipped(x, params, rng)
+    noise = y - x[:, 3:]
+    assert np.abs(noise).max() <= eps / 4 and np.abs(noise).max() > 0.9 * eps / 4
+    assert np.array_equal(bits_eps(y, eps), bits_eps(x[:, 3:], eps))
 
 
 def test_measurement_matrix_selects_tail():

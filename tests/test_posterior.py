@@ -50,7 +50,7 @@ def test_accepts_immediately_when_residual_zero():
     y = np.array([0.3, -0.2])
     x, stats = rejection_sample(lambda n, r: np.tile(y, (n, 1)), np.eye(2), y, cfg, rng)
     assert stats.rounds == 1 and stats.accepted
-    assert_allclose(x, y)
+    assert_allclose(x, [y])
 
 
 def test_acceptance_probability_formula():
@@ -60,8 +60,7 @@ def test_acceptance_probability_formula():
     cfg = PosteriorConfig(1, beta)
     rng = np.random.default_rng(2)
     hits = sum(
-        rejection_sample(lambda n, r: np.tile(x0, (n, 1)), np.eye(1), np.zeros(1), cfg, rng)[0]
-        is not None
+        len(rejection_sample(lambda n, r: np.tile(x0, (n, 1)), np.eye(1), np.zeros(1), cfg, rng)[0])
         for _ in range(10_000)
     )
     assert abs(hits / 10_000 - 0.5) <= 0.015
@@ -72,7 +71,7 @@ def test_budget_exhaustion_is_reported_not_raised():
     rng = np.random.default_rng(3)
     far = np.array([5.0])
     x, stats = rejection_sample(lambda n, r: np.tile(far, (n, 1)), np.eye(1), np.zeros(1), cfg, rng)
-    assert x is None and not stats.accepted and stats.rounds == 50
+    assert x.shape == (0, 1) and not stats.accepted and stats.rounds == 50
 
 
 def test_rejection_size_budget_exhaustion_is_reported():
@@ -84,19 +83,6 @@ def test_rejection_size_budget_exhaustion_is_reported():
     x, stats = rejection_sample(proposal, np.eye(1), np.zeros(1), cfg, rng, size=10)
     assert np.array_equal(x, np.zeros((5, 1)))
     assert not stats.accepted and stats.rounds == 500
-
-
-def test_rejection_size_none_matches_first_row_of_size_one():
-    params = canonical_params(2, 2, beta=0.3)
-    f = sign_identity(2)
-    A = measurement_matrix(params)
-    y = np.array([0.4, -1.2])
-    cfg = PosteriorConfig(10**5, params.beta)
-    proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
-    x1, s1 = rejection_sample(proposal, A, y, cfg, np.random.default_rng(11))
-    xk, sk = rejection_sample(proposal, A, y, cfg, np.random.default_rng(11), size=1)
-    assert xk.shape == (1, 4) and s1.accepted and sk.accepted
-    assert np.array_equal(x1, xk[0]) and s1.rounds == sk.rounds > 1
 
 
 @pytest.mark.parametrize(
@@ -120,7 +106,8 @@ def test_rejection_chunk_schedule(size, max_rounds, chunk, want):
 
     cfg = PosteriorConfig(max_rounds, 0.01)
     rng = np.random.default_rng(5)
-    _, stats = rejection_sample(proposal, np.eye(1), np.zeros(1), cfg, rng, size=size, chunk=chunk)
+    sized = {} if size is None else {"size": size}  # None: the default size, one draw
+    _, stats = rejection_sample(proposal, np.eye(1), np.zeros(1), cfg, rng, chunk=chunk, **sized)
     assert calls == want
     assert not stats.accepted and stats.rounds == sum(want) == (size or 1) * max_rounds
 
@@ -137,7 +124,7 @@ def test_rejection_rounds_are_geometric_across_chunk_boundaries():
     rounds = []
     for t in range(trials):
         x, stats = rejection_sample(proposal, np.eye(1), np.array([y]), cfg, prng.stream(7, t))
-        assert stats.accepted and x.shape == (1,)
+        assert stats.accepted and x.shape == (1, 1)
         rounds.append(stats.rounds)
     se = np.sqrt((1 - p) / p**2 / trials)
     assert abs(np.mean(rounds) - 1 / p) <= 4 * se
@@ -151,7 +138,7 @@ def test_seed_enumeration_rejects_candidate_of_other_length():
     with pytest.raises(ValueError, match="input length"):
         seed_posterior_log_weights(params, f, np.zeros(3))
     with pytest.raises(ValueError, match="input length"):
-        brute_force_posterior(params, f, np.zeros(3), np.random.default_rng(0))
+        brute_force_posterior(params, f, np.zeros(3), np.random.default_rng(0), size=1)
     with pytest.raises(ValueError, match="input length"):
         mixture_score_exact(params, f, 1.0, np.zeros(6))
 
@@ -167,7 +154,7 @@ def test_seed_enumeration_limit_is_one_check_with_one_message():
     with pytest.raises(ValueError, match=msg):
         seed_posterior_log_weights(params, f, np.zeros(13))
     with pytest.raises(ValueError, match=msg):
-        brute_force_posterior(params, f, np.zeros(13), np.random.default_rng(0))
+        brute_force_posterior(params, f, np.zeros(13), np.random.default_rng(0), size=1)
     with pytest.raises(ValueError, match=msg):
         mixture_score_exact(params, f, 1.0, np.zeros(26))
 
@@ -251,7 +238,7 @@ def test_brute_force_on_tiled_measurement_equals_size_n_draws(d, d_prime, n, bet
     params = canonical_params(d, d_prime, beta=beta)
     f = random_circuit_owf(d, d_prime, 2 * d_prime, seed)
     y = np.random.default_rng(seed).uniform(-2, 2, size=d_prime)
-    tiled = brute_force_posterior(params, f, np.tile(y, (n, 1)), np.random.default_rng(seed))
+    tiled = brute_force_posterior(params, f, np.tile(y, (n, 1)), np.random.default_rng(seed), n)
     sized = brute_force_posterior(params, f, y, np.random.default_rng(seed), size=n)
     assert tiled.shape == (n, params.dim) and np.array_equal(tiled, sized)
 
@@ -264,7 +251,7 @@ def test_brute_force_rejects_measurement_that_no_seed_explains():
         with pytest.raises(ValueError, match="^y has zero likelihood under every seed$"):
             seed_posterior_log_weights(params, sign_identity(2), y)
         with pytest.raises(ValueError, match="zero likelihood under every seed"):
-            brute_force_posterior(params, sign_identity(2), y, np.random.default_rng(0))
+            brute_force_posterior(params, sign_identity(2), y, np.random.default_rng(0), size=2)
 
 
 def _reference_brute_force_posterior(params, f, y, rng, size=None):
@@ -415,7 +402,7 @@ class _ConstantRng:
 def test_tail_draw_with_cdf_rounded_below_one_stays_on_lattice():
     """At y = -5.772 the bit -1 lattice posterior's CDF sums to 1 - 3.3e-16; a u above
     that picks the last atom (it indexed one past the lattice before)."""
-    params = InstanceParams(1, 1, 30.0, 1.0, 0.3, 0.25)
+    params = InstanceParams(1, 1, 30.0, 1.0, 0.3)
     f = constant_candidate(1, np.array([-1]))
     top = _ConstantRng(np.nextafter(1.0, 0.0))
     x = brute_force_posterior(params, f, np.array([-5.772]), top, size=3)

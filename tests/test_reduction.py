@@ -28,40 +28,43 @@ def test_report_validation():
 def test_measurement_for_target_decodes_back():
     """Bits_eps recovers the target with the Gaussian-tail failure rate."""
     params = canonical_params(4, 4)
-    rng = np.random.default_rng(0)
+    streams = [prng.stream(0, i) for i in range(100_000)]
     z = np.array([1, -1, -1, 1])
-    y = sample_measurement_for_target(z, params, rng, size=100_000)
+    y = sample_measurement_for_target(np.tile(z, (len(streams), 1)), params, streams)
     match = np.all(bits_eps(y, params.eps) == z, axis=1)
     # per-coordinate flip probability is 2*Phi(-eps/(2*beta)) ~ 1e-89 at beta = eps/40
     assert match.all()
 
 
-def _reference_sample_measurement_for_target(z, params, rng, size=None):
-    """sample_measurement_for_target as it was before the tail was one draw:
-    one sample_discretized_gaussian call per tail coordinate."""
+def _reference_sample_measurement_for_target(z, params, rng):
+    """sample_measurement_for_target for one target z as it was before the tail was one
+    draw: one sample_discretized_gaussian call per tail coordinate."""
     z = np.asarray(z)
     if z.shape[-1] != params.d_prime:
         raise ValueError("target length mismatch")
-    n = 1 if size is None else size
-    y = np.empty((n, params.d_prime))
+    y = np.empty(params.d_prime)
     for j in range(params.d_prime):
-        y[:, j] = sample_discretized_gaussian(int(z[j]), params.eps, rng, size=n)
-    y += params.beta * rng.standard_normal(y.shape)
-    return y[0] if size is None else y
+        y[j] = sample_discretized_gaussian(int(z[j]), params.eps, rng, size=1)[0]
+    return y + params.beta * rng.standard_normal(y.shape)
 
 
 @pytest.mark.parametrize("d_prime", [0, 1, 8])
-@pytest.mark.parametrize("size", [None, 5])
-def test_measurement_for_target_draws_as_per_coordinate_reference(d_prime, size):
-    """One draw for the whole tail gives the per-coordinate draws and generator state."""
+@pytest.mark.parametrize("rows", [None, 5])
+def test_measurement_for_target_draws_as_per_coordinate_reference(d_prime, rows):
+    """One draw for the whole tail gives the per-coordinate draws and generator state: for
+    one Generator and a 1-D z (rows None), and for each row of a batch, on its own generator."""
     params = canonical_params(8, d_prime, beta=0.3)
     for seed in range(20):
-        z = np.random.default_rng(seed).choice(np.array([-1, 1]), size=d_prime)
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        y = sample_measurement_for_target(z, params, rng, size=size)
-        want = _reference_sample_measurement_for_target(z, params, ref, size=size)
-        assert y.shape == want.shape and np.array_equal(y, want)
-        assert rng.random() == ref.random()
+        z = np.random.default_rng(seed).choice(np.array([-1, 1]), size=(rows or 1, d_prime))
+        seeds = [seed] if rows is None else [[seed, i] for i in range(rows)]
+        rngs, refs = [[np.random.default_rng(sd) for sd in seeds] for _ in range(2)]
+        if rows is None:
+            y = sample_measurement_for_target(z[0], params, rngs[0])[None]
+        else:
+            y = sample_measurement_for_target(z, params, rngs)
+        want = [_reference_sample_measurement_for_target(zi, params, r) for zi, r in zip(z, refs)]
+        assert y.shape == (len(z), d_prime) and np.array_equal(y, want)
+        assert all(r.random() == ref.random() for r, ref in zip(rngs, refs))
 
 
 @pytest.mark.parametrize("d_prime", [0, 1, 8])
@@ -82,10 +85,10 @@ def test_batched_measurement_rows_equal_one_generator_draws(d_prime):
 def test_batched_measurement_needs_one_generator_per_row():
     params = canonical_params(3, 3)
     z = np.ones((4, 3), dtype=int)
-    too_few, enough = [prng.stream(0, i) for i in range(3)], [prng.stream(0, i) for i in range(4)]
-    for streams, size in ((too_few, None), (enough, 2)):
+    too_few = [prng.stream(0, i) for i in range(3)]
+    for target, streams in ((z, too_few), (z, prng.stream(0, 0)), (z[0], too_few[:1])):
         with pytest.raises(ValueError, match="one generator per row"):
-            sample_measurement_for_target(z, params, streams, size=size)
+            sample_measurement_for_target(target, params, streams)
 
 
 def test_inversion_report_as_with_per_coordinate_measurements(monkeypatch):
@@ -109,7 +112,8 @@ def test_invert_constant_function_always_succeeds():
     f = constant_candidate(3, np.array([1, -1]))
     sampler = make_brute_force_sampler(params, f)
     rng = np.random.default_rng(1)
-    y = sample_measurement_for_target(f(np.array([1, 1, -1])), params, rng, size=4)
+    z = np.tile(f(np.array([1, 1, -1])), (4, 1))
+    y = sample_measurement_for_target(z, params, [prng.stream(1, i) for i in range(4)])
     guesses, no_guess = invert(sampler, y, params, rng)
     assert guesses.shape == (4, 3) and not no_guess.any()
     assert np.all(f(guesses) == np.array([1, -1]))

@@ -174,7 +174,7 @@ def test_network_text_rejects_garbage():
 
 @pytest.mark.parametrize("sigma", [0.1, 1.0])
 def test_small_sigma_assembly_tracks_exact_score(sigma):
-    params = InstanceParams(2, 2, 30.0, 0.05, 0.00125, 0.0125)
+    params = InstanceParams(2, 2, 30.0, 0.05, 0.00125)
     f = sign_identity(2)
     net = assemble_score_net_small_sigma(params, f, sigma, kappa=0.25)
     rng = np.random.default_rng(7)
@@ -187,7 +187,7 @@ def test_small_sigma_assembly_tracks_exact_score(sigma):
 
 
 def test_large_sigma_assembly_tracks_exact_score():
-    params = InstanceParams(2, 2, 30.0, 0.05, 0.00125, 0.0125)
+    params = InstanceParams(2, 2, 30.0, 0.05, 0.00125)
     f = sign_identity(2)
     sigma = 20.0
     net = assemble_score_net_large_sigma(params, sigma, kappa=0.01)
