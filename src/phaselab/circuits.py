@@ -80,20 +80,21 @@ def eval_circuit(c: BooleanCircuit, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[-1] != c.n_inputs:
         raise ValueError("input length mismatch")
-    vals = [x[..., i] == -1 for i in range(c.n_inputs)]  # True encoded as -1
+    true = x == -1  # True encoded as -1
+    vals = [true[..., i] for i in range(c.n_inputs)]
     for g in c.gates:
-        ins = [vals[r] for r in g.inputs]
-        if g.kind == "AND":
-            v = np.logical_and.reduce(ins)
-        elif g.kind == "OR":
-            v = np.logical_or.reduce(ins)
-        else:
-            v = ~ins[0]
+        v = vals[g.inputs[0]]
+        if g.kind == "NOT":
+            v = ~v
+        else:  # a fan-in-1 gate is its input's own view; nothing here writes in place
+            op = np.logical_and if g.kind == "AND" else np.logical_or
+            for r in g.inputs[1:]:
+                v = op(v, vals[r])
         vals.append(v)
-    if not c.outputs:
-        return np.zeros(x.shape[:-1] + (0,), dtype=np.int64)
-    out = np.stack([vals[r] for r in c.outputs], axis=-1)
-    return np.where(out, -1, 1).astype(np.int64)
+    out = np.empty(x.shape[:-1] + (c.n_outputs,), dtype=bool)
+    for k, r in enumerate(c.outputs):
+        out[..., k] = vals[r]
+    return np.where(out, -1, 1)  # int64
 
 
 def sign_identity(d: int) -> BooleanCircuit:

@@ -87,14 +87,20 @@ def _lattice_atoms(eps: float, phase: float, k_lo: int, k_hi: int):
     return pts, p
 
 
+def _lattice_cdf(b: int, eps: float):
+    """(pts, cdf) of the phase-b lattice: rng.choice's inverse CDF is
+    pts[cdf.searchsorted(u, side="right")]."""
+    pts, p = lattice_atoms(eps, phase_of_bit(b, eps))
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return pts, cdf
+
+
 def lattice_quantiles(bits: np.ndarray, eps: float, u: np.ndarray) -> np.ndarray:
     """u with each uniform replaced, in place, by its point of the unit Gaussian discretized
-    to the phase-bit lattice: rng.choice's inverse CDF, one lookup per phase. bits has u's
-    shape (one bit per uniform) or its leading shape (one bit per row of u)."""
-    for bit in set(bits.ravel().tolist()):  # one lattice and one CDF per phase present
-        pts, p = lattice_atoms(eps, phase_of_bit(bit, eps))
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
+    to the lattice of its bit (bits has u's shape): one inverse-CDF lookup per phase."""
+    for bit in set(bits.ravel().tolist()):
+        pts, cdf = _lattice_cdf(bit, eps)
         at = bits == bit
         u[at] = pts[cdf.searchsorted(u[at], side="right")]
     return u
@@ -105,7 +111,8 @@ def sample_discretized_gaussian(b: int, eps: float, rng: np.random.Generator, si
     rng.choice's own inverse CDF, so draws and rng state equal rng.choice(len(pts), size, p=p)'s."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return lattice_quantiles(np.array([b]), eps, rng.random((1, size)))[0]
+    pts, cdf = _lattice_cdf(b, eps)
+    return pts[cdf.searchsorted(rng.random(size), side="right")]
 
 
 def sample_unconditional(
@@ -118,19 +125,18 @@ def sample_unconditional(
     s = signs(rng, (size, params.d))
     x = np.empty((size, params.dim))
     x[:, : params.d] = params.R * s + rng.standard_normal((size, params.d))
-    bits = f(s)  # (n, d_prime)
+    bits, tail = f(s), x[:, params.d :]  # (n, d_prime) each
     for b in (1, -1):
         mask = bits == b
-        cnt = int(mask.sum())
-        if cnt:
-            x[:, params.d :][mask] = sample_discretized_gaussian(b, params.eps, rng, cnt)
+        if cnt := np.count_nonzero(mask):
+            tail[mask] = sample_discretized_gaussian(b, params.eps, rng, cnt)
     return s, x
 
 
 def check_operator_norm(A: np.ndarray) -> np.ndarray:
     """A as a float array; raises ValueError unless its operator norm is at most 1 (tol 1e-9)."""
-    A = np.asarray(A, dtype=float)
-    if np.linalg.norm(A, 2) > 1.0 + 1e-9:
+    A = np.asarray(A, dtype=float)  # svd[0] is np.linalg.norm(A, 2); an empty A has norm 0
+    if A.size and np.linalg.svd(A, compute_uv=False)[0] > 1.0 + 1e-9:
         raise ValueError("measurement matrix must have operator norm <= 1")
     return A
 

@@ -92,10 +92,10 @@ def random_circuits(draw):
     gates = []
     for k in range(n_gates):
         kind = draw(st.sampled_from(["AND", "OR", "NOT"]))
-        fan = 1 if kind == "NOT" else draw(st.integers(2, 3))
+        fan = 1 if kind == "NOT" else draw(st.integers(1, 4))  # fan-in 1: the input's own view
         refs = tuple(draw(st.integers(0, n + k - 1)) for _ in range(fan))
         gates.append(Gate(kind, refs))
-    n_out = draw(st.integers(1, 4))
+    n_out = draw(st.integers(0, 4))
     outs = tuple(draw(st.integers(0, n + n_gates - 1)) for _ in range(n_out))
     return BooleanCircuit(n, tuple(gates), outs)
 
@@ -118,6 +118,21 @@ def test_eval_circuit_matches_scalar_interpreter(c):
     out = eval_circuit(c, S)
     for row, x in zip(out, S):
         assert np.array_equal(row, _eval_reference(c, x))
+
+
+@given(random_circuits(), st.sampled_from([(), (5,), (3, 4)]), st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_eval_circuit_batches_equal_row_by_row(c, lead, seed):
+    """1-D, 2-D and (k, m, n) inputs give the row-by-row result as int64; the inputs are
+    left as they were, even where a fan-in-1 gate or an output is an input's own view."""
+    x = np.random.default_rng(seed).choice(np.array([-1, 1]), size=lead + (c.n_inputs,))
+    before = x.copy()
+    out = eval_circuit(c, x)
+    assert out.shape == lead + (c.n_outputs,) and out.dtype == np.int64
+    rows = x.reshape(-1, c.n_inputs)
+    want = [_eval_reference(c, r) for r in rows]
+    assert np.array_equal(out.reshape(len(rows), c.n_outputs), np.reshape(want, (len(rows), -1)))
+    assert np.array_equal(x, before)
 
 
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 12), st.integers(0, 2**31))

@@ -352,6 +352,16 @@ def test_posterior_rejection_stats_count_proposals_used(tmp_path):
     assert stats["rounds_per_accept"] == 11334 / 500
 
 
+def test_posterior_rejection_without_measurements(tmp_path):
+    """d_prime = 0: A is the empty (0, d) matrix, which passes the norm check, and every
+    proposal is accepted."""
+    assert run(
+        "posterior", "--out", str(tmp_path), "sampler=rejection", "d=2", "d_prime=0", "count=5",
+    ) == 0
+    stats = json.loads((tmp_path / "posterior_stats.json").read_text())
+    assert stats["y"] == [] and stats["proposals"] == stats["accepted"] == 5
+
+
 def test_posterior_rejection_budget_exhaustion_writes_accepted_rows(tmp_path, capsys):
     assert run(
         "posterior", "--out", str(tmp_path), "--seed", "5",

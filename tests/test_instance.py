@@ -10,6 +10,7 @@ from phaselab.instance import (
     InstanceParams,
     bits_eps,
     canonical_params,
+    check_operator_norm,
     clipped_noise,
     lattice_atoms,
     measure_clipped,
@@ -128,6 +129,18 @@ def test_sample_unconditional_draws_as_inline_reference(d, d_prime, eps):
                 params, f, np.random.default_rng(seed), size
             )
             assert np.array_equal(s, s_ref) and np.array_equal(x, x_ref)
+
+
+def test_check_operator_norm_bound_and_tolerance():
+    """The largest singular value may exceed 1 by at most 1e-9; an empty A passes."""
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    for A in (np.eye(3), np.diag([1.0, 0.2]), np.diag([1 + 0.5e-9, 0.5]), np.zeros((0, 4))):
+        out = check_operator_norm(A)
+        assert out.dtype == float and np.array_equal(out, A)
+    assert check_operator_norm([[0, 1]]).dtype == float
+    for A in (np.diag([1 + 2e-9, 0.5]), 1.01 * rot, np.ones((2, 2))):
+        with pytest.raises(ValueError, match="operator norm <= 1"):
+            check_operator_norm(A)
 
 
 def test_round_R_values_and_ties():
