@@ -67,8 +67,9 @@ class BooleanCircuit:
 
     @cached_property
     def float_seed_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S, Fp, [Fp, 1-Fp].T) of seed_table as read-only floats, Fp = (f(S) == +1): the
-        operands of the exact score's three GEMMs, built once per circuit."""
+        """(S, Fp, [Fp, 1-Fp].T) of seed_table as read-only floats, Fp = (f(S) == +1), built
+        once per circuit: the exact score's three GEMM operands. seed_posterior_log_weights
+        reads the third, the tail GEMM's right-hand side."""
         S, Fp = self.seed_table[0].astype(float), (self.seed_table[1] == 1).astype(float)
         both = np.concatenate((Fp, 1.0 - Fp), axis=1)
         S.flags.writeable = Fp.flags.writeable = both.flags.writeable = False

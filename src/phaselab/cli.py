@@ -29,6 +29,7 @@ import scipy
 from . import __version__
 from . import rng as prng
 from .circuits import BooleanCircuit, candidate_from_text, no_output_candidate, sign_identity
+from .diffusion import DEFAULT_STEPS, DEFAULT_T_MIN
 from .instance import DEFAULT_BETA, DEFAULT_EPS, DEFAULT_R, EPS_MAX, InstanceParams
 from .instance import measurement_matrix, sample_unconditional
 from .scores import ScoreProvider, provider_by_name
@@ -236,15 +237,15 @@ def diffusion_config(cfg: dict, params: InstanceParams):
     return _field("t_min", default_config, params, N=cfg["steps"], t_min=cfg["t_min"])
 
 
-def run_chain(steps: int, run, *args, **kwargs):
-    """run(*args, **kwargs), a reverse chain of `steps` steps; a chain whose score turned
-    non-finite is reported against field 'steps', as a coarse step grid makes it diverge."""
+def run_chain(field: str, cfg: dict, run, *args, **kwargs):
+    """run(*args, **kwargs), which runs reverse chains; a non-finite score is reported against
+    config field `field`: 'steps' (a coarse grid diverges), or 'sampler' if the length is fixed."""
     try:
         return run(*args, **kwargs)
     except FloatingPointError as e:
+        hint = "more steps may help" if field == "steps" else "sampler=brute-force is exact"
         raise ValueError(
-            f"field 'steps': the reverse chain diverged at steps={steps} ({e}); "
-            "more steps may help"
+            f"field {field!r}: the reverse chain diverged at {field}={cfg[field]} ({e}); {hint}"
         ) from None
 
 
@@ -262,7 +263,7 @@ def cmd_sample(cfg: dict, args) -> tuple[dict, str]:
         provider = build_provider(cfg["provider"], params, f)
         dcfg = diffusion_config(cfg, params)
         x = run_chain(
-            cfg["steps"], reverse_run, provider, dcfg, rng, dim=params.dim, size=cfg["count"]
+            "steps", cfg, reverse_run, provider, dcfg, rng, dim=params.dim, size=cfg["count"]
         )
     message = f"wrote {cfg['count']} samples to {Path(args.out) / 'samples.csv'}"
     return {"samples.csv": ([f"x{j}" for j in range(params.dim)], x)}, message
@@ -297,7 +298,7 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
         provider = build_provider(cfg["provider"], params, f)
         dcfg = diffusion_config(cfg, params)
         x = run_chain(
-            cfg["steps"], heuristic_posterior_sample, provider, A, y, params.beta, dcfg, rng,
+            "steps", cfg, heuristic_posterior_sample, provider, A, y, params.beta, dcfg, rng,
             size=cfg["count"],
         )
     lines.append(f"wrote {len(x)} posterior samples to {Path(args.out) / 'posterior.csv'}")
@@ -331,7 +332,8 @@ def cmd_invert(cfg: dict, args) -> tuple[dict, str]:
         sampler = make_rejection_sampler(params, f, cfg["max_rounds"])
     else:
         sampler = make_heuristic_sampler(params, enumerable(f))
-    rep = inversion_experiment(f, sampler, cfg["trials"], params, args.seed)
+    trials = cfg["trials"]
+    rep = run_chain("sampler", cfg, inversion_experiment, f, sampler, trials, params, args.seed)
     row = {
         "trials": rep.trials,
         "successes": rep.successes,
@@ -464,7 +466,7 @@ def cmd_demo2d(cfg: dict, args) -> tuple[dict, str]:
         lambda k, r: demo_prior_sample(r, k), A, y, pcfg, prng.stream(args.seed, 1), size=n
     )
     oracle = demo_oracle_posterior(yval, prng.stream(args.seed, 2), n)
-    dcfg = DiffusionConfig(T=10 * (DEMO_VAR + 8.0), t_min=1e-4, N=cfg["steps"])
+    dcfg = DiffusionConfig(T=10 * (DEMO_VAR + 8.0), t_min=DEFAULT_T_MIN, N=cfg["steps"])
     heur = heuristic_posterior_sample(
         demo_score_provider(), A, y, DEMO_BETA, dcfg, prng.stream(args.seed, 3), size=n
     )
@@ -552,8 +554,8 @@ COMMANDS = {
 SAMPLERS = choice("rejection", "brute-force", "heuristic")
 DIFFUSION_KEYS = {
     "provider": (str, "exact"),
-    "steps": (non_negative_int, 2000),
-    "t_min": (float, 1e-4),
+    "steps": (non_negative_int, DEFAULT_STEPS),
+    "t_min": (float, DEFAULT_T_MIN),
 }
 SCHEMAS = {
     "sample": instance_schema() | {

@@ -14,12 +14,15 @@ import numpy as np
 from .instance import InstanceParams, lattice_atoms, phase_of_bit
 from .scores import ScoreProvider
 
+DEFAULT_STEPS = 2000  # reverse-SDE steps N
+DEFAULT_T_MIN = 1e-4  # the grid's last time
+
 
 @dataclass(frozen=True)
 class DiffusionConfig:
     T: float
-    t_min: float = 1e-4
-    N: int = 2000
+    t_min: float = DEFAULT_T_MIN
+    N: int = DEFAULT_STEPS
 
     def __post_init__(self):
         if not (self.T > self.t_min > 0):
@@ -45,7 +48,9 @@ def coordinate_second_moment(params: InstanceParams) -> float:
     return (params.d * head + params.d_prime * tail) / params.dim
 
 
-def default_config(params: InstanceParams, N: int = 2000, t_min: float = 1e-4) -> DiffusionConfig:
+def default_config(
+    params: InstanceParams, N: int = DEFAULT_STEPS, t_min: float = DEFAULT_T_MIN
+) -> DiffusionConfig:
     return DiffusionConfig(T=10.0 * coordinate_second_moment(params), t_min=t_min, N=N)
 
 

@@ -101,9 +101,7 @@ def seed_posterior_log_weights(
     ld = np.stack([dg_smoothed_log_density(sp, Y) for sp in _phase_specs(params.eps, params.beta)])
     # on a 2^-40 grid every GEMM sum below 2^13 is exact in any order: batch rows = lone rows
     ld = np.rint(ld * 2.0**40) * 2.0**-40
-    # one use per call: a kept per-circuit copy raised posterior-bulk's peak RSS by 1.1 MB
-    Fp = (f.seed_table[1] == 1).astype(float)
-    logw = _seed_tail_loglik(ld, np.concatenate((Fp, 1.0 - Fp), axis=1).T)
+    logw = _seed_tail_loglik(ld, f.float_seed_table[2])
     if np.isneginf(logw).all(axis=1).any():
         raise ValueError("y has zero likelihood under every seed")
     logw -= _logsumexp(logw)

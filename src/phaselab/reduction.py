@@ -124,14 +124,14 @@ def make_rejection_sampler(params: InstanceParams, f: BooleanCircuit, max_rounds
     return sampler
 
 
-def make_heuristic_sampler(params: InstanceParams, f: BooleanCircuit, diffusion_cfg=None):
+def make_heuristic_sampler(params: InstanceParams, f: BooleanCircuit):
     from .diffusion import default_config
     from .instance import measurement_matrix
     from .posterior import heuristic_posterior_sample
     from .scores import provider_by_name
 
     A = measurement_matrix(params)
-    dcfg = default_config(params) if diffusion_cfg is None else diffusion_cfg
+    dcfg = default_config(params)
     provider = provider_by_name("exact", params, f)
     return lambda y, rng: heuristic_posterior_sample(
         provider, A, y, params.beta, dcfg, rng, size=len(y)

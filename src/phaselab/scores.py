@@ -2,9 +2,9 @@
 
 Two independent routes are implemented for the smoothed discretized Gaussian:
 a Fourier (Poisson-summation) series, cut after its last term of at least
-1e-18, and a direct lattice convolution sum. They must agree to 1e-10
-relative; tests enforce this. The exact mixture score is two GEMMs and one
-softmax, in log-space; see mixture_score_exact.
+1e-18, and a direct lattice convolution sum; the smoothing picks one (_use_series).
+They must agree to 1e-10 relative; tests enforce this. The exact mixture score
+is two GEMMs and one softmax, in log-space; see mixture_score_exact.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def _lattice_tables(spec: DiscreteGaussianSpec):
     """The lattice route's x-free factors: the atoms |t| <= 12 + 8 rho, their log weights as a
     column, rho^2, pts / rho^2 and log sqrt(2 pi rho^2)."""
     pts, p = lattice_atoms(spec.eps, spec.phase, extent=LATTICE_EXTENT + 8.0 * spec.rho)
-    if p[0] == 0 or p[-1] == 0:  # outermost weights underflow at large rho (forced route only)
+    if p[0] == 0 or p[-1] == 0:  # outer weights underflow at large rho (direct calls only)
         pts, p = pts[p > 0], p[p > 0]
     rho2 = spec.rho**2
     return pts, np.log(p)[:, None], rho2, pts / rho2, 0.5 * np.log(2.0 * np.pi * rho2)
@@ -122,8 +122,8 @@ def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
     return logd.reshape(x.shape), score.reshape(x.shape)
 
 
-def _resolve_method(spec: DiscreteGaussianSpec, method: str) -> str:
-    """'auto' picks the numerically safe route for the given smoothing.
+def _use_series(spec: DiscreteGaussianSpec) -> bool:
+    """Whether the spec's smoothing takes the Fourier series (rho >= 0.35 eps), not the lattice.
 
     At rho << eps the Fourier series suffers catastrophic cancellation between
     atoms (the true density there underflows the series' roundoff floor), so
@@ -131,21 +131,15 @@ def _resolve_method(spec: DiscreteGaussianSpec, method: str) -> str:
     """
     if spec.rho == 0:
         raise ValueError("rho = 0 is atomic (unsmoothed): no density, score undefined")
-    if method == "auto":
-        return "lattice" if spec.rho < 0.35 * spec.eps else "series"
-    if method in ("series", "lattice"):
-        return method
-    raise ValueError(f"unknown method {method!r}")
+    return spec.rho >= 0.35 * spec.eps
 
 
-def dg_smoothed_log_density(spec: DiscreteGaussianSpec, x, method: str = "auto"):
-    series = _resolve_method(spec, method) == "series"
-    return _dg_series_log_density(spec, x) if series else _dg_lattice_parts(spec, x)[0]
+def dg_smoothed_log_density(spec: DiscreteGaussianSpec, x):
+    return _dg_series_log_density(spec, x) if _use_series(spec) else _dg_lattice_parts(spec, x)[0]
 
 
-def dg_smoothed_score(spec: DiscreteGaussianSpec, x, method: str = "auto"):
-    series = _resolve_method(spec, method) == "series"
-    return _dg_series_score(spec, x) if series else _dg_lattice_parts(spec, x)[1]
+def dg_smoothed_score(spec: DiscreteGaussianSpec, x):
+    return _dg_series_score(spec, x) if _use_series(spec) else _dg_lattice_parts(spec, x)[1]
 
 
 def _phase_specs(eps: float, rho: float) -> list[DiscreteGaussianSpec]:
@@ -194,10 +188,8 @@ def mixture_score_exact(
         raise ValueError("input length mismatch")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.shape[-1] != params.dim:
+    X = np.asarray(x, dtype=float)
+    if X.ndim != 2 or X.shape[1] != params.dim:
         raise ValueError("dimension mismatch")
 
     S, Fp, tail_rhs = f.float_seed_table  # (2^d, d), (2^d, d_prime), (2 d_prime, 2^d)
@@ -227,9 +219,7 @@ def mixture_score_exact(
     wp = w @ Fp  # (n, d_prime): weight of bit +1 per tail coordinate
     out[:, params.d :] = wp * sc_ph[0] + (1.0 - wp) * sc_ph[1]
 
-    if not return_log_density:
-        return out[0] if single else out
-    return (out[0], log_mix[0]) if single else (out, log_mix)
+    return (out, log_mix) if return_log_density else out
 
 
 def orthant_score(
@@ -238,9 +228,9 @@ def orthant_score(
     """Small-sigma surrogate: the component score of the sign orthant containing x."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+    X = np.asarray(x, dtype=float)
+    if X.ndim != 2 or X.shape[1] != params.dim:
+        raise ValueError("dimension mismatch")
     r = np.where(X[:, : params.d] >= 0, 1, -1).astype(np.int64)
     bits = f(r)  # (n, d_prime)
     v = 1.0 + sigma**2
@@ -249,7 +239,7 @@ def orthant_score(
     tail = X[:, params.d :]
     plus, minus = (dg_smoothed_score(spec, tail) for spec in _phase_specs(params.eps, sigma))
     out[:, params.d :] = np.where(bits == 1, plus, minus)
-    return out[0] if single else out
+    return out
 
 
 def two_point_score(R: float, sigma: float, x):
@@ -282,7 +272,7 @@ def large_sigma_score(params: InstanceParams, sigma: float, x) -> np.ndarray:
 
 
 class ScoreProvider:
-    """A named (sigma, x) -> score map on (n, dim) points; the built-in scores also take (dim,)."""
+    """A named (sigma, x) -> score map on (n, dim) points."""
 
     def __init__(self, label: str, fn):
         self.label = label

@@ -51,6 +51,7 @@ from phaselab.relu import (
     compile_piecewise,
     eval_net,
 )
+from phaselab import scores
 from phaselab.scores import DiscreteGaussianSpec, dg_smoothed_log_density, mixture_score_exact
 
 
@@ -215,8 +216,8 @@ def test_criterion_08_fourier_bound_and_route_agreement():
     for eps, rho in ((0.5, 0.4), (1.0, 0.5), (1.0, 2.0)):
         spec = DiscreteGaussianSpec(eps, 0.0, rho)
         x = np.linspace(-8, 8, 601)
-        a = np.exp(dg_smoothed_log_density(spec, x, method="series"))
-        b = np.exp(dg_smoothed_log_density(spec, x, method="lattice"))
+        a = np.exp(scores._dg_series_log_density(spec, x))
+        b = np.exp(scores._dg_lattice_parts(spec, x)[0])
         agree = max(agree, float(np.max(np.abs(a - b) / np.maximum(b, 1e-300))))
     ok = ok and agree <= 1e-10
     report(8, "Fourier comparison", ok, "; ".join(details) + f"; route agreement {agree:.1e} <= 1e-10")
@@ -270,12 +271,11 @@ def test_criterion_11_hardness_demonstration():
     growth = r8["mean_rounds"] / r4["mean_rounds"]
 
     # heuristic-sampler inversion on the canonical instance (reported, no threshold)
-    from phaselab.diffusion import default_config
     from phaselab.reduction import make_heuristic_sampler
 
     params = canonical_params(8, 8)
     f = random_circuit_owf(8, 8, 24, seed=1112)
-    sampler = make_heuristic_sampler(params, f, default_config(params, N=500))
+    sampler = make_heuristic_sampler(params, f)
     rep = inversion_experiment(f, sampler, 20, params, master_seed=1113)
     heuristic_rate = rep.successes / rep.trials
 

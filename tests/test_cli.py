@@ -227,6 +227,20 @@ def test_diverged_reverse_chain_is_one_error_line_and_no_artifact(tmp_path, argv
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_diverged_invert_chain_names_the_sampler_and_writes_nothing(tmp_path):
+    """invert's heuristic chain has a fixed length, so its divergence is reported against
+    field 'sampler', in one `config error:` line naming the provider, and writes nothing."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run("invert", "--out", str(out), "sampler=heuristic", "trials=2", "d=2", "d_prime=2",
+            "eps=4")
+    message = str(exc.value.code)
+    assert message.startswith("config error: field 'sampler': ") and "\n" not in message
+    assert "provider 'exact'" in message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["count = 5\n", "[other]\ncount = 5\n", "{not json"])
 def test_bad_config_file_is_a_config_error(tmp_path, text):
     cf = tmp_path / "run.cfg"

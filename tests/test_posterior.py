@@ -140,7 +140,7 @@ def test_seed_enumeration_rejects_candidate_of_other_length():
     with pytest.raises(ValueError, match="input length"):
         brute_force_posterior(params, f, np.zeros(3), np.random.default_rng(0), size=1)
     with pytest.raises(ValueError, match="input length"):
-        mixture_score_exact(params, f, 1.0, np.zeros(6))
+        mixture_score_exact(params, f, 1.0, np.zeros((1, 6)))
 
 
 def test_seed_enumeration_limit_is_one_check_with_one_message():
@@ -156,7 +156,7 @@ def test_seed_enumeration_limit_is_one_check_with_one_message():
     with pytest.raises(ValueError, match=msg):
         brute_force_posterior(params, f, np.zeros(13), np.random.default_rng(0), size=1)
     with pytest.raises(ValueError, match=msg):
-        mixture_score_exact(params, f, 1.0, np.zeros(26))
+        mixture_score_exact(params, f, 1.0, np.zeros((1, 26)))
 
 
 def test_seed_posterior_weights_normalized_and_peaked():

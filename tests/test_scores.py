@@ -25,8 +25,13 @@ from phaselab.scores import (
 )
 
 
-def density(spec, x, method="auto"):
-    return np.exp(dg_smoothed_log_density(spec, x, method=method))
+def density(spec, x):
+    return np.exp(dg_smoothed_log_density(spec, x))
+
+
+def series_parts(spec, x):
+    """(log density, score) on the series route, whatever the spec's smoothing."""
+    return scores._dg_series_log_density(spec, x), scores._dg_series_score(spec, x)
 
 
 def fd(logd, x, h=1e-6):
@@ -40,10 +45,9 @@ def test_dg_series_matches_lattice():
         for phase in (0.0, eps / 2):
             spec = DiscreteGaussianSpec(eps, phase, rho)
             x = np.linspace(-8, 8, 801)
-            for fn in (density, dg_smoothed_score):
-                assert_allclose(
-                    fn(spec, x, method="series"), fn(spec, x, method="lattice"), rtol=0, atol=1e-10
-                )
+            (ls, ss), (ll, sl) = series_parts(spec, x), scores._dg_lattice_parts(spec, x)
+            assert_allclose(np.exp(ls), np.exp(ll), rtol=0, atol=1e-10)
+            assert_allclose(ss, sl, rtol=0, atol=1e-10)
 
 
 def old_series_parts(spec, x):
@@ -104,8 +108,8 @@ def test_dg_series_keeps_exactly_its_terms_above_1e18():
                 assert np.all(a >= 1e-18)
                 assert np.exp(-c * (len(a) + 1) ** 2) < 1e-18
                 want_ld, want_sc = old_series_parts(spec, x)
-                assert_same_log_density(dg_smoothed_log_density(spec, x, method="series"), want_ld)
-                sc = dg_smoothed_score(spec, x, method="series")
+                ld, sc = series_parts(spec, x)
+                assert_same_log_density(ld, want_ld)
                 assert np.all(np.abs(sc - want_sc) <= 1e-12 * (1.0 + np.abs(want_sc)))
 
 
@@ -137,16 +141,9 @@ def test_dg_lattice_route_forced_at_large_smoothing():
         for rho in (5.0, 10.0, 20.0):
             for phase in (0.0, eps / 2):
                 spec = DiscreteGaussianSpec(eps, phase, rho)
-                assert_allclose(
-                    dg_smoothed_log_density(spec, x, method="lattice"),
-                    dg_smoothed_log_density(spec, x, method="series"),
-                    rtol=0, atol=1e-10,
-                )
-                assert_allclose(
-                    dg_smoothed_score(spec, x, method="lattice"),
-                    dg_smoothed_score(spec, x, method="series"),
-                    rtol=1e-10, atol=1e-10,
-                )
+                (ll, sl), (ls, ss) = scores._dg_lattice_parts(spec, x), series_parts(spec, x)
+                assert_allclose(ll, ls, rtol=0, atol=1e-10)
+                assert_allclose(sl, ss, rtol=1e-10, atol=1e-10)
 
 
 def test_dg_density_integrates_to_one():
@@ -200,11 +197,14 @@ def test_mixture_score_matches_log_density_gradient():
             assert_allclose(sc[:, j], fd(logd, x[:, j]), rtol=1e-4, atol=1e-4)
 
 
-def test_mixture_score_single_point_shape():
+@pytest.mark.parametrize("score", [mixture_score_exact, orthant_score])
+def test_scores_take_only_a_batch_of_points(score):
+    """A score maps (n, dim) points to (n, dim) scores; a lone (dim,) point is rejected."""
     params = canonical_params(2, 2)
-    f = sign_identity(2)
     x = np.array([30.0, -30.0, 0.2, 0.7])
-    assert mixture_score_exact(params, f, 1.0, x).shape == (4,)
+    assert score(params, sign_identity(2), 1.0, x[None]).shape == (1, 4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        score(params, sign_identity(2), 1.0, x)
 
 
 def tensor_mixture_score(params, f, sigma, X):
@@ -237,11 +237,10 @@ def tensor_mixture_score(params, f, sigma, X):
     st.integers(1, 4),
     st.one_of(st.floats(0.01, 0.34), st.floats(0.36, 6.0)),  # lattice and series routes
     st.integers(1, 40),
-    st.booleans(),
     st.integers(0, 2**31),
 )
 @settings(max_examples=60, deadline=None)
-def test_mixture_score_matches_per_seed_tensor_formula(d, d_prime, sigma, n, single, seed):
+def test_mixture_score_matches_per_seed_tensor_formula(d, d_prime, sigma, n, seed):
     params = canonical_params(d, d_prime)
     f = random_circuit_owf(d, d_prime, 2 * d_prime, seed)
     rng = np.random.default_rng(seed)
@@ -249,8 +248,6 @@ def test_mixture_score_matches_per_seed_tensor_formula(d, d_prime, sigma, n, sin
     X[:, :d] += params.R * rng.choice([-1.0, 0.0, 1.0], size=(n, d))
     X[:, d:] += rng.integers(-3, 4, size=(n, d_prime)) * params.eps / 2
     want, want_log = tensor_mixture_score(params, f, sigma, X)
-    if single:
-        X, want, want_log = X[0], want[0], want_log[0]
     got, got_log = mixture_score_exact(params, f, sigma, X, return_log_density=True)
     assert got.shape == X.shape
     assert_allclose(got, want, atol=1e-9, rtol=1e-12)
@@ -320,9 +317,7 @@ def frozen_tail_phase_parts(params, sigma, x_tail):
 def frozen_mixture_score_exact(params, f, sigma, x, return_log_density=False):
     """Frozen reference: mixture_score_exact as it was before its seed tables were cached,
     with _seed_tail_loglik inlined."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+    X = np.asarray(x, dtype=float)
     S, F = f.seed_table
     S, Fp = S.astype(float), (F == 1).astype(float)
     v = 1.0 + sigma**2
@@ -347,8 +342,6 @@ def frozen_mixture_score_exact(params, f, sigma, x, return_log_density=False):
     out[:, : params.d] = (-head + params.R * (w @ S)) / v
     wp = w @ Fp
     out[:, params.d :] = wp * sc_ph[0] + (1.0 - wp) * sc_ph[1]
-    if single:
-        out, log_mix = out[0], log_mix[0]
     return (out, log_mix) if return_log_density else out
 
 
@@ -372,13 +365,12 @@ def test_mixture_score_is_bit_identical_to_frozen_reference():
             ruled_out = f.label == "constant" and sigma == 0.01
             if ruled_out:
                 X[0, params.d :] = 0.5  # on eps/2-phase atoms only: bit +1 impossible
-            for x in (X, X[0]) if n == 1 else (X,):
-                want_sc, want_ld = frozen_mixture_score_exact(params, f, sigma, x, True)
-                got_sc, got_ld = mixture_score_exact(params, f, sigma, x, return_log_density=True)
-                assert np.array_equal(got_sc, want_sc, equal_nan=True)
-                assert np.array_equal(got_ld, want_ld, equal_nan=True)
-                got = mixture_score_exact(params, f, sigma, x)
-                assert np.array_equal(got, want_sc, equal_nan=True)
+            want_sc, want_ld = frozen_mixture_score_exact(params, f, sigma, X, True)
+            got_sc, got_ld = mixture_score_exact(params, f, sigma, X, return_log_density=True)
+            assert np.array_equal(got_sc, want_sc, equal_nan=True)
+            assert np.array_equal(got_ld, want_ld, equal_nan=True)
+            got = mixture_score_exact(params, f, sigma, X)
+            assert np.array_equal(got, want_sc, equal_nan=True)
             if ruled_out:
                 assert np.all(np.isnan(got[0])) and np.isneginf(got_ld[0])
 
@@ -389,7 +381,7 @@ def test_mixture_score_gives_ruled_out_seeds_zero_weight():
     params = canonical_params(2, 2)
     sigma = 0.01
     x = np.array([30.0, 30.0, 0.5, 0.25])  # coordinate 2: eps/2 from every phase-0 atom
-    score = mixture_score_exact(params, sign_identity(2), sigma, x)
+    score = mixture_score_exact(params, sign_identity(2), sigma, x[None])[0]
     assert np.all(np.isfinite(score))
     # no weight on the seeds with s_0 = +1, though the head favours them by e^1800
     minus = DiscreteGaussianSpec(params.eps, phase_of_bit(-1, params.eps), sigma)
@@ -405,7 +397,7 @@ def test_mixture_score_gives_ruled_out_seeds_zero_weight():
 def test_exact_score_provider_raises_where_every_seed_is_ruled_out():
     params = canonical_params(2, 2)
     f = constant_candidate(2, np.array([1, 1]))  # every seed has bit +1 everywhere
-    x = np.array([30.0, 30.0, 0.5, 0.0])
+    x = np.array([[30.0, 30.0, 0.5, 0.0]])
     with pytest.raises(FloatingPointError):
         provider_by_name("exact", params, f)(0.01, x)
 
