@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 KINDS = ("AND", "OR", "NOT")
+MAX_ENUM_D = 12  # the largest n_inputs whose 2^n seeds are enumerated
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,10 @@ class BooleanCircuit:
 
     @cached_property
     def seed_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, f(S)) over all 2^n_inputs seeds (n_inputs <= 12), read-only, built on first use."""
-        if self.n_inputs > 12:
-            raise ValueError(f"seed enumeration is limited to d <= 12, got d = {self.n_inputs}")
+        """(S, f(S)) over all 2^n_inputs seeds (n_inputs <= MAX_ENUM_D), read-only, built once."""
+        if self.n_inputs > MAX_ENUM_D:
+            n = self.n_inputs
+            raise ValueError(f"seed enumeration is limited to d <= {MAX_ENUM_D}, got d = {n}")
         S = all_inputs(self.n_inputs)
         F = self(S)
         S.flags.writeable = F.flags.writeable = False

@@ -1,7 +1,7 @@
 """Batch experiment driver.
 
 Subcommands: sample, posterior, invert, approx-score, compile-circuit,
-bench-acceptance, demo2d, verify. Subcommands compute and `main` writes: only
+bench-acceptance, verify. Subcommands compute and `main` writes: only
 a finished run writes its artifacts, then, last, its run_manifest.json (config
 hash, seed, library versions, and the sha256 of every artifact it wrote).
 Every artifact embeds the same config hash (a JSON field, or the first line of
@@ -9,6 +9,8 @@ a CSV or text file). `verify` checks the run in --out against its manifest
 and ignores files the manifest does not list. Configs are flat
 key=value files (an INI [run] section) or JSON objects; a bad key or value is
 a `config error:` naming the field. Numeric CSV fields use 17 significant digits.
+At d <= MAX_ENUM_D, `posterior` checks y against the exact seed posterior before any
+sampler runs, and reports its draws' total variation from it as `seed_law_tv`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import scipy
 
 from . import __version__
 from . import rng as prng
-from .circuits import BooleanCircuit, candidate_from_text, no_output_candidate, sign_identity
-from .diffusion import DEFAULT_STEPS, DEFAULT_T_MIN
+from .circuits import MAX_ENUM_D, BooleanCircuit, candidate_from_text, no_output_candidate
+from .circuits import sign_identity
+from .diffusion import DEFAULT_STEPS, default_config
 from .instance import DEFAULT_BETA, DEFAULT_EPS, DEFAULT_R, EPS_MAX, InstanceParams
 from .instance import measurement_matrix, sample_unconditional
 from .scores import ScoreProvider, provider_by_name
@@ -231,12 +234,6 @@ def build_provider(name: str, params: InstanceParams, f: BooleanCircuit) -> Scor
     return provider
 
 
-def diffusion_config(cfg: dict, params: InstanceParams):
-    from .diffusion import default_config
-
-    return _field("t_min", default_config, params, N=cfg["steps"], t_min=cfg["t_min"])
-
-
 def run_chain(field: str, cfg: dict, run, *args, **kwargs):
     """run(*args, **kwargs), which runs reverse chains; a non-finite score is reported against
     config field `field`: 'steps' (a coarse grid diverges), or 'sampler' if the length is fixed."""
@@ -261,7 +258,7 @@ def cmd_sample(cfg: dict, args) -> tuple[dict, str]:
         from .diffusion import reverse_run
 
         provider = build_provider(cfg["provider"], params, f)
-        dcfg = diffusion_config(cfg, params)
+        dcfg = default_config(params, N=cfg["steps"])
         x = run_chain(
             "steps", cfg, reverse_run, provider, dcfg, rng, dim=params.dim, size=cfg["count"]
         )
@@ -270,8 +267,8 @@ def cmd_sample(cfg: dict, args) -> tuple[dict, str]:
 
 
 def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
-    from .posterior import PosteriorConfig, brute_force_posterior
-    from .posterior import heuristic_posterior_sample, rejection_sample
+    from .posterior import PosteriorConfig, brute_force_posterior, heuristic_posterior_sample
+    from .posterior import rejection_sample, seed_law_tv, seed_posterior_log_weights
 
     params, f = build_instance(cfg)
     pcfg = _field("beta", PosteriorConfig, cfg["max_rounds"], params.beta)
@@ -283,6 +280,9 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
         y = sample_measurement_for_target(f(s), params, rng)
     else:
         y = _field("y", _measurement, cfg["y"], params.d_prime)
+    exact = params.d <= MAX_ENUM_D  # the seed posterior is enumerable: a y it rules out fails here
+    if exact:
+        _field("y", seed_posterior_log_weights, params, f, y)
     A = measurement_matrix(params)
     info: dict = {"y": [float(v) for v in y], "sampler": cfg["sampler"]}
     lines = []
@@ -291,25 +291,22 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
         x, stats = rejection_sample(proposal, A, y, pcfg, rng, size=cfg["count"])
         rate = stats.rounds / len(x) if len(x) else None
         info.update(proposals=stats.rounds, accepted=len(x), rounds_per_accept=rate)
-        lines += shortfall(stats, len(x), cfg["count"])
+        if not stats.accepted:
+            lines.append(f"rejection budget exhausted after {stats.rounds} proposals: "
+                         f"accepted {len(x)} of {cfg['count']} requested samples")
     elif cfg["sampler"] == "brute-force":
-        x = _field("y", brute_force_posterior, params, enumerable(f), y, rng, size=cfg["count"])
+        x = brute_force_posterior(params, enumerable(f), y, rng, size=cfg["count"])
     else:
         provider = build_provider(cfg["provider"], params, f)
-        dcfg = diffusion_config(cfg, params)
+        dcfg = default_config(params, N=cfg["steps"])
         x = run_chain(
             "steps", cfg, heuristic_posterior_sample, provider, A, y, params.beta, dcfg, rng,
             size=cfg["count"],
         )
+    info["seed_law_tv"] = seed_law_tv(params, f, y, x) if exact else None
     lines.append(f"wrote {len(x)} posterior samples to {Path(args.out) / 'posterior.csv'}")
     table = ([f"x{j}" for j in range(params.dim)], x)
     return {"posterior.csv": table, "posterior_stats.json": info}, "\n".join(lines)
-
-
-def shortfall(stats, got: int, wanted: int) -> list[str]:
-    """The message line of a rejection run whose budget ran out, if it did."""
-    why = f"rejection budget exhausted after {stats.rounds} proposals"
-    return [] if stats.accepted else [f"{why}: accepted {got} of {wanted} requested samples"]
 
 
 def _measurement(text: str, d_prime: int) -> np.ndarray:
@@ -406,92 +403,6 @@ def cmd_bench_acceptance(cfg: dict, args) -> tuple[dict, str]:
     return {"acceptance.csv": table}, message
 
 
-# --- the 2-D demo -----------------------------------------------------------------
-
-DEMO_MEANS = np.array([[0.0, 0.0], [4.0, 4.0]])
-DEMO_VAR = 0.4
-DEMO_BETA = 0.9
-DEMO_Y_MAX = 1e6  # at |y| ~ 1e20 the weights lose all precision; ~1e160 overflows
-
-
-def demo_prior_sample(rng: np.random.Generator, n: int) -> np.ndarray:
-    pick = rng.integers(0, 2, size=n)
-    return DEMO_MEANS[pick] + np.sqrt(DEMO_VAR) * rng.standard_normal((n, 2))
-
-
-def demo_bayes_weight(y: float) -> float:
-    """Posterior probability of the (4,4) component given y = x2 + N(0, 0.81)."""
-    var = DEMO_VAR + DEMO_BETA**2
-    ll = -((y - DEMO_MEANS[:, 1]) ** 2) / (2 * var)
-    w = np.exp(ll - ll.max())
-    return float(w[1] / w.sum())
-
-
-def demo_oracle_posterior(y: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Exact two-component Bayes posterior draws given y."""
-    w1 = demo_bayes_weight(y)
-    pick = (rng.random(n) < w1).astype(int)
-    mu = DEMO_MEANS[pick]
-    post_var = 1.0 / (1.0 / DEMO_VAR + 1.0 / DEMO_BETA**2)
-    post_mean2 = post_var * (mu[:, 1] / DEMO_VAR + y / DEMO_BETA**2)
-    x = np.empty((n, 2))
-    x[:, 0] = mu[:, 0] + np.sqrt(DEMO_VAR) * rng.standard_normal(n)
-    x[:, 1] = post_mean2 + np.sqrt(post_var) * rng.standard_normal(n)
-    return x
-
-
-def demo_score_provider() -> ScoreProvider:
-    def score(sigma, x):
-        var = DEMO_VAR + sigma**2
-        ll = -np.sum((x[:, None, :] - DEMO_MEANS) ** 2, axis=2) / (2 * var)
-        w = np.exp(ll - ll.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        return (w @ DEMO_MEANS - x) / var
-
-    return ScoreProvider("demo2d", score)
-
-
-def cmd_demo2d(cfg: dict, args) -> tuple[dict, str]:
-    from .diffusion import DiffusionConfig
-    from .posterior import PosteriorConfig, heuristic_posterior_sample, rejection_sample
-
-    n, yval = cfg["count"], cfg["y"]
-    y = np.array([yval])
-    A = np.array([[0.0, 1.0]])
-    cols = ["x1", "x2"]
-
-    prior = demo_prior_sample(prng.stream(args.seed, 0), n)
-    pcfg = PosteriorConfig(cfg["max_rounds"], DEMO_BETA)
-    rej, stats = rejection_sample(
-        lambda k, r: demo_prior_sample(r, k), A, y, pcfg, prng.stream(args.seed, 1), size=n
-    )
-    oracle = demo_oracle_posterior(yval, prng.stream(args.seed, 2), n)
-    dcfg = DiffusionConfig(T=10 * (DEMO_VAR + 8.0), t_min=DEFAULT_T_MIN, N=cfg["steps"])
-    heur = heuristic_posterior_sample(
-        demo_score_provider(), A, y, DEMO_BETA, dcfg, prng.stream(args.seed, 3), size=n
-    )
-
-    def upper_weight(x):  # None for an empty sample (no draw accepted)
-        d = np.sum((x[:, None, :] - DEMO_MEANS) ** 2, axis=2)
-        return float(np.mean(d[:, 1] < d[:, 0])) if len(x) else None
-
-    weights = {
-        "y": yval,
-        "bayes_weight_upper": demo_bayes_weight(yval),
-        "rejection_weight_upper": upper_weight(rej),
-        "oracle_weight_upper": upper_weight(oracle),
-        "heuristic_weight_upper": upper_weight(heur),
-    }
-    artifacts = {
-        "prior.csv": (cols, prior),
-        "posterior_rejection.csv": (cols, rej),
-        "posterior_oracle.csv": (cols, oracle),
-        "posterior_heuristic.csv": (cols, heur),
-        "component_weights.json": weights,
-    }
-    return artifacts, "\n".join(shortfall(stats, len(rej), n) + [json.dumps(weights, indent=2)])
-
-
 # --- verify -----------------------------------------------------------------------
 
 
@@ -547,7 +458,6 @@ COMMANDS = {
     "approx-score": cmd_approx_score,
     "compile-circuit": cmd_compile_circuit,
     "bench-acceptance": cmd_bench_acceptance,
-    "demo2d": cmd_demo2d,
     "verify": cmd_verify,
 }
 
@@ -555,7 +465,6 @@ SAMPLERS = choice("rejection", "brute-force", "heuristic")
 DIFFUSION_KEYS = {
     "provider": (str, "exact"),
     "steps": (non_negative_int, DEFAULT_STEPS),
-    "t_min": (float, DEFAULT_T_MIN),
 }
 SCHEMAS = {
     "sample": instance_schema() | {
@@ -586,12 +495,6 @@ SCHEMAS = {
         "R": (positive_float, DEFAULT_R),
         "eps": (checked(float, lambda v: 0 < v <= EPS_MAX, f"in (0, {EPS_MAX:g}]"), DEFAULT_EPS),
         "max_rounds": (positive_int, 10**7),
-    },
-    "demo2d": {
-        "count": (positive_int, 2000),
-        "steps": (non_negative_int, 1500),
-        "y": (checked(float, lambda v: abs(v) <= DEMO_Y_MAX, "finite with |y| <= 1e6"), 4.0),
-        "max_rounds": (positive_int, 10**6),
     },
     "verify": {},
 }

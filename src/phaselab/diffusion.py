@@ -48,10 +48,8 @@ def coordinate_second_moment(params: InstanceParams) -> float:
     return (params.d * head + params.d_prime * tail) / params.dim
 
 
-def default_config(
-    params: InstanceParams, N: int = DEFAULT_STEPS, t_min: float = DEFAULT_T_MIN
-) -> DiffusionConfig:
-    return DiffusionConfig(T=10.0 * coordinate_second_moment(params), t_min=t_min, N=N)
+def default_config(params: InstanceParams, N: int = DEFAULT_STEPS) -> DiffusionConfig:
+    return DiffusionConfig(T=10.0 * coordinate_second_moment(params), N=N)
 
 
 def reverse_run(

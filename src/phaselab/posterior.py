@@ -2,8 +2,9 @@
 
 Three samplers: rejection sampling from any unconditional proposal (accept
 with probability exp(-||Ax-y||^2/(2 beta^2))), an exact brute-force oracle
-that enumerates the seed posterior (d <= 12), and a guided-diffusion
-heuristic baseline with no correctness contract.
+that enumerates the seed posterior (d <= MAX_ENUM_D), and a guided-diffusion
+heuristic baseline with no correctness contract. seed_law_tv measures any
+sampler's draws against the exact seed posterior.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .circuits import BooleanCircuit, sign_identity
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .diffusion import DiffusionConfig, reverse_run
 from .instance import DEFAULT_EPS, DEFAULT_R, InstanceParams, check_operator_norm, lattice_atoms
-from .instance import phase_of_bit
+from .instance import phase_of_bit, round_R
 from .scores import ScoreProvider, _phase_specs, _seed_tail_loglik, dg_smoothed_log_density
 
 
@@ -102,10 +103,21 @@ def seed_posterior_log_weights(
     # on a 2^-40 grid every GEMM sum below 2^13 is exact in any order: batch rows = lone rows
     ld = np.rint(ld * 2.0**40) * 2.0**-40
     logw = _seed_tail_loglik(ld, f.float_seed_table[2])
-    if np.isneginf(logw).all(axis=1).any():
+    if not (logw > -np.inf).any(axis=1).all():  # NaN: y so far out that its density overflowed
         raise ValueError("y has zero likelihood under every seed")
     logw -= _logsumexp(logw)
     return logw if np.ndim(y) == 2 else logw[0]
+
+
+def seed_law_tv(params: InstanceParams, f: BooleanCircuit, y: np.ndarray, x: np.ndarray):
+    """Total variation between the law of round_R(x_head) over the rows of x and the exact seed
+    posterior given y, both over the 2^d seeds in all_inputs order; None for an empty x."""
+    if len(x) == 0:
+        return None
+    minus = round_R(np.asarray(x)[:, : params.d], params.R) == -1  # all_inputs: -1 is bit 1
+    law = np.bincount(minus @ (1 << np.arange(params.d - 1, -1, -1)), minlength=2**params.d)
+    w = np.exp(seed_posterior_log_weights(params, f, y))
+    return float(0.5 * np.abs(law / len(x) - w).sum())
 
 
 def _tail_posterior_cdf(eps: float, phase: float, beta: float, y: np.ndarray):

@@ -176,7 +176,7 @@ def mixture_score_exact(
     x,
     return_log_density: bool = False,
 ):
-    """Exact score of the smoothed uniform seed mixture (cost 2^d; d <= 12).
+    """Exact score of the smoothed uniform seed mixture (cost 2^d; d <= MAX_ENUM_D).
 
     With v = 1 + sigma^2 and |s|^2 = d, the log-likelihood under seed s is
     (R/v) head.s + tail(s) + terms free of s: the weights w are one softmax of

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from phaselab.circuits import candidate_to_text, sign_identity
 from phaselab import cli
-from phaselab.cli import config_hash, demo_bayes_weight, main
+from phaselab.cli import config_hash, main
+from phaselab.instance import DEFAULT_EPS, DEFAULT_R, InstanceParams
+from phaselab.posterior import seed_law_tv
 
 
 def run(*argv):
@@ -155,17 +156,20 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         (("posterior", "max_rounds=0"), "'max_rounds'"),
         (("invert", "sampler=rejection", "max_rounds=0"), "'max_rounds'"),
         (("bench-acceptance", "max_rounds=0"), "'max_rounds'"),
-        (("demo2d", "max_rounds=0"), "'max_rounds'"),
+        (("invert", "sampler=brute-force", "max_rounds=0"), "'max_rounds'"),
         (("approx-score", "mc_draws=0"), "'mc_draws'"),
         (("bench-acceptance", "trials=0"), "'trials'"),
-        (("demo2d", "count=0"), "'count'"),
+        (("posterior", "count=1e3"), "'count'"),
         (("sample", "method=diffusion", "steps=-1"), "'steps'"),
         (("posterior", "sampler=heuristic", "steps=-1"), "'steps'"),
-        (("demo2d", "steps=-1"), "'steps'"),
+        (("sample", "method=diffusion", "steps=1.5"), "'steps'"),
         (("approx-score", "sigma=0"), "'sigma'"),
         # checks that need more than one field, each reported against its own
-        (("sample", "method=diffusion", "d=2", "d_prime=2", "t_min=0"), "'t_min'"),
-        (("posterior", "sampler=heuristic", "d=2", "d_prime=2", "t_min=1e9"), "'t_min'"),
+        # a y that no seed explains fails before any sampler runs, whichever it is
+        (("posterior", "d=2", "d_prime=2", "sampler=rejection", "y=1000,1000", "max_rounds=10"),
+         "'y'"),
+        (("posterior", "d=2", "d_prime=2", "sampler=heuristic", "y=1000,1000", "count=5",
+          "steps=20"), "'y'"),
         (("posterior", "sampler=brute-force", "d=13", "d_prime=13"), "'d'"),
         (("invert", "sampler=brute-force", "d=13", "d_prime=13"), "'d'"),
         (("invert", "sampler=heuristic", "d=13", "d_prime=13"), "'d'"),
@@ -186,10 +190,10 @@ def test_bad_value_rejected_with_field_name(tmp_path):
         (("bench-acceptance", "ms=0", "R=-1"), "'R'"),
         (("bench-acceptance", "ms=0", "eps=nan"), "'eps'"),
         (("posterior", "d=2", "d_prime=2", "sampler=brute-force", "y=1000,1000"), "'y'"),
-        (("demo2d", "y=nan"), "'y'"),
-        (("demo2d", "y=inf"), "'y'"),
-        (("demo2d", "y=1e20"), "'y'"),
-        (("demo2d", "y=-1e160"), "'y'"),
+        (("posterior", "d=1", "d_prime=1", "sampler=rejection", "y=-1000"), "'y'"),
+        (("posterior", "d=1", "d_prime=1", "sampler=heuristic", "y=1e6"), "'y'"),
+        (("posterior", "d=2", "d_prime=2", "y=nan,0"), "'y'"),
+        (("posterior", "d=2", "d_prime=2", "y=1,inf"), "'y'"),
         (("sample", "eps=16"), "'eps'"),
         (("bench-acceptance", "ms=0", "eps=30"), "'eps'"),
         (("approx-score", "family=dg", "sigma=1e-6", "kappa=0.25"), "'sigma'"),
@@ -204,6 +208,18 @@ def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
     with pytest.raises(SystemExit, match=f"^config error: field {field}: "):
         run(argv[0], "--out", str(out), *argv[1:])
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself is numpy's warning
+def test_posterior_y_whose_density_overflows_is_rejected_for_every_sampler(tmp_path):
+    """At |y| = 1e200 the tail log densities overflow to NaN under every seed, which explains
+    y no more than -inf does: each sampler stops at field 'y' and writes nothing."""
+    out = tmp_path / "out"
+    for sampler in ("rejection", "brute-force", "heuristic"):
+        with pytest.raises(SystemExit, match="^config error: field 'y': y has zero likelihood"):
+            run("posterior", "--out", str(out), "d=1", "d_prime=1", f"sampler={sampler}",
+                "y=1e200", "count=5", "max_rounds=10")
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -272,7 +288,8 @@ def test_relu_provider_of_wrong_width_rejected_before_any_artifact(tmp_path):
         ("approx-score", "family=gaussian", "mc_draws=500"),
         ("compile-circuit", "circuit={circuit}"),
         ("bench-acceptance", "betas=0.3", "ms=0,1", "trials=3"),
-        ("demo2d", "count=50", "steps=20"),
+        ("posterior", "d=1", "d_prime=1", "beta=0.1", "y=0.3", "count=50", "sampler=heuristic",
+         "steps=50"),
     ],
 )
 def test_artifacts_repeat_byte_for_byte_and_verify(tmp_path, capsys, argv):
@@ -431,36 +448,56 @@ def test_bench_acceptance_rows(tmp_path):
     assert len(lines) == 4
 
 
-def test_demo2d_weights_match_bayes(tmp_path):
-    assert run("demo2d", "--out", str(tmp_path), "--seed", "6", "count=1500", "steps=400") == 0
-    w = json.loads((tmp_path / "component_weights.json").read_text())
-    var = 0.4 + 0.81
-    want = norm.pdf(4.0, 4.0, np.sqrt(var)) / (
-        norm.pdf(4.0, 4.0, np.sqrt(var)) + norm.pdf(4.0, 0.0, np.sqrt(var))
-    )
-    assert abs(demo_bayes_weight(4.0) - want) < 1e-12
-    assert abs(w["oracle_weight_upper"] - want) < 0.02
-    assert abs(w["rejection_weight_upper"] - want) < 0.02
-    # the heuristic discrepancy is reported, not thresholded
-    assert 0.0 <= w["heuristic_weight_upper"] <= 1.0
-    for name in ("prior", "posterior_rejection", "posterior_oracle", "posterior_heuristic"):
-        assert (tmp_path / f"{name}.csv").exists()
+# (d, beta, y) whose seed posterior is far from its mirror image, so negated heads show
+SEED_LAW_CASES = [(1, "0.1", "0.3"), (2, "0.3", "0.3,0.1")]
+SEED_LAW_TV_BOUND = 0.05  # about 3x the sampling noise of 2000 draws over 4 seeds
 
 
-def test_demo2d_with_nothing_accepted_writes_strict_json(tmp_path, capsys):
-    """An exhausted budget with no accepted draw gives a null weight and a shortfall line."""
+@pytest.mark.parametrize("sampler", ["brute-force", "rejection"])
+@pytest.mark.parametrize("d, beta, y", SEED_LAW_CASES)
+def test_posterior_seed_law_tv_of_exact_samplers_is_within_bound(tmp_path, d, beta, y, sampler):
+    """The exact samplers' draws lie within the bound of the exact seed posterior; the same
+    draws with their heads negated do not."""
     assert run(
-        "demo2d", "--out", str(tmp_path), "count=20", "steps=10", "max_rounds=1", "y=40"
+        "posterior", "--out", str(tmp_path), "--seed", "3", f"d={d}", f"d_prime={d}",
+        f"beta={beta}", f"y={y}", f"sampler={sampler}", "count=2000",
     ) == 0
+    tv = json.loads((tmp_path / "posterior_stats.json").read_text())["seed_law_tv"]
+    assert 0.0 <= tv <= SEED_LAW_TV_BOUND
+    x = np.loadtxt(tmp_path / "posterior.csv", delimiter=",", skiprows=2)
+    params = InstanceParams(d, d, DEFAULT_R, DEFAULT_EPS, float(beta))
+    yv = np.array([float(v) for v in y.split(",")])
+    assert seed_law_tv(params, sign_identity(d), yv, x) == tv
+    x[:, :d] *= -1
+    assert seed_law_tv(params, sign_identity(d), yv, x) > SEED_LAW_TV_BOUND
+
+
+def test_posterior_seed_law_tv_is_null_beyond_the_enumeration_limit(tmp_path):
+    assert run("posterior", "--out", str(tmp_path), "d=13", "d_prime=0", "count=5") == 0
+    stats = json.loads((tmp_path / "posterior_stats.json").read_text())
+    assert stats["accepted"] == 5 and stats["seed_law_tv"] is None
+
+
+def test_posterior_with_nothing_accepted_writes_strict_json(tmp_path, capsys):
+    """An exhausted budget with no accepted draw gives a null seed_law_tv and a shortfall line."""
+    assert run("posterior", "--out", str(tmp_path), "d=2", "d_prime=2", "count=20",
+               "max_rounds=1") == 0
 
     def reject(name):
         raise ValueError(f"{name} is not strict JSON")
 
-    text = (tmp_path / "component_weights.json").read_text()
-    w = json.loads(text, parse_constant=reject)
-    assert w["rejection_weight_upper"] is None and w["oracle_weight_upper"] == 1.0
-    assert len((tmp_path / "posterior_rejection.csv").read_text().splitlines()) == 2
+    text = (tmp_path / "posterior_stats.json").read_text()
+    stats = json.loads(text, parse_constant=reject)
+    assert stats["accepted"] == 0 and stats["seed_law_tv"] is None
+    assert stats["rounds_per_accept"] is None
+    assert len((tmp_path / "posterior.csv").read_text().splitlines()) == 2
     assert "accepted 0 of 20 requested samples" in capsys.readouterr().out
+
+
+def test_demo2d_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("demo2d")
+    assert exc.value.code == 2 and "invalid choice: 'demo2d'" in capsys.readouterr().err
 
 
 def test_verify_detects_tampered_artifact(tmp_path):

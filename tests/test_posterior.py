@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 
 from phaselab import posterior
 from phaselab import rng as prng
-from phaselab.circuits import constant_candidate, no_output_candidate, sign_identity
+from phaselab.circuits import all_inputs, constant_candidate, no_output_candidate, sign_identity
 from phaselab.diagnostics import tv_binned
 from phaselab.instance import (
     InstanceParams,
@@ -25,6 +25,7 @@ from phaselab.posterior import (
     acceptance_curve,
     brute_force_posterior,
     rejection_sample,
+    seed_law_tv,
     seed_posterior_log_weights,
 )
 from phaselab.reduction import random_circuit_owf, sample_measurement_for_target
@@ -431,6 +432,21 @@ def test_brute_force_posterior_head_matches_seed_law():
     # head coordinates are unit Gaussians around R*s
     resid = x[:, :2] - params.R * guesses
     assert_allclose(resid.std(axis=0), 1.0, atol=0.05)
+
+
+def test_seed_law_tv_indexes_seeds_in_all_inputs_order():
+    """Draws that all decode to seed k are 1 - w_k from the seed posterior w, whichever side
+    of R s each head lies on; an empty set of draws has no law."""
+    params = InstanceParams(2, 2, 30.0, 1.0, 0.3)
+    f = sign_identity(2)
+    y = np.array([0.3, 0.1])
+    w = np.exp(seed_posterior_log_weights(params, f, y))
+    assert np.min(np.abs(np.subtract.outer(w, w)) + np.eye(4)) > 0.01  # a wrong order shows
+    for k, s in enumerate(all_inputs(2)):
+        x = np.zeros((3, params.dim))
+        x[:, :2] = params.R * s + np.array([[0.0, 0.0], [29.0, -29.0], [-29.0, 29.0]])
+        assert seed_law_tv(params, f, y, x) == pytest.approx(1.0 - w[k], abs=1e-12)
+    assert seed_law_tv(params, f, y, np.empty((0, params.dim))) is None
 
 
 def test_rejection_matches_brute_force_small_run():
