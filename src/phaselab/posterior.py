@@ -18,7 +18,8 @@ from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this bind
 from .diffusion import DiffusionConfig, reverse_run
 from .instance import DEFAULT_EPS, DEFAULT_R, InstanceParams, check_operator_norm, lattice_atoms
 from .instance import phase_of_bit, round_R
-from .scores import ScoreProvider, _phase_specs, _seed_tail_loglik, dg_smoothed_log_density
+from .scores import _LOG_CUTOFF, ScoreProvider, _phase_specs, _seed_tail_loglik
+from .scores import dg_smoothed_log_density
 
 
 @dataclass(frozen=True)
@@ -95,17 +96,19 @@ def seed_posterior_log_weights(
 ) -> np.ndarray:
     """Normalised log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j),
     each row less its _logsumexp; a y of shape (n, d_prime) gives an (n, 2^d) table, row i
-    as for y[i] alone."""
+    as for y[i] alone. ValueError if a y's likelihood summed over the seeds is below e^-700."""
     if f.n_inputs != params.d:
         raise ValueError("input length mismatch")
     Y = np.atleast_2d(np.asarray(y, dtype=float))
     ld = np.stack([dg_smoothed_log_density(sp, Y) for sp in _phase_specs(params.eps, params.beta)])
     # on a 2^-40 grid every GEMM sum below 2^13 is exact in any order: batch rows = lone rows
+    # (a seed with a larger sum has exp(logw) = 0 once y passes the check below)
     ld = np.rint(ld * 2.0**40) * 2.0**-40
     logw = _seed_tail_loglik(ld, f.float_seed_table[2])
-    if not (logw > -np.inf).any(axis=1).all():  # NaN: y so far out that its density overflowed
+    lse = _logsumexp(logw)
+    if not (lse >= _LOG_CUTOFF).all():  # False for NaN too: y so far out that it overflowed
         raise ValueError("y has zero likelihood under every seed")
-    logw -= _logsumexp(logw)
+    logw -= lse
     return logw if np.ndim(y) == 2 else logw[0]
 
 

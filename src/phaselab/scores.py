@@ -18,8 +18,9 @@ from .circuits import BooleanCircuit
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .instance import InstanceParams, LATTICE_EXTENT, lattice_atoms, phase_of_bit
 
-_LOG_CUTOFF = -700.0  # densities below e^-700 are reported as -inf log-density
-_FLOOR = -1e300  # stands in for -inf inside a GEMM; far below any sum of finite log-densities
+# The clamp on exp arguments (exp is slow where it underflows; e^-700 is lost next to a largest
+# term of 1), and the least log-likelihood, summed over the seeds, that a measurement y may have.
+_LOG_CUTOFF = -700.0
 
 # The series keeps exactly its terms a_j = exp(-c j^2) >= e^-_SERIES_LOG_CUT = 1e-18,
 # c = 2 pi^2 rho^2 / (eps^2 v): j <= sqrt(_SERIES_LOG_CUT / c).
@@ -73,8 +74,7 @@ def _dg_series_log_density(spec: DiscreteGaussianSpec, x: np.ndarray):
     T = 1.0 + 2.0 * (np.cos(np.multiply.outer(x / v - spec.phase, freq)) @ a)
     z = _lattice_normalizer_series(spec.eps, spec.phase)
     with np.errstate(divide="ignore"):
-        out = -(x**2) / (2.0 * v) - log_norm + np.log(np.maximum(T, 0.0)) - np.log(z)
-    return np.where(out < _LOG_CUTOFF, -np.inf, out)
+        return -(x**2) / (2.0 * v) - log_norm + np.log(np.maximum(T, 0.0)) - np.log(z)
 
 
 def _dg_series_score(spec: DiscreteGaussianSpec, x: np.ndarray):
@@ -112,13 +112,11 @@ def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
         lg += logp
         m = np.maximum.reduce(lg, axis=0)
         lg -= m
-        # exp is slow where it underflows; e^-700 is lost next to the largest term, 1
         np.maximum(lg, _LOG_CUTOFF, out=lg)
         w = np.exp(lg, out=lg)
         tot = np.add.reduce(w, axis=0)
         logd[lo : lo + chunk] = m + np.log(tot) - log_norm
         score[lo : lo + chunk] = (pts_scaled @ w - tot * xs / rho2) / tot
-    logd = np.where(logd < _LOG_CUTOFF, -np.inf, logd)
     return logd.reshape(x.shape), score.reshape(x.shape)
 
 
@@ -160,13 +158,9 @@ def _seed_tail_loglik(ld: np.ndarray, tail_rhs: np.ndarray) -> np.ndarray:
     """(n, 2^d) log-likelihood of the tail under each seed: ld[0] @ Fp.T + ld[1] @ (1-Fp).T.
 
     ld is (2, n, d_prime) as from _tail_phase_parts; tail_rhs is [Fp, 1-Fp].T, Fp the 0/1 table
-    of f(s)_j == +1 (BooleanCircuit.float_seed_table). The GEMM sees -inf floored at _FLOOR
-    (-inf * 0 is NaN); a sum that met the floor is -inf.
+    of f(s)_j == +1 (BooleanCircuit.float_seed_table).
     """
-    lhs = np.concatenate(np.maximum(ld, _FLOOR), axis=1)  # (n, 2 d_prime)
-    out = lhs @ tail_rhs
-    out[out < 0.5 * _FLOOR] = -np.inf
-    return out
+    return np.concatenate(ld, axis=1) @ tail_rhs  # (n, 2 d_prime) @ (2 d_prime, 2^d)
 
 
 def mixture_score_exact(
@@ -181,8 +175,8 @@ def mixture_score_exact(
     With v = 1 + sigma^2 and |s|^2 = d, the log-likelihood under seed s is
     (R/v) head.s + tail(s) + terms free of s: the weights w are one softmax of
     two GEMMs. The head score is (R w@S - head)/v; tail coordinate j mixes the
-    phase scores by w@Fp_j. A seed with a -inf tail term gets weight exactly 0;
-    a point that every seed rules out gets a NaN score and log density -inf.
+    phase scores by w@Fp_j. The log-likelihoods are finite, so the softmax of a
+    point unlikely under every seed is still taken from its likeliest seed.
     """
     if f.n_inputs != params.d:
         raise ValueError("input length mismatch")
@@ -199,20 +193,17 @@ def mixture_score_exact(
 
     loglik = _seed_tail_loglik(ld_ph, tail_rhs)  # (n, 2^d); updated in place from here on
     loglik += head @ ((params.R / v) * S.T)
-    with np.errstate(invalid="ignore", divide="ignore"):  # rows every seed rules out
-        m = np.maximum.reduce(loglik, axis=1, keepdims=True)
-        m[m == -np.inf] = 0.0  # such a row: weights 0/0 = NaN, log density -inf
-        loglik -= m
-        # as in _dg_lattice_parts: no slow underflow in exp; -inf stays -inf (weight 0)
-        np.maximum(loglik, _LOG_CUTOFF, out=loglik, where=np.isfinite(loglik))
-        w = np.exp(loglik, out=loglik)
-        tot = np.add.reduce(w, axis=1, keepdims=True)
-        w /= tot
-        if return_log_density:
-            # terms free of s: from |head - R s|^2, the normalizer and the seed weight 2^-d
-            shift = ((head**2).sum(axis=1) + params.R**2 * params.d) / (2.0 * v)
-            shift += params.d * (0.5 * np.log(2.0 * np.pi * v) + np.log(2.0))
-            log_mix = (m + np.log(tot))[:, 0] - shift
+    m = np.maximum.reduce(loglik, axis=1, keepdims=True)
+    loglik -= m
+    np.maximum(loglik, _LOG_CUTOFF, out=loglik)  # as in _dg_lattice_parts
+    w = np.exp(loglik, out=loglik)
+    tot = np.add.reduce(w, axis=1, keepdims=True)
+    w /= tot
+    if return_log_density:
+        # terms free of s: from |head - R s|^2, the normalizer and the seed weight 2^-d
+        shift = ((head**2).sum(axis=1) + params.R**2 * params.d) / (2.0 * v)
+        shift += params.d * (0.5 * np.log(2.0 * np.pi * v) + np.log(2.0))
+        log_mix = (m + np.log(tot))[:, 0] - shift
 
     out = np.empty_like(X)
     out[:, : params.d] = (-head + params.R * (w @ S)) / v

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from phaselab.circuits import candidate_to_text, sign_identity
-from phaselab import cli
+from phaselab import cli, scores
 from phaselab.cli import config_hash, main
 from phaselab.instance import DEFAULT_EPS, DEFAULT_R, InstanceParams
 from phaselab.posterior import seed_law_tv
@@ -22,7 +22,7 @@ def run(*argv):
 
 COLD_START = """
 import json, sys
-from phaselab import cli
+from phaselab import cli, scores
 for i, argv in enumerate(json.loads(sys.argv[1])):
     assert cli.main([argv[0], "--out", f"{sys.argv[2]}/{i}", *argv[1:]]) == 0, argv
 print(json.dumps(sorted(sys.modules)))
@@ -222,6 +222,10 @@ def test_posterior_y_whose_density_overflows_is_rejected_for_every_sampler(tmp_p
         assert not out.exists()
 
 
+def nan_score(params, f, sigma, x):
+    return np.full(np.shape(x), np.nan)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
@@ -230,9 +234,10 @@ def test_posterior_y_whose_density_overflows_is_rejected_for_every_sampler(tmp_p
         ("sample", "method=diffusion", "count=5", "steps=2"),
     ],
 )
-def test_diverged_reverse_chain_is_one_error_line_and_no_artifact(tmp_path, argv):
-    """Too few steps make the chain's exact score non-finite: the run names the provider and
-    the steps in one `config error:` line, exits 1 and writes nothing."""
+def test_diverged_reverse_chain_is_one_error_line_and_no_artifact(tmp_path, argv, monkeypatch):
+    """A non-finite exact score on the chain (here forced: the score returns NaN) names the
+    provider and the steps in one `config error:` line, exits 1 and writes nothing."""
+    monkeypatch.setattr(scores, "mixture_score_exact", nan_score)
     out = tmp_path / "out"
     steps = argv[-1].split("=")[1]
     with pytest.raises(SystemExit) as exc:
@@ -244,9 +249,11 @@ def test_diverged_reverse_chain_is_one_error_line_and_no_artifact(tmp_path, argv
 
 
 @pytest.mark.filterwarnings("error")
-def test_diverged_invert_chain_names_the_sampler_and_writes_nothing(tmp_path):
-    """invert's heuristic chain has a fixed length, so its divergence is reported against
-    field 'sampler', in one `config error:` line naming the provider, and writes nothing."""
+def test_diverged_invert_chain_names_the_sampler_and_writes_nothing(tmp_path, monkeypatch):
+    """invert's heuristic chain has a fixed length, so its divergence (forced as above) is
+    reported against field 'sampler', in one `config error:` line naming the provider, and
+    writes nothing."""
+    monkeypatch.setattr(scores, "mixture_score_exact", nan_score)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         run("invert", "--out", str(out), "sampler=heuristic", "trials=2", "d=2", "d_prime=2",
@@ -290,6 +297,9 @@ def test_relu_provider_of_wrong_width_rejected_before_any_artifact(tmp_path):
         ("bench-acceptance", "betas=0.3", "ms=0,1", "trials=3"),
         ("posterior", "d=1", "d_prime=1", "beta=0.1", "y=0.3", "count=50", "sampler=heuristic",
          "steps=50"),
+        # tail points far from both phase lattices: below e^-700 under every seed, yet the
+        # exact score stays finite and the chain finishes
+        ("invert", "sampler=heuristic", "trials=2", "d=2", "d_prime=2", "eps=4"),
     ],
 )
 def test_artifacts_repeat_byte_for_byte_and_verify(tmp_path, capsys, argv):

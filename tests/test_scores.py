@@ -7,8 +7,9 @@ from scipy.special import logsumexp
 
 from phaselab.circuits import constant_candidate, no_output_candidate, sign_identity
 from phaselab import scores
-from phaselab.diffusion import default_config, geometric_grid
-from phaselab.instance import LATTICE_EXTENT, canonical_params, lattice_atoms, phase_of_bit
+from phaselab.diffusion import default_config, geometric_grid, reverse_run
+from phaselab.instance import InstanceParams, LATTICE_EXTENT, canonical_params, lattice_atoms
+from phaselab.instance import phase_of_bit
 from phaselab.posterior import seed_posterior_log_weights
 from phaselab.reduction import random_circuit_owf
 from phaselab.scores import (
@@ -64,7 +65,6 @@ def old_series_parts(spec, x):
     with np.errstate(divide="ignore"):
         logd = -(x**2) / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v) + np.log(np.maximum(T, 0.0))
     logd -= np.log(z)
-    logd[logd < scores._LOG_CUTOFF] = -np.inf
     return logd, -x / v + Tp / np.maximum(T, 1e-300)
 
 
@@ -85,15 +85,17 @@ def old_lattice_parts(spec, x):
         tot = w.sum(axis=1)
         logd[lo : lo + chunk] = m[:, 0] + np.log(tot) - 0.5 * np.log(2.0 * np.pi * rho2)
         score[lo : lo + chunk] = (w @ (pts / rho2) - (w.sum(axis=1)) * xs[:, 0] / rho2) / tot
-    logd[logd < scores._LOG_CUTOFF] = -np.inf
     return logd, score
 
 
 def assert_same_log_density(got, want):
+    """To 1e-12: absolute down to -700, relative below, where a sum of ~1e9 has 1e-7 ulps."""
     assert np.array_equal(np.isneginf(got), np.isneginf(want))
     fin = np.isfinite(want)
     assert np.all(np.isfinite(got[fin]))
-    assert_allclose(got[fin], want[fin], rtol=0, atol=1e-12)
+    tiny = want < -700.0
+    assert_allclose(got[fin & ~tiny], want[fin & ~tiny], rtol=0, atol=1e-12)
+    assert_allclose(got[tiny], want[tiny], rtol=1e-12)
 
 
 def test_dg_series_keeps_exactly_its_terms_above_1e18():
@@ -280,7 +282,7 @@ def frozen_series_parts(spec, x):
     with np.errstate(divide="ignore"):
         ld = base + np.log(np.maximum(T, 0.0)) - np.log(frozen_normalizer(spec.eps, spec.phase))
     Tp = -2.0 * (np.sin(arg) @ (a * freq / v))
-    return np.where(ld < scores._LOG_CUTOFF, -np.inf, ld), -x / v + Tp / np.maximum(T, 1e-300)
+    return ld, -x / v + Tp / np.maximum(T, 1e-300)
 
 
 def frozen_lattice_parts(spec, x):
@@ -300,7 +302,6 @@ def frozen_lattice_parts(spec, x):
     tot = w.sum(axis=0)
     logd = m + np.log(tot) - 0.5 * np.log(2.0 * np.pi * rho2)
     score = ((pts / rho2) @ w - tot * flat / rho2) / tot
-    logd = np.where(logd < scores._LOG_CUTOFF, -np.inf, logd)
     return logd.reshape(x.shape), score.reshape(x.shape)
 
 
@@ -323,21 +324,17 @@ def frozen_mixture_score_exact(params, f, sigma, x, return_log_density=False):
     v = 1.0 + sigma**2
     head = X[:, : params.d]
     ld_ph, sc_ph = frozen_tail_phase_parts(params, sigma, X[:, params.d :])
-    lhs = np.concatenate(np.maximum(ld_ph, scores._FLOOR), axis=1)
-    loglik = lhs @ np.concatenate((Fp, 1.0 - Fp), axis=1).T
-    loglik[loglik < 0.5 * scores._FLOOR] = -np.inf
+    loglik = np.concatenate(ld_ph, axis=1) @ np.concatenate((Fp, 1.0 - Fp), axis=1).T
     loglik += head @ ((params.R / v) * S.T)
     shift = ((head**2).sum(axis=1) + params.R**2 * params.d) / (2.0 * v)
     shift += params.d * (0.5 * np.log(2.0 * np.pi * v) + np.log(2.0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        m = loglik.max(axis=1, keepdims=True)
-        m[np.isneginf(m)] = 0.0
-        loglik -= m
-        np.maximum(loglik, scores._LOG_CUTOFF, out=loglik, where=np.isfinite(loglik))
-        w = np.exp(loglik, out=loglik)
-        tot = w.sum(axis=1, keepdims=True)
-        w /= tot
-        log_mix = (m + np.log(tot))[:, 0] - shift
+    m = loglik.max(axis=1, keepdims=True)
+    loglik -= m
+    np.maximum(loglik, scores._LOG_CUTOFF, out=loglik)
+    w = np.exp(loglik, out=loglik)
+    tot = w.sum(axis=1, keepdims=True)
+    w /= tot
+    log_mix = (m + np.log(tot))[:, 0] - shift
     out = np.empty_like(X)
     out[:, : params.d] = (-head + params.R * (w @ S)) / v
     wp = w @ Fp
@@ -348,7 +345,8 @@ def frozen_mixture_score_exact(params, f, sigma, x, return_log_density=False):
 def test_mixture_score_is_bit_identical_to_frozen_reference():
     """Cached seed tables and per-spec factors change no bit of the exact score: on the
     default reverse grid's sigmas (both sides of the route switch at 0.35 eps), for 1, 2 and
-    500 points, with and without the log density, and on a row that every seed rules out."""
+    500 points, with and without the log density, and on a row whose tail is e^-1000 or less
+    likely under every seed, where the score matches the seeds-by-atoms logsumexp reference."""
     params = canonical_params(8, 8)
     sig = np.sqrt(geometric_grid(default_config(params))[:-1])
     k = int(np.argmax(sig < 0.35 * params.eps))  # first sigma on the lattice route
@@ -362,44 +360,119 @@ def test_mixture_score_is_bit_identical_to_frozen_reference():
             X = rng.standard_normal((n, params.dim)) * (1.0 + sigma)
             X[:, : params.d] += params.R * rng.choice([-1.0, 1.0], size=(n, params.d))
             X[:, params.d :] += rng.integers(-3, 4, size=(n, params.d_prime)) * params.eps / 2
-            ruled_out = f.label == "constant" and sigma == 0.01
-            if ruled_out:
-                X[0, params.d :] = 0.5  # on eps/2-phase atoms only: bit +1 impossible
+            far = f.label == "constant" and sigma == 0.01
+            if far:
+                X[0, params.d :] = 0.5  # on eps/2-phase atoms only: bit +1 has e^-1250 each
             want_sc, want_ld = frozen_mixture_score_exact(params, f, sigma, X, True)
             got_sc, got_ld = mixture_score_exact(params, f, sigma, X, return_log_density=True)
-            assert np.array_equal(got_sc, want_sc, equal_nan=True)
-            assert np.array_equal(got_ld, want_ld, equal_nan=True)
+            assert np.array_equal(got_sc, want_sc)
+            assert np.array_equal(got_ld, want_ld)
             got = mixture_score_exact(params, f, sigma, X)
-            assert np.array_equal(got, want_sc, equal_nan=True)
-            if ruled_out:
-                assert np.all(np.isnan(got[0])) and np.isneginf(got_ld[0])
+            assert np.array_equal(got, want_sc)
+            if far:
+                ref_sc, ref_ld = logsumexp_mixture(params, f, sigma, X[:1])
+                assert np.all(np.isfinite(got[0])) and np.isfinite(got_ld[0])
+                assert_relative_max(got[:1], ref_sc, 1e-12)
+                assert_allclose(got_ld[0], ref_ld[0], rtol=1e-12)
+
+
+def logsumexp_mixture(params, f, sigma, X):
+    """Reference: (score, log density) of the smoothed seed mixture, summing the seeds and
+    each tail coordinate's lattice atoms with scipy's logsumexp, without the package's
+    density routines."""
+    S, F = f.seed_table
+    v = 1.0 + sigma**2
+    head, tail = X[:, : params.d], X[:, params.d :]
+    tail_ld, tail_sc = {}, {}
+    for b in (1, -1):
+        pts, p = lattice_atoms(params.eps, phase_of_bit(b, params.eps), LATTICE_EXTENT + 8 * sigma)
+        lg = np.log(p) - (tail[..., None] - pts) ** 2 / (2.0 * sigma**2)
+        lg -= 0.5 * np.log(2.0 * np.pi * sigma**2)  # (n, d_prime, atoms)
+        tail_ld[b] = logsumexp(lg, axis=-1)
+        post = np.exp(lg - tail_ld[b][..., None])
+        tail_sc[b] = (post * (pts - tail[..., None])).sum(axis=-1) / sigma**2
+    loglik = -((head[:, None, :] - params.R * S) ** 2).sum(axis=2) / (2.0 * v)
+    loglik -= params.d * (0.5 * np.log(2.0 * np.pi * v) + np.log(2.0))  # (n, 2^d)
+    for j in range(params.d_prime):
+        loglik += np.where(F[:, j] == 1, tail_ld[1][:, None, j], tail_ld[-1][:, None, j])
+    log_mix = logsumexp(loglik, axis=1)
+    w = np.exp(loglik - log_mix[:, None])
+    wp = w @ (F == 1)
+    out = np.concatenate(
+        [(params.R * (w @ S) - head) / v, wp * tail_sc[1] + (1.0 - wp) * tail_sc[-1]], axis=1
+    )
+    return out, log_mix
+
+
+def assert_relative_max(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 @pytest.mark.filterwarnings("error")
-def test_mixture_score_gives_ruled_out_seeds_zero_weight():
-    """At sigma = 0.01 a tail coordinate on an eps/2-phase atom rules out bit +1 there."""
-    params = canonical_params(2, 2)
-    sigma = 0.01
-    x = np.array([30.0, 30.0, 0.5, 0.25])  # coordinate 2: eps/2 from every phase-0 atom
-    score = mixture_score_exact(params, sign_identity(2), sigma, x[None])[0]
-    assert np.all(np.isfinite(score))
-    # no weight on the seeds with s_0 = +1, though the head favours them by e^1800
-    minus = DiscreteGaussianSpec(params.eps, phase_of_bit(-1, params.eps), sigma)
-    assert score[2] == dg_smoothed_score(minus, np.array([0.5]))[0]
-    assert_allclose(score[0], (-30.0 - params.R) / (1.0 + sigma**2), rtol=1e-12)
-    # the brute-force oracle's seed weights come from the same tail term
-    logw = seed_posterior_log_weights(canonical_params(2, 2, beta=sigma), sign_identity(2), x[2:])
-    plus = sign_identity(2).seed_table[1][:, 0] == 1
-    assert np.all(np.isneginf(logw[plus])) and np.all(np.isfinite(logw[~plus]))
+@pytest.mark.parametrize(
+    "params, x, want",
+    [
+        # coordinate 2 sits eps/2 from every phase-0 atom: bit +1 there costs e^-1250, but
+        # the head favours s_0 = +1 by e^1800, so those seeds carry e^550 times the mass
+        (canonical_params(2, 2), (30.0, 30.0, 0.5, 0.25), None),
+        # both tail coordinates far from both lattices: every seed's tail is below e^-1000
+        (InstanceParams(2, 2, 30.0, 4.0, 0.025), (30.0, 30.0, 1.0, 0.3), (0, 0, -10000, -3000)),
+    ],
+    ids=["heavier-seeds-far-on-one-bit", "every-tail-far"],
+)
+def test_mixture_score_matches_logsumexp_reference_where_tails_are_tiny(params, x, want):
+    """At sigma = 0.01 a tail coordinate far from a phase lattice has log density below -700
+    under that bit: the score and log density still match the seeds-by-atoms reference."""
+    f, X = sign_identity(2), np.array([x])
+    score, logd = mixture_score_exact(params, f, 0.01, X, return_log_density=True)
+    ref_score, ref_logd = logsumexp_mixture(params, f, 0.01, X)
+    assert np.all(np.isfinite(score)) and np.isfinite(logd[0]) and logd[0] < -700
+    assert_relative_max(score, ref_score, 1e-12)
+    assert_allclose(logd, ref_logd, rtol=1e-12)
+    if want is not None:
+        assert_allclose(score[0], want, rtol=1e-12, atol=1e-9)
 
 
 @pytest.mark.filterwarnings("error")
-def test_exact_score_provider_raises_where_every_seed_is_ruled_out():
+def test_brute_force_seed_weights_stay_finite_where_a_bit_is_unlikely():
+    """The brute-force oracle's seed weights come from the same tail term: the seeds with
+    s_0 = +1 have log weight about -1250, finite, and the weights still sum to 1."""
+    f = sign_identity(2)
+    logw = seed_posterior_log_weights(canonical_params(2, 2, beta=0.01), f, np.array([0.5, 0.25]))
+    plus = f.seed_table[1][:, 0] == 1
+    assert np.all(np.isfinite(logw)) and np.all(logw[plus] < -1000) and np.all(logw[~plus] > -5)
+    assert_allclose(logsumexp(logw), 0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_score_provider_is_finite_where_every_seed_tail_is_tiny():
+    """Every seed has bit +1 everywhere, and coordinate 2 is on an eps/2-phase atom: each
+    seed's tail is about e^-1250, yet the provider returns a finite score."""
     params = canonical_params(2, 2)
-    f = constant_candidate(2, np.array([1, 1]))  # every seed has bit +1 everywhere
+    f = constant_candidate(2, np.array([1, 1]))
     x = np.array([[30.0, 30.0, 0.5, 0.0]])
-    with pytest.raises(FloatingPointError):
-        provider_by_name("exact", params, f)(0.01, x)
+    got = provider_by_name("exact", params, f)(0.01, x)
+    assert np.all(np.isfinite(got))
+    assert_relative_max(got, logsumexp_mixture(params, f, 0.01, x)[0], 1e-12)
+
+
+def test_exact_score_is_finite_along_large_sigma_chains():
+    """The exact score can be read at every point of a chain another provider drives: 500
+    large-sigma chains of 200 steps end near the lattices at small sigma, where a tail point
+    is often far from one phase; no chain point's exact score is NaN."""
+    params = canonical_params(2, 2)
+    f = random_circuit_owf(2, 2, 6, 501)
+    points = []
+
+    def large_sigma(sigma, x):
+        points.append((sigma, x))
+        return large_sigma_score(params, sigma, x)
+
+    cfg = default_config(params, N=200)
+    reverse_run(ScoreProvider("large-sigma", large_sigma), cfg, np.random.default_rng(0), 500, 4)
+    assert len(points) == 200
+    for sigma, x in points:
+        assert np.all(np.isfinite(mixture_score_exact(params, f, sigma, x)))
 
 
 def test_two_point_score_matches_log_density_gradient():
