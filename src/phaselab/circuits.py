@@ -41,6 +41,8 @@ class BooleanCircuit:
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
+        if self.n_inputs < 0:
+            raise ValueError(f"n_inputs must be >= 0, got {self.n_inputs}")
         for k, g in enumerate(self.gates):
             for ref in g.inputs:
                 if not (0 <= ref < self.n_inputs + k):
@@ -162,6 +164,8 @@ def candidate_from_text(text: str) -> BooleanCircuit:
         if not line:
             continue
         toks = line.split()
+        if len(toks) < 2 and toks[0] != "outputs":
+            raise ValueError(f"line {line!r} is too short")
         if toks[0] == "inputs":
             n = int(toks[1])
         elif toks[0] == "outputs":

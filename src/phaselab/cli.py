@@ -35,7 +35,7 @@ from .circuits import sign_identity
 from .diffusion import DEFAULT_STEPS, default_config
 from .instance import DEFAULT_BETA, DEFAULT_EPS, DEFAULT_R, EPS_MAX, InstanceParams
 from .instance import measurement_matrix, sample_unconditional
-from .scores import ScoreProvider, provider_by_name
+from .scores import PROVIDER_NAMES, ScoreProvider, provider_by_name
 
 FMT = "%.17g"
 CSV_BLOCK_ROWS = 4096  # rows converted and written at a time, which bounds peak memory
@@ -463,7 +463,7 @@ COMMANDS = {
 
 SAMPLERS = choice("rejection", "brute-force", "heuristic")
 DIFFUSION_KEYS = {
-    "provider": (str, "exact"),
+    "provider": (choice(*PROVIDER_NAMES), "exact"),
     "steps": (non_negative_int, DEFAULT_STEPS),
 }
 SCHEMAS = {

@@ -90,26 +90,6 @@ class PiecewiseLinear:
         )
         return header + rows
 
-    @classmethod
-    def from_csv(cls, text: str) -> "PiecewiseLinear":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        while lines and lines[0].startswith("#") and not lines[0].startswith("# piecewise-linear"):
-            lines.pop(0)  # a leading comment, such as the CLI's config-hash line
-        if not lines or not lines[0].startswith("# piecewise-linear v1"):
-            raise ValueError("not a piecewise-linear CSV")
-        meta = dict(tok.split("=", 1) for tok in lines[0].split() if "=" in tok)
-        bp, vals = [], []
-        for ln in lines[1:]:
-            if ln.startswith("breakpoint"):
-                continue
-            b, v = ln.split(",")
-            bp.append(float(b))
-            vals.append(float(v))
-        return cls(
-            np.asarray(bp), np.asarray(vals),
-            float(meta["left_slope"]), float(meta["right_slope"]),
-        )
-
 
 @dataclass(frozen=True)
 class ApproxParams:

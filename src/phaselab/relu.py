@@ -366,30 +366,3 @@ def network_to_text(net: ReluNetwork) -> str:
         lines.append("bias " + " ".join(f"{v:.17g}" for v in l.b))
         lines.append("relu " + "".join("1" if m else "0" for m in l.relu))
     return "\n".join(lines) + "\n"
-
-
-def network_from_text(text: str) -> ReluNetwork:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    it = iter(lines)
-    head = next(it).split()
-    if head[0] != "layers":
-        raise ValueError("not a relu-network file")
-    layers = []
-    for _ in range(int(head[1])):
-        tag, rows, cols, nnz = next(it).split()
-        if tag != "layer":
-            raise ValueError("malformed layer header")
-        rows, cols, nnz = int(rows), int(cols), int(nnz)
-        ri, ci, vi = [], [], []
-        for _ in range(nnz):
-            i, j, val = next(it).split()
-            ri.append(int(i)), ci.append(int(j)), vi.append(float(val))
-        w = sp.coo_matrix((vi, (ri, ci)), shape=(rows, cols)).tocsr()
-        btoks = next(it).split()
-        if btoks[0] != "bias":
-            raise ValueError("malformed bias line")
-        b = np.array([float(t) for t in btoks[1:]])
-        mline = next(it).split()
-        mask = np.array([ch == "1" for ch in mline[1]]) if len(mline) > 1 else np.zeros(rows, bool)
-        layers.append(Layer(w, b, mask))
-    return ReluNetwork(tuple(layers))

@@ -276,10 +276,9 @@ class ScoreProvider:
         return out
 
 
-# Names accepted by provider_by_name. The file-backed providers are frozen: a
-# network or piecewise function built at one smoothing level evaluates the same
-# way at every requested sigma, so use them only at the sigma they were built for.
-PROVIDER_NAMES = ("exact", "orthant", "large-sigma", "relu:<file>", "piecewise:<file>")
+# Every provider is a function of (sigma, x). Each looks its score function up in this module at
+# call time, so that bench/spans.py and the tests can replace it there.
+PROVIDER_NAMES = ("exact", "orthant", "large-sigma")
 
 
 def provider_by_name(name: str, params: InstanceParams, f: BooleanCircuit) -> ScoreProvider:
@@ -290,21 +289,4 @@ def provider_by_name(name: str, params: InstanceParams, f: BooleanCircuit) -> Sc
         return ScoreProvider(name, lambda s, x: orthant_score(params, f, s, x))
     if name == "large-sigma":
         return ScoreProvider(name, lambda s, x: large_sigma_score(params, s, x))
-    if name.startswith("relu:"):
-        from .relu import eval_net, network_from_text
-
-        with open(name[5:]) as fh:
-            net = network_from_text(fh.read())
-        if (net.input_dim, net.output_dim) != (params.dim, params.dim):
-            raise ValueError(
-                f"network maps {net.input_dim} to {net.output_dim} coordinates; "
-                f"the instance has d + d_prime = {params.dim}"
-            )
-        return ScoreProvider(name, lambda sigma, x: eval_net(net, x))
-    if name.startswith("piecewise:"):
-        from .piecewise import PiecewiseLinear
-
-        with open(name[10:]) as fh:
-            pl = PiecewiseLinear.from_csv(fh.read())
-        return ScoreProvider(name, lambda sigma, x: pl(x))  # applied coordinatewise
     raise ValueError(f"unknown provider {name!r}; known: {', '.join(PROVIDER_NAMES)}")

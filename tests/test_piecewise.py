@@ -33,11 +33,21 @@ def test_pl_requires_increasing_breakpoints():
 
 
 def test_pl_csv_round_trip():
-    l = PiecewiseLinear(np.array([-2.0, 0.3, 1.7]), np.array([0.1, -0.5, 2.0]), 1.25, -0.75)
-    m = PiecewiseLinear.from_csv(l.to_csv())
-    assert_allclose(m.breakpoints, l.breakpoints, rtol=0)
-    assert_allclose(m.values, l.values, rtol=0)
-    assert m.left_slope == l.left_slope and m.right_slope == l.right_slope
+    """to_csv writes every breakpoint, value and end slope exactly: each, read back with
+    np.loadtxt or float, is the stored one bit for bit."""
+    rng = np.random.default_rng(3)
+    bp = np.sort(rng.uniform(-2, 2, size=6))
+    l = PiecewiseLinear(bp, rng.standard_normal(6), rng.standard_normal(), -1 / 3)
+    lines = l.to_csv().splitlines()
+    tag, version, *slopes = lines[0].removeprefix("# ").split()
+    assert (tag, version, lines[1]) == ("piecewise-linear", "v1", "breakpoint,value")
+    slopes = dict(t.split("=") for t in slopes)
+    got_bp, got_vals = np.loadtxt(lines[2:], delimiter=",", unpack=True)
+    for got, want in [
+        (got_bp, l.breakpoints), (got_vals, l.values),
+        (float(slopes["left_slope"]), l.left_slope), (float(slopes["right_slope"]), l.right_slope),
+    ]:
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
 def test_interpolant_exact_on_linear_score():

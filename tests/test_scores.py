@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
-from phaselab.circuits import constant_candidate, no_output_candidate, sign_identity
+from phaselab.circuits import constant_candidate, sign_identity
 from phaselab import scores
 from phaselab.diffusion import default_config, geometric_grid, reverse_run
 from phaselab.instance import InstanceParams, LATTICE_EXTENT, canonical_params, lattice_atoms
@@ -532,21 +532,6 @@ def test_provider_registry_names():
     assert_allclose(ls(20.0, x), large_sigma_score(params, 20.0, x))
     with pytest.raises(ValueError):
         provider_by_name("nope", params, f)
-
-
-def test_provider_file_round_trip(tmp_path):
-    from phaselab.piecewise import PiecewiseLinear
-    from phaselab.relu import compile_piecewise, network_to_text
-
-    l = PiecewiseLinear(np.array([-1.0, 0.0, 2.0]), np.array([0.5, -0.3, 1.0]), 0.2, -0.1)
-    (tmp_path / "l.csv").write_text(l.to_csv())
-    (tmp_path / "n.txt").write_text(network_to_text(compile_piecewise(l)))
-    x = np.linspace(-3, 4, 201)
-    params, f = canonical_params(1, 0), no_output_candidate(1)
-    pw = provider_by_name(f"piecewise:{tmp_path / 'l.csv'}", params, f)
-    assert_allclose(pw(1.0, x), l(x), rtol=1e-12)
-    net = provider_by_name(f"relu:{tmp_path / 'n.txt'}", params, f)
-    assert_allclose(net(1.0, x[:, None])[:, 0], l(x), atol=1e-12)
 
 
 def test_tail_phases_differ():
