@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,18 +119,30 @@ def sample_discretized_gaussian(b: int, eps: float, rng: np.random.Generator, si
 def sample_unconditional(
     params: InstanceParams,
     f: BooleanCircuit,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     size: int,
 ):
-    """Draw size pairs (s, x) with s uniform and x from the seed-s component."""
-    s = signs(rng, (size, params.d))
+    """Draw size pairs (s, x) with s uniform and x from the seed-s component.
+
+    rng may be a sequence of k generators, k dividing size: generator i draws rows i*size/k to
+    (i+1)*size/k in the order a lone call of size/k rows would, and f runs once on all rows.
+    """
+    gens = [rng] if isinstance(rng, np.random.Generator) else rng
+    b, left = divmod(size, len(gens))
+    if left:
+        raise ValueError("size must be a multiple of the number of generators")
+    blocks = [(r, slice(i * b, (i + 1) * b)) for i, r in enumerate(gens)]
+    s = np.empty((size, params.d), dtype=int)
     x = np.empty((size, params.dim))
-    x[:, : params.d] = params.R * s + rng.standard_normal((size, params.d))
+    for r, blk in blocks:
+        s[blk] = signs(r, (b, params.d))
+        x[blk, : params.d] = params.R * s[blk] + r.standard_normal((b, params.d))
     bits, tail = f(s), x[:, params.d :]  # (n, d_prime) each
-    for b in (1, -1):
-        mask = bits == b
-        if cnt := np.count_nonzero(mask):
-            tail[mask] = sample_discretized_gaussian(b, params.eps, rng, cnt)
+    for r, blk in blocks:
+        for bit in (1, -1):
+            mask = bits[blk] == bit
+            if cnt := np.count_nonzero(mask):
+                tail[blk][mask] = sample_discretized_gaussian(bit, params.eps, r, cnt)
     return s, x
 
 

@@ -9,6 +9,7 @@ sampler's draws against the exact seed posterior.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,41 +45,77 @@ class SamplerStats:
     accepted: bool
 
 
+# A batch round asks one proposal call for at most this many rows, or for one row's chunk where
+# that is larger, so a round of many open rows keeps its peak memory near a lone call's.
+_CALL_ROWS = 4096
+
+
 def rejection_sample(
     proposal,
     A: np.ndarray,
     y: np.ndarray,
     cfg: PosteriorConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     size: int = 1,
     chunk: int | None = None,
 ):
     """Accept a proposal draw x with probability exp(-||Ax-y||^2/(2 beta^2)).
 
-    proposal(n, rng) must return (n, dim) unconditional draws, requested in
-    chunks of `chunk` rows or, by default, min(65536, 256 * size) rows and then
-    twice the previous chunk up to 65536, so an early hit wastes few rows; no
-    chunk exceeds the budget left. Returns (up to size accepted rows as a
-    (rows, dim) array, SamplerStats). The budget is size * cfg.max_rounds proposals;
-    exhausting it is a reported outcome (stats.accepted is False), not an error.
+    A lone call takes a (d_prime,) y and one Generator: proposal(n, rng) must return (n, dim)
+    unconditional draws, requested in chunks of `chunk` rows or, by default, min(65536,
+    256 * size) rows and then twice the previous chunk up to 65536, so an early hit wastes few
+    rows; no chunk exceeds the budget left. Returns (up to size accepted rows, the first hits in
+    proposal order, as a (rows, dim) array, SamplerStats). The budget is size * cfg.max_rounds
+    proposals; exhausting it is a reported outcome (stats.accepted is False), not an error.
+
+    A batch takes a (k, d_prime) y, one generator per row and size=k. Row i's draw and rounds
+    are those of the lone call rejection_sample(proposal, A, y[i], cfg, rng[i]) wherever
+    x @ A.T is exact, as for A = (0 | I). Each round asks proposal(j * n, [rng[i] for j open
+    rows]) for every open row's chunk of n rows, generator i drawing its rows in turn, in calls
+    of about _CALL_ROWS rows at most. Returns a (k, dim) array, NaN where a row's budget ran
+    out, and SamplerStats(rounds summed over the rows, accepted by every row).
     """
     A = check_operator_norm(A)
     y = np.asarray(y, dtype=float)
-    budget = size * cfg.max_rounds
-    step = chunk or min(65536, 256 * size)
-    out, got, done = [], 0, 0
-    while got < size and done < budget:
+    one = y.ndim == 1
+    Y, gens, need = (y[None], [rng], size) if one else (y, list(rng), 1)
+    if not one and not len(gens) == len(Y) == size:
+        raise ValueError("a batch takes a (k, d_prime) y, one generator per row and size=k")
+    budget = need * cfg.max_rounds
+    step = chunk or min(65536, 256 * need)
+    picks, got, rounds = [[] for _ in Y], [0] * len(Y), [budget] * len(Y)
+    live, done = list(range(len(Y))), 0
+    while live and done < budget:
         n = min(step, budget - done)
         step = chunk or min(65536, 2 * step)
-        x = np.asarray(proposal(n, rng), dtype=float)
-        resid = x @ A.T - y
-        logq = -np.sum(resid**2, axis=1) / (2.0 * cfg.beta**2)
-        hits = np.flatnonzero(np.log(rng.random(n)) < logq)[: size - got]
-        out.append(x[hits])
-        got += hits.size
-        done += int(hits[-1]) + 1 if got == size else n
-    rows = np.concatenate(out) if out else np.empty((0, A.shape[1]))
-    return rows, SamplerStats(done, got == size)
+        per = max(1, _CALL_ROWS // n)
+        for lo in range(0, len(live), per):
+            rows = live[lo : lo + per]
+            rs = [gens[i] for i in rows]
+            x = np.asarray(proposal(n * len(rows), rs[0] if one else rs), dtype=float)
+            resid = (x @ A.T).reshape(len(rows), n, A.shape[0]) - Y[rows, None]
+            logq = -np.sum(resid**2, axis=2) / (2.0 * cfg.beta**2)
+            u = np.empty((len(rows), n))
+            for r, row in zip(rs, u):
+                r.random(out=row)
+            hit = np.log(u) < logq
+            for j in np.flatnonzero(hit.any(axis=1)):
+                i = rows[j]
+                h = np.flatnonzero(hit[j])[: need - got[i]]
+                picks[i].append(x[j * n + h])
+                got[i] += h.size
+                if got[i] == need:
+                    rounds[i] = done + int(h[-1]) + 1
+        done += n
+        live = [i for i in live if got[i] < need]
+    if one:
+        rows = np.concatenate(picks[0]) if picks[0] else np.empty((0, A.shape[1]))
+        return rows, SamplerStats(rounds[0], got[0] == need)
+    out = np.full((len(Y), A.shape[1]), np.nan)
+    for i, p in enumerate(picks):
+        if p:
+            out[i] = p[0][0]
+    return out, SamplerStats(sum(rounds), all(g == need for g in got))
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -229,8 +266,10 @@ def acceptance_curve(
     For each (beta, m): a d=m, dPrime=m instance with the sign-identity map,
     exact-direct proposal; trial t draws its target y and proposals from
     child_stream(master_seed, m, t) (see rng), so no row depends on the others.
-    Proposals come in rejection_sample's default chunks, which start at 256 rows.
-    Returns a list of dict rows; censored trials (budget hit) count as max_rounds rounds.
+    A row is one batched rejection_sample call over its trials: each round draws
+    every open trial's chunk, and the chunks start at 256 rows. Returns a list of
+    dict rows; mean_rounds is the row's total rounds over trials, a censored trial
+    (budget hit) counting max_rounds rounds.
     """
     from . import rng as prng
     from .instance import measurement_matrix, sample_unconditional
@@ -239,21 +278,19 @@ def acceptance_curve(
     rows = []
     for beta in betas:
         for m in ms:
-            counts, censored = np.ones(trials), 0  # m = 0 measures nothing: one round each
+            total, censored = trials, 0  # m = 0 measures nothing: one round each
             if m > 0:
                 params = InstanceParams(m, m, R, eps, beta)
                 f = sign_identity(m)
                 A = measurement_matrix(params)
                 cfg = PosteriorConfig(max_rounds, beta)
                 proposal = lambda n, rr: sample_unconditional(params, f, rr, size=n)[1]
-                for t in range(trials):
-                    r = prng.child_stream(master_seed, m, t)
-                    s = prng.signs(r, m)
-                    y = sample_measurement_for_target(f(s), params, r)
-                    _, stats = rejection_sample(proposal, A, y, cfg, r)
-                    counts[t] = stats.rounds
-                    censored += 0 if stats.accepted else 1
-            mean = float(counts.mean())
+                rs = [prng.child_stream(master_seed, m, t) for t in range(trials)]
+                s = np.stack([prng.signs(r, m) for r in rs])
+                y = sample_measurement_for_target(f(s), params, rs)
+                x, stats = rejection_sample(proposal, A, y, cfg, rs, size=trials)
+                total, censored = stats.rounds, int(np.isnan(x).any(axis=1).sum())
+            mean = total / trials
             log_mean = float(np.log(mean))
             rows.append({"beta": beta, "m": m, "mean_rounds": mean, "log_mean_rounds": log_mean,
                          "trials": trials, "censored": censored})

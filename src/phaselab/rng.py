@@ -9,7 +9,10 @@ seed signs, the d' uniforms of its measurement's lattice points, then that
 measurement's d' noise normals; the experiment takes those draws trial by trial
 and does the rest (f, the lattice lookups) once for the batch. Trial t of row m
 of `posterior.acceptance_curve` draws from `child_stream(master, m, t)`, whose
-SeedSequence spawn key no `stream` key matches.
+SeedSequence spawn key no `stream` key matches. The row runs its trials as one
+batch, yet each child stream's draw order is a lone trial's: its m signs, its
+measurement's uniforms and normals, then per rejection round its proposal rows and
+their acceptance uniforms.
 """
 
 from __future__ import annotations

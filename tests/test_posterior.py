@@ -131,6 +131,81 @@ def test_rejection_rounds_are_geometric_across_chunk_boundaries():
     assert abs(np.mean(rounds) - 1 / p) <= 4 * se
 
 
+def _batch_instance(m, beta, trials, seed):
+    """A d = d' = m sign-identity instance, its exact proposal, A = (0 | I) (so residuals are
+    exact) and the measurements of `trials` targets, each from its own fresh stream."""
+    params = InstanceParams(m, m, 30.0, 1.0, beta)
+    f = sign_identity(m)
+    proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
+    streams = lambda: [prng.stream(seed, t) for t in range(trials)]
+    z = f(np.stack([prng.signs(r, m) for r in streams()]))
+    return proposal, measurement_matrix(params), sample_measurement_for_target(z, params, streams())
+
+
+@pytest.mark.parametrize("m, beta, trials", [(1, 0.3, 3), (2, 0.3, 40), (2, 0.1, 9)])
+def test_batched_rejection_equals_lone_calls(m, beta, trials):
+    """Row i of a batch is the lone call on y[i] with generator i: the same draw, bit for bit,
+    and the same rounds. 40 trials at 256 rows a chunk take three proposal calls a round."""
+    proposal, A, y = _batch_instance(m, beta, trials, seed=11)
+    cfg = PosteriorConfig(10**6, beta)
+    lone = [rejection_sample(proposal, A, y[t], cfg, prng.child_stream(5, t)) for t in range(trials)]
+    streams = [prng.child_stream(5, t) for t in range(trials)]
+    x, stats = rejection_sample(proposal, A, y, cfg, streams, size=trials)
+    assert np.array_equal(x, np.concatenate([rows for rows, _ in lone]))
+    assert stats == posterior.SamplerStats(sum(st.rounds for _, st in lone), True)
+    # each generator ends where its lone call left it
+    want = [prng.child_stream(5, t) for t in range(trials)]
+    for t, r in enumerate(want):
+        rejection_sample(proposal, A, y[t], cfg, r)
+    assert [r.random() for r in streams] == [r.random() for r in want]
+
+
+def test_batched_rejection_row_out_of_budget_is_nan():
+    """A row whose budget runs out is NaN, counts max_rounds rounds and makes accepted False;
+    the other rows are unchanged by it."""
+    proposal, A, y = _batch_instance(2, 0.3, 4, seed=12)
+    y[2] = 40.0  # 40 from every lattice point at beta 0.3: log q < -5000, never accepted
+    cfg = PosteriorConfig(20, 0.3)
+    lone = [rejection_sample(proposal, A, y[t], cfg, prng.stream(6, t)) for t in range(4)]
+    x, stats = rejection_sample(proposal, A, y, cfg, [prng.stream(6, t) for t in range(4)], size=4)
+    assert lone[2][1] == posterior.SamplerStats(20, False)
+    want = [rows[0] if st.accepted else np.full(4, np.nan) for rows, st in lone]
+    assert np.array_equal(x, want, equal_nan=True)
+    assert stats == posterior.SamplerStats(sum(st.rounds for _, st in lone), False)
+
+
+def test_batched_rejection_needs_one_generator_and_one_draw_per_row():
+    proposal, A, y = _batch_instance(1, 0.3, 3, seed=13)
+    cfg = PosteriorConfig(10, 0.3)
+    gens = [prng.stream(0, t) for t in range(3)]
+    for bad in ({"rng": gens[:2], "size": 3}, {"rng": gens, "size": 2}):
+        with pytest.raises(ValueError, match="one generator per row"):
+            rejection_sample(proposal, A, y, cfg, **bad)
+
+
+@pytest.mark.parametrize("d, d_prime, k, size", [(2, 2, 3, 30), (3, 1, 1, 8), (1, 3, 4, 4)])
+def test_sample_unconditional_generator_sequence_is_lone_blocks(d, d_prime, k, size):
+    """k generators: generator i draws rows i*size/k to (i+1)*size/k as a lone call of size/k
+    rows would, bit for bit, and is left in that call's state."""
+    params = canonical_params(d, d_prime, beta=0.3)
+    f = random_circuit_owf(d, d_prime, 2 * (d + d_prime), seed=3)
+    gens = [np.random.default_rng(40 + i) for i in range(k)]
+    s, x = sample_unconditional(params, f, gens, size)
+    b = size // k
+    for i, r in enumerate(gens):
+        lone = np.random.default_rng(40 + i)
+        s_i, x_i = sample_unconditional(params, f, lone, b)
+        assert np.array_equal(s[i * b : (i + 1) * b], s_i)
+        assert np.array_equal(x[i * b : (i + 1) * b], x_i)
+        assert r.random() == lone.random()
+
+
+def test_sample_unconditional_generators_must_divide_size():
+    params = canonical_params(2, 2)
+    with pytest.raises(ValueError, match="multiple"):
+        sample_unconditional(params, sign_identity(2), [np.random.default_rng(i) for i in range(3)], 4)
+
+
 def test_seed_enumeration_rejects_candidate_of_other_length():
     from phaselab.scores import mixture_score_exact
 
@@ -538,6 +613,14 @@ def test_acceptance_curve_row_does_not_depend_on_the_other_rows():
     want = m2_row([0.3], [2])
     assert m2_row([0.3], [1, 2]) == want
     assert m2_row([0.5, 0.3], [2]) == want
+
+
+def test_acceptance_curve_frozen_values():
+    """Values recorded before a row's trials ran as one batch: no stream's draws moved."""
+    rows = acceptance_curve([0.3], [0, 1, 2], 100, 501)
+    assert [(r["mean_rounds"], r["censored"]) for r in rows] == [(1.0, 0), (9.06, 0), (204.92, 0)]
+    rows = acceptance_curve([0.05], [2, 3], 20, 7, max_rounds=50)
+    assert [(r["mean_rounds"], r["censored"]) for r in rows] == [(37.2, 10), (48.65, 19)]
 
 
 def test_row_streams_meet_no_trial_or_batch_stream():
