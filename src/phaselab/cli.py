@@ -34,7 +34,7 @@ from .circuits import MAX_ENUM_D, BooleanCircuit, candidate_from_text, no_output
 from .circuits import sign_identity
 from .diffusion import DEFAULT_STEPS, default_config
 from .instance import DEFAULT_BETA, DEFAULT_EPS, DEFAULT_R, EPS_MAX, InstanceParams
-from .instance import measurement_matrix, sample_unconditional
+from .instance import sample_unconditional
 from .scores import PROVIDER_NAMES, ScoreProvider, provider_by_name
 
 FMT = "%.17g"
@@ -234,6 +234,22 @@ def build_provider(name: str, params: InstanceParams, f: BooleanCircuit) -> Scor
     return provider
 
 
+def build_sampler(cfg: dict, params: InstanceParams, f: BooleanCircuit):
+    """The sampler that cfg["sampler"] names, in reduction.invert's form sampler(y, rng, size)
+    -> (x, info): the one place where `posterior` and `invert` choose one."""
+    from .reduction import make_brute_force_sampler, make_heuristic_sampler, make_rejection_sampler
+
+    if params.beta <= 0:  # every sampler conditions on y = Ax + beta * noise
+        raise ValueError("field 'beta': beta must be positive")
+    if cfg["sampler"] == "rejection":
+        return make_rejection_sampler(params, f, cfg["max_rounds"])
+    if cfg["sampler"] == "brute-force":
+        return make_brute_force_sampler(params, enumerable(f))
+    provider = cfg.get("provider", "exact")  # invert has neither key: exact, DEFAULT_STEPS
+    g = enumerable(f) if provider == "exact" else f
+    return make_heuristic_sampler(params, g, provider, cfg.get("steps", DEFAULT_STEPS))
+
+
 def run_chain(field: str, cfg: dict, run, *args, **kwargs):
     """run(*args, **kwargs), which runs reverse chains; a non-finite score is reported against
     config field `field`: 'steps' (a coarse grid diverges), or 'sampler' if the length is fixed."""
@@ -267,15 +283,13 @@ def cmd_sample(cfg: dict, args) -> tuple[dict, str]:
 
 
 def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
-    from .posterior import PosteriorConfig, brute_force_posterior, heuristic_posterior_sample
-    from .posterior import rejection_sample, seed_law_tv, seed_posterior_log_weights
+    from .posterior import seed_law_tv, seed_posterior_log_weights
+    from .reduction import sample_measurement_for_target
 
     params, f = build_instance(cfg)
-    pcfg = _field("beta", PosteriorConfig, cfg["max_rounds"], params.beta)
+    sampler = build_sampler(cfg, params, f)
     rng = prng.stream(args.seed, 0)
     if cfg["y"] == "fresh":
-        from .reduction import sample_measurement_for_target
-
         s = prng.signs(rng, params.d)
         y = sample_measurement_for_target(f(s), params, rng)
     else:
@@ -283,26 +297,12 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
     exact = params.d <= MAX_ENUM_D  # the seed posterior is enumerable: a y it rules out fails here
     if exact:
         _field("y", seed_posterior_log_weights, params, f, y)
-    A = measurement_matrix(params)
-    info: dict = {"y": [float(v) for v in y], "sampler": cfg["sampler"]}
+    x, stats = run_chain("steps", cfg, sampler, y, rng, cfg["count"])
+    info: dict = {"y": [float(v) for v in y], "sampler": cfg["sampler"], **stats}
     lines = []
-    if cfg["sampler"] == "rejection":
-        proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
-        x, stats = rejection_sample(proposal, A, y, pcfg, rng, size=cfg["count"])
-        rate = stats.rounds / len(x) if len(x) else None
-        info.update(proposals=stats.rounds, accepted=len(x), rounds_per_accept=rate)
-        if not stats.accepted:
-            lines.append(f"rejection budget exhausted after {stats.rounds} proposals: "
-                         f"accepted {len(x)} of {cfg['count']} requested samples")
-    elif cfg["sampler"] == "brute-force":
-        x = brute_force_posterior(params, enumerable(f), y, rng, size=cfg["count"])
-    else:
-        provider = build_provider(cfg["provider"], params, f)
-        dcfg = default_config(params, N=cfg["steps"])
-        x = run_chain(
-            "steps", cfg, heuristic_posterior_sample, provider, A, y, params.beta, dcfg, rng,
-            size=cfg["count"],
-        )
+    if len(x) < cfg["count"]:  # only the rejection sampler runs out
+        lines.append(f"rejection budget exhausted after {stats['proposals']} proposals: "
+                     f"accepted {len(x)} of {cfg['count']} requested samples")
     info["seed_law_tv"] = seed_law_tv(params, f, y, x) if exact else None
     lines.append(f"wrote {len(x)} posterior samples to {Path(args.out) / 'posterior.csv'}")
     table = ([f"x{j}" for j in range(params.dim)], x)
@@ -317,18 +317,10 @@ def _measurement(text: str, d_prime: int) -> np.ndarray:
 
 
 def cmd_invert(cfg: dict, args) -> tuple[dict, str]:
-    from .posterior import PosteriorConfig
-    from .reduction import inversion_experiment, make_brute_force_sampler
-    from .reduction import make_heuristic_sampler, make_rejection_sampler
+    from .reduction import inversion_experiment
 
     params, f = build_instance(cfg)
-    _field("beta", PosteriorConfig, cfg["max_rounds"], params.beta)  # every sampler needs beta > 0
-    if cfg["sampler"] == "brute-force":
-        sampler = make_brute_force_sampler(params, enumerable(f))
-    elif cfg["sampler"] == "rejection":
-        sampler = make_rejection_sampler(params, f, cfg["max_rounds"])
-    else:
-        sampler = make_heuristic_sampler(params, enumerable(f))
+    sampler = build_sampler(cfg, params, f)
     trials = cfg["trials"]
     rep = run_chain("sampler", cfg, inversion_experiment, f, sampler, trials, params, args.seed)
     row = {

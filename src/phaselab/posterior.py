@@ -128,12 +128,14 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(s / c) + np.log(c) + M
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def seed_posterior_log_weights(
     params: InstanceParams, f: BooleanCircuit, y: np.ndarray
 ) -> np.ndarray:
     """Normalised log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j),
     each row less its _logsumexp; a y of shape (n, d_prime) gives an (n, 2^d) table, row i
-    as for y[i] alone. ValueError if a y's likelihood summed over the seeds is below e^-700."""
+    as for y[i] alone. ValueError if a y's likelihood summed over the seeds is below e^-700
+    (or overflows to NaN, which numpy's over/invalid/divide warnings would only repeat)."""
     if f.n_inputs != params.d:
         raise ValueError("input length mismatch")
     Y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -266,14 +268,13 @@ def acceptance_curve(
     For each (beta, m): a d=m, dPrime=m instance with the sign-identity map,
     exact-direct proposal; trial t draws its target y and proposals from
     child_stream(master_seed, m, t) (see rng), so no row depends on the others.
-    A row is one batched rejection_sample call over its trials: each round draws
-    every open trial's chunk, and the chunks start at 256 rows. Returns a list of
-    dict rows; mean_rounds is the row's total rounds over trials, a censored trial
+    A row is one call of reduction.make_rejection_sampler's sampler on the trials'
+    streams: each round draws every open trial's chunk, from 256 rows. Returns a list
+    of dict rows; mean_rounds is the row's proposals over trials, a censored trial
     (budget hit) counting max_rounds rounds.
     """
     from . import rng as prng
-    from .instance import measurement_matrix, sample_unconditional
-    from .reduction import sample_measurement_for_target
+    from .reduction import make_rejection_sampler, sample_measurement_for_target
 
     rows = []
     for beta in betas:
@@ -282,14 +283,11 @@ def acceptance_curve(
             if m > 0:
                 params = InstanceParams(m, m, R, eps, beta)
                 f = sign_identity(m)
-                A = measurement_matrix(params)
-                cfg = PosteriorConfig(max_rounds, beta)
-                proposal = lambda n, rr: sample_unconditional(params, f, rr, size=n)[1]
                 rs = [prng.child_stream(master_seed, m, t) for t in range(trials)]
                 s = np.stack([prng.signs(r, m) for r in rs])
                 y = sample_measurement_for_target(f(s), params, rs)
-                x, stats = rejection_sample(proposal, A, y, cfg, rs, size=trials)
-                total, censored = stats.rounds, int(np.isnan(x).any(axis=1).sum())
+                x, info = make_rejection_sampler(params, f, max_rounds)(y, rs, trials)
+                total, censored = info["proposals"], int(np.isnan(x).any(axis=1).sum())
             mean = total / trials
             log_mean = float(np.log(mean))
             rows.append({"beta": beta, "m": m, "mean_rounds": mean, "log_mean_rounds": log_mean,

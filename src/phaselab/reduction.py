@@ -19,8 +19,13 @@ import numpy as np
 from . import rng as prng
 from .circuits import BooleanCircuit, Gate
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
+from .diffusion import DEFAULT_STEPS, default_config
 from .instance import InstanceParams, bits_eps, lattice_quantiles, round_R
+from .instance import measurement_matrix, sample_unconditional
 from .instance import sample_discretized_gaussian  # noqa: F401 - bench/spans.py traces this binding
+from .posterior import PosteriorConfig, brute_force_posterior, heuristic_posterior_sample
+from .posterior import rejection_sample
+from .scores import provider_by_name
 
 
 @dataclass(frozen=True)
@@ -69,10 +74,12 @@ def sample_measurement_for_target(
 def invert(sampler, y: np.ndarray, params: InstanceParams, rng: np.random.Generator):
     """Inversion attempts for measurements y of shape (n, d_prime): (guesses, no_guess).
 
-    sampler(y, rng) returns one posterior draw per row of y, a row of NaN where
-    it made none (budget exhausted); a guess is round_R of its draw's first d coordinates.
+    Every sampler has one call form, sampler(y, rng, size) -> (x, info): a (d_prime,) y gives
+    `size` draws given y, a (k, d_prime) y with size=k one draw per row, NaN where the sampler
+    made none; info holds its own posterior_stats.json fields. Here info is unused, and a guess
+    is round_R of the first d coordinates of sampler(y, rng, n)'s draw.
     """
-    x = np.asarray(sampler(y, rng))
+    x = np.asarray(sampler(y, rng, len(y))[0])
     return round_R(x[:, : params.d], params.R), np.isnan(x).any(axis=1)
 
 
@@ -104,37 +111,40 @@ def inversion_experiment(
 
 
 def make_brute_force_sampler(params: InstanceParams, f: BooleanCircuit):
-    from .posterior import brute_force_posterior
-
-    return lambda y, rng: brute_force_posterior(params, f, y, rng, size=len(y))
+    """The exact oracle brute_force_posterior in invert's sampler form; its info is {}."""
+    return lambda y, rng, size: (brute_force_posterior(params, f, y, rng, size=size), {})
 
 
 def make_rejection_sampler(params: InstanceParams, f: BooleanCircuit, max_rounds: int):
-    from .instance import measurement_matrix, sample_unconditional
-    from .posterior import PosteriorConfig, rejection_sample
-
+    """Rejection sampling from sample_unconditional, max_rounds proposals per draw, in invert's
+    sampler form: one rejection_sample call. A batch's rows draw from a list of generators as
+    given, or from one Generator's children rng.spawn(k). info: proposals, accepted, and
+    rounds_per_accept (None without a draw)."""
     A = measurement_matrix(params)
     cfg = PosteriorConfig(max_rounds, params.beta)
     proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
 
-    def sampler(y, rng):  # one rejection loop per row; NaN where the budget ran out
-        draws = [rejection_sample(proposal, A, row, cfg, rng)[0] for row in y]
-        return np.array([x[0] if len(x) else np.full(params.dim, np.nan) for x in draws])
+    def sampler(y, rng, size):
+        if np.ndim(y) == 2 and isinstance(rng, np.random.Generator):
+            rng = rng.spawn(size)
+        x, stats = rejection_sample(proposal, A, y, cfg, rng, size=size)
+        got = int(np.isfinite(x).all(axis=1).sum())
+        rate = stats.rounds / got if got else None
+        return x, {"proposals": stats.rounds, "accepted": got, "rounds_per_accept": rate}
 
     return sampler
 
 
-def make_heuristic_sampler(params: InstanceParams, f: BooleanCircuit):
-    from .diffusion import default_config
-    from .instance import measurement_matrix
-    from .posterior import heuristic_posterior_sample
-    from .scores import provider_by_name
-
+def make_heuristic_sampler(
+    params: InstanceParams, f: BooleanCircuit, provider: str = "exact", steps: int = DEFAULT_STEPS
+):
+    """Guided reverse diffusion, heuristic_posterior_sample, with the score provider named
+    `provider` and `steps` steps, in invert's sampler form; its info is {}."""
     A = measurement_matrix(params)
-    dcfg = default_config(params)
-    provider = provider_by_name("exact", params, f)
-    return lambda y, rng: heuristic_posterior_sample(
-        provider, A, y, params.beta, dcfg, rng, size=len(y)
+    dcfg = default_config(params, N=steps)
+    score = provider_by_name(provider, params, f)
+    return lambda y, rng, size: (
+        heuristic_posterior_sample(score, A, y, params.beta, dcfg, rng, size=size), {}
     )
 
 

@@ -1,18 +1,17 @@
 """Deterministic random-stream management.
 
-Every operation in the package takes an explicit numpy Generator. Trial i of
-an experiment draws from `stream(master, i)`, so its draws do not depend on
-how many trials run; work done once for all trials, such as the batched sampler
-of `reduction.inversion_experiment`, draws from `stream(master, BATCH)`, an
-index no trial uses. An inversion trial's stream draws, in this order, its d
-seed signs, the d' uniforms of its measurement's lattice points, then that
-measurement's d' noise normals; the experiment takes those draws trial by trial
-and does the rest (f, the lattice lookups) once for the batch. Trial t of row m
-of `posterior.acceptance_curve` draws from `child_stream(master, m, t)`, whose
-SeedSequence spawn key no `stream` key matches. The row runs its trials as one
-batch, yet each child stream's draw order is a lone trial's: its m signs, its
-measurement's uniforms and normals, then per rejection round its proposal rows and
-their acceptance uniforms.
+Every operation in the package takes an explicit numpy Generator. Trial i of an experiment
+draws from `stream(master, i)`, so its draws do not depend on how many trials run; work done
+once for all trials, such as the batched sampler of `reduction.inversion_experiment`, draws
+from `stream(master, BATCH)`, an index no trial uses (a batched rejection sampler gives row i
+its child `stream(master, BATCH).spawn(k)[i]`). An inversion trial's stream draws, in this
+order, its d seed signs, the d' uniforms of its measurement's lattice points, then that
+measurement's d' noise normals; the experiment takes those draws trial by trial and does the
+rest (f, the lattice lookups) once for the batch. Trial t of row m of
+`posterior.acceptance_curve` draws from `child_stream(master, m, t)`, whose SeedSequence spawn
+key no `stream` key matches. The row runs its trials as one batch, yet each child stream's
+draw order is a lone trial's: its m signs, its measurement's uniforms and normals, then per
+rejection round its proposal rows and their acceptance uniforms.
 """
 
 from __future__ import annotations

@@ -230,7 +230,6 @@ def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself is numpy's warning
 def test_posterior_y_whose_density_overflows_is_rejected_for_every_sampler(tmp_path):
     """At |y| = 1e200 the tail log densities overflow to NaN under every seed, which explains
     y no more than -inf does: each sampler stops at field 'y' and writes nothing."""

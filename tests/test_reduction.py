@@ -6,7 +6,9 @@ import pytest
 from phaselab import reduction
 from phaselab import rng as prng
 from phaselab.circuits import all_inputs, constant_candidate, sign_identity
-from phaselab.instance import bits_eps, canonical_params, sample_discretized_gaussian
+from phaselab.instance import bits_eps, canonical_params, measurement_matrix
+from phaselab.instance import sample_discretized_gaussian, sample_unconditional
+from phaselab.posterior import PosteriorConfig, rejection_sample
 from phaselab.reduction import (
     InversionReport,
     inversion_experiment,
@@ -146,9 +148,9 @@ def test_inversion_deterministic_and_trial_draws_independent_of_trial_count():
             seen.setdefault("sz", (s, out))
             return out
 
-        def sampler_seen(y, rng):
+        def sampler_seen(y, rng, size):
             seen["y"] = y
-            return sampler(y, rng)
+            return sampler(y, rng, size)
 
         inversion_experiment(f_seen, sampler_seen, trials, params, master_seed=3)
         return (*seen["sz"], seen["y"])
@@ -171,6 +173,31 @@ def test_exhausted_rejection_budget_is_a_no_guess_not_a_success():
     rep = inversion_experiment(f, sampler, 10, params, master_seed=4)
     assert rep.no_guess_count > 0
     assert rep.successes == rep.trials - rep.no_guess_count
+
+
+def test_rejection_sampler_batch_row_is_the_lone_call_on_its_spawned_child():
+    """Given one Generator g, row i of a batch of k is the lone rejection_sample call on
+    g.spawn(k)[i]; A = (0 | I) makes every residual exact, so rows compare bit for bit. A row
+    whose lone call runs out of budget is NaN, and info counts the rows' rounds."""
+    params = canonical_params(2, 2, beta=0.3)
+    f = sign_identity(2)
+    k, max_rounds = 6, 20
+    z = f(np.array([prng.signs(prng.stream(5, i), 2) for i in range(k)]))
+    Y = sample_measurement_for_target(z, params, [prng.stream(5, i) for i in range(k)])
+    Y[3] = 40.0  # 40 from every lattice point at beta 0.3: never accepted
+    x, info = make_rejection_sampler(params, f, max_rounds)(Y, prng.stream(5, prng.BATCH), k)
+
+    A = measurement_matrix(params)
+    cfg = PosteriorConfig(max_rounds, params.beta)
+    proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
+    children = prng.stream(5, prng.BATCH).spawn(k)
+    lone = [rejection_sample(proposal, A, Y[i], cfg, children[i]) for i in range(k)]
+    want = [rows[0] if stats.accepted else np.full(params.dim, np.nan) for rows, stats in lone]
+    got = sum(stats.accepted for _, stats in lone)
+    assert not lone[3][1].accepted and got >= 2
+    assert np.array_equal(x, want, equal_nan=True)
+    proposals = sum(stats.rounds for _, stats in lone)
+    assert info == {"proposals": proposals, "accepted": got, "rounds_per_accept": proposals / got}
 
 
 def test_random_circuit_determinism_and_locality():
