@@ -221,17 +221,10 @@ def _candidate(spec: str, params: InstanceParams) -> BooleanCircuit:
     return f
 
 
-def enumerable(f: BooleanCircuit) -> BooleanCircuit:
-    """f, its seed table built now, so that the enumeration limit is reported as field 'd'."""
-    _field("d", lambda: f.seed_table)
-    return f
-
-
 def build_provider(name: str, params: InstanceParams, f: BooleanCircuit) -> ScoreProvider:
-    provider = _field("provider", provider_by_name, name, params, f)
-    if name == "exact":
-        enumerable(f)
-    return provider
+    """provider_by_name, its seed-enumeration limit reported as field 'd' (the schema checked
+    the name)."""
+    return _field("d", provider_by_name, name, params, f)
 
 
 def build_sampler(cfg: dict, params: InstanceParams, f: BooleanCircuit):
@@ -244,10 +237,10 @@ def build_sampler(cfg: dict, params: InstanceParams, f: BooleanCircuit):
     if cfg["sampler"] == "rejection":
         return make_rejection_sampler(params, f, cfg["max_rounds"])
     if cfg["sampler"] == "brute-force":
-        return make_brute_force_sampler(params, enumerable(f))
-    provider = cfg.get("provider", "exact")  # invert has neither key: exact, DEFAULT_STEPS
-    g = enumerable(f) if provider == "exact" else f
-    return make_heuristic_sampler(params, g, provider, cfg.get("steps", DEFAULT_STEPS))
+        return _field("d", make_brute_force_sampler, params, f)
+    # invert has neither key: exact, DEFAULT_STEPS
+    provider, steps = cfg.get("provider", "exact"), cfg.get("steps", DEFAULT_STEPS)
+    return _field("d", make_heuristic_sampler, params, f, provider, steps)
 
 
 def run_chain(field: str, cfg: dict, run, *args, **kwargs):
@@ -386,8 +379,7 @@ def cmd_bench_acceptance(cfg: dict, args) -> tuple[dict, str]:
     betas = _field("betas", lambda: [positive_float(v) for v in cfg["betas"].split(",")])
     ms = _field("ms", lambda: [non_negative_int(v) for v in cfg["ms"].split(",")])
     rows = acceptance_curve(
-        betas, ms, cfg["trials"], args.seed, R=cfg["R"], eps=cfg["eps"],
-        max_rounds=cfg["max_rounds"],
+        betas, ms, cfg["trials"], args.seed, eps=cfg["eps"], max_rounds=cfg["max_rounds"]
     )
     header = ["beta", "m", "mean_rounds", "log_mean_rounds", "trials", "censored"]
     table = (header, [[r[k] for k in header] for r in rows])
@@ -484,7 +476,6 @@ SCHEMAS = {
         "betas": (str, "0.1,0.2"),
         "ms": (str, "0,1,2,3,4"),
         "trials": (positive_int, 50),
-        "R": (positive_float, DEFAULT_R),
         "eps": (checked(float, lambda v: 0 < v <= EPS_MAX, f"in (0, {EPS_MAX:g}]"), DEFAULT_EPS),
         "max_rounds": (positive_int, 10**7),
     },

@@ -1,37 +1,23 @@
 """Statistical distances: binned/discrete TV, KS, clipped-noise TV.
 
 The binned-TV protocol is fixed repo-wide: 20 equal-mass bins per coordinate,
-bin edges taken from the first (oracle) sample, bootstrap CI with 200
-resamples. For multi-dimensional samples the reported value is the maximum
-over per-coordinate marginal TVs (joint 20^dim binning would swamp the
-estimate with small-count noise at the sample sizes used here).
+bin edges taken from the first (oracle) sample. For multi-dimensional samples
+the reported value is the maximum over per-coordinate marginal TVs (joint
+20^dim binning would swamp the estimate with small-count noise at the sample
+sizes used here).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
 BINS = 20
-BOOTSTRAP_RESAMPLES = 200
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    value: float
-    ci95: tuple[float, float]
-    n: tuple[int, int]
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("distances are nonnegative")
-
-
-def _marginal_tv(a: np.ndarray, b: np.ndarray):
-    """TV over BINS equal-mass bins of a; returns (tv, cell counts of a, of b).
+def _marginal_tv(a: np.ndarray, b: np.ndarray) -> float:
+    """TV over BINS equal-mass bins of a.
 
     Two overflow cells catch mass outside the range of `a`, so fully
     disjoint samples register a TV near 1 rather than 1 - 1/BINS.
@@ -44,40 +30,18 @@ def _marginal_tv(a: np.ndarray, b: np.ndarray):
         idx[v == edges[-1]] = BINS  # the maximum itself belongs to the last regular bin
         return np.bincount(idx, minlength=cells)[:cells]
 
-    na, nb = cell_counts(a), cell_counts(b)
-    tv = 0.5 * np.abs(na / a.size - nb / b.size).sum()
-    return tv, na, nb
+    return 0.5 * np.abs(cell_counts(a) / a.size - cell_counts(b) / b.size).sum()
 
 
-def tv_binned(a, b, rng: np.random.Generator | None = None) -> DistanceReport:
-    """Half-L1 distance over BINS equal-mass bins (edges from `a`), bootstrap CI."""
+def tv_binned(a, b) -> float:
+    """Half-L1 distance over BINS equal-mass bins (edges from `a`), the largest over coordinates."""
     a = np.atleast_2d(np.asarray(a, dtype=float).T).T
     b = np.atleast_2d(np.asarray(b, dtype=float).T).T
     if a.shape[1] != b.shape[1]:
         raise ValueError("dimension mismatch")
     if min(a.shape[0], b.shape[0]) < 50 * BINS:
         raise ValueError(f"need at least {50 * BINS} samples per side for {BINS} bins")
-    rng = np.random.default_rng(0) if rng is None else rng
-
-    tvs, counts_a, counts_b = [], [], []
-    for j in range(a.shape[1]):
-        tv, na_j, nb_j = _marginal_tv(a[:, j], b[:, j])
-        tvs.append(tv)
-        counts_a.append(na_j)
-        counts_b.append(nb_j)
-    value = float(max(tvs))
-
-    na, nb = a.shape[0], b.shape[0]
-    boots = np.empty(BOOTSTRAP_RESAMPLES)
-    for r in range(BOOTSTRAP_RESAMPLES):
-        worst = 0.0
-        for j in range(a.shape[1]):
-            pa = rng.multinomial(na, counts_a[j] / na) / na
-            pb = rng.multinomial(nb, counts_b[j] / nb) / nb
-            worst = max(worst, 0.5 * np.abs(pa - pb).sum())
-        boots[r] = worst
-    lo, hi = np.percentile(boots, [2.5, 97.5])
-    return DistanceReport(value, (float(lo), float(hi)), (na, nb))
+    return float(max(_marginal_tv(a[:, j], b[:, j]) for j in range(a.shape[1])))
 
 
 def tv_discrete(p, q) -> float:

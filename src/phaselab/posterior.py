@@ -1,10 +1,10 @@
 """Posterior samplers for y = Ax + beta*N(0, I).
 
-Three samplers: rejection sampling from any unconditional proposal (accept
-with probability exp(-||Ax-y||^2/(2 beta^2))), an exact brute-force oracle
-that enumerates the seed posterior (d <= MAX_ENUM_D), and a guided-diffusion
-heuristic baseline with no correctness contract. seed_law_tv measures any
-sampler's draws against the exact seed posterior.
+Two exact samplers: rejection sampling from any unconditional proposal (accept
+with probability exp(-||Ax-y||^2/(2 beta^2))), and a brute-force oracle that
+enumerates the seed posterior (d <= MAX_ENUM_D). The guided-diffusion heuristic
+baseline, which has no correctness contract, is reduction.make_heuristic_sampler.
+seed_law_tv measures any sampler's draws against the exact seed posterior.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import numpy as np
 
 from .circuits import BooleanCircuit, sign_identity
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
-from .diffusion import DiffusionConfig, reverse_run
+from .diffusion import reverse_run  # noqa: F401 - bench/spans.py traces this binding
 from .instance import DEFAULT_EPS, DEFAULT_R, InstanceParams, check_operator_norm, lattice_atoms
 from .instance import phase_of_bit, round_R
-from .scores import _LOG_CUTOFF, ScoreProvider, _phase_specs, _seed_tail_loglik
+from .scores import _LOG_CUTOFF, _phase_specs, _seed_tail_loglik
 from .scores import dg_smoothed_log_density
 
 
@@ -232,34 +232,11 @@ def brute_force_posterior(
     return x
 
 
-def heuristic_posterior_sample(
-    provider: ScoreProvider,
-    A: np.ndarray,
-    y: np.ndarray,
-    beta: float,
-    diffusion_cfg: DiffusionConfig,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
-    """Guided reverse diffusion: adds the Gaussian-likelihood gradient
-    -A^T(Ax - y)/(beta^2 + t) to the score at each step. Baseline only."""
-    A = check_operator_norm(A)
-    y = np.asarray(y, dtype=float)
-
-    def guidance(t, x):
-        return -(x @ A.T - y) @ A / (beta**2 + t)
-
-    return reverse_run(
-        provider, diffusion_cfg, rng, dim=A.shape[1], size=size, extra_drift=guidance
-    )
-
-
 def acceptance_curve(
     betas,
     ms,
     trials: int,
     master_seed: int,
-    R: float = DEFAULT_R,
     eps: float = DEFAULT_EPS,
     max_rounds: int = 10**7,
 ):
@@ -281,7 +258,8 @@ def acceptance_curve(
         for m in ms:
             total, censored = trials, 0  # m = 0 measures nothing: one round each
             if m > 0:
-                params = InstanceParams(m, m, R, eps, beta)
+                # R scales only the head, which A = (0 | I) never measures: no row depends on it
+                params = InstanceParams(m, m, DEFAULT_R, eps, beta)
                 f = sign_identity(m)
                 rs = [prng.child_stream(master_seed, m, t) for t in range(trials)]
                 s = np.stack([prng.signs(r, m) for r in rs])

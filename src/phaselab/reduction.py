@@ -19,12 +19,11 @@ import numpy as np
 from . import rng as prng
 from .circuits import BooleanCircuit, Gate
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
-from .diffusion import DEFAULT_STEPS, default_config
+from .diffusion import DEFAULT_STEPS, default_config, reverse_run
 from .instance import InstanceParams, bits_eps, lattice_quantiles, round_R
 from .instance import measurement_matrix, sample_unconditional
 from .instance import sample_discretized_gaussian  # noqa: F401 - bench/spans.py traces this binding
-from .posterior import PosteriorConfig, brute_force_posterior, heuristic_posterior_sample
-from .posterior import rejection_sample
+from .posterior import PosteriorConfig, brute_force_posterior, rejection_sample
 from .scores import provider_by_name
 
 
@@ -111,7 +110,9 @@ def inversion_experiment(
 
 
 def make_brute_force_sampler(params: InstanceParams, f: BooleanCircuit):
-    """The exact oracle brute_force_posterior in invert's sampler form; its info is {}."""
+    """The exact oracle brute_force_posterior in invert's sampler form; its info is {}. Its seed
+    table is built now, so that d > MAX_ENUM_D raises ValueError here."""
+    f.seed_table
     return lambda y, rng, size: (brute_force_posterior(params, f, y, rng, size=size), {})
 
 
@@ -138,14 +139,20 @@ def make_rejection_sampler(params: InstanceParams, f: BooleanCircuit, max_rounds
 def make_heuristic_sampler(
     params: InstanceParams, f: BooleanCircuit, provider: str = "exact", steps: int = DEFAULT_STEPS
 ):
-    """Guided reverse diffusion, heuristic_posterior_sample, with the score provider named
-    `provider` and `steps` steps, in invert's sampler form; its info is {}."""
+    """Guided reverse diffusion, a baseline with no correctness contract, in invert's sampler
+    form: reverse_run with the score provider named `provider` and `steps` steps, adding the
+    Gaussian-likelihood gradient -A^T(Ax - y)/(beta^2 + t) to the score at each step; its info
+    is {}."""
     A = measurement_matrix(params)
     dcfg = default_config(params, N=steps)
     score = provider_by_name(provider, params, f)
-    return lambda y, rng, size: (
-        heuristic_posterior_sample(score, A, y, params.beta, dcfg, rng, size=size), {}
-    )
+
+    def sampler(y, rng, size):
+        y = np.asarray(y, dtype=float)
+        guidance = lambda t, x: -(x @ A.T - y) @ A / (params.beta**2 + t)
+        return reverse_run(score, dcfg, rng, dim=params.dim, size=size, extra_drift=guidance), {}
+
+    return sampler
 
 
 # --- candidate constructors ---------------------------------------------------

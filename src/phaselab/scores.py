@@ -282,8 +282,10 @@ PROVIDER_NAMES = ("exact", "orthant", "large-sigma")
 
 
 def provider_by_name(name: str, params: InstanceParams, f: BooleanCircuit) -> ScoreProvider:
-    """The score provider called `name` for the instance (params, f); see PROVIDER_NAMES."""
+    """The score provider called `name` for the instance (params, f); see PROVIDER_NAMES. The
+    exact provider's seed tables are built now, so that d > MAX_ENUM_D raises ValueError here."""
     if name == "exact":
+        f.float_seed_table
         return ScoreProvider(name, lambda s, x: mixture_score_exact(params, f, s, x))
     if name == "orthant":
         return ScoreProvider(name, lambda s, x: orthant_score(params, f, s, x))

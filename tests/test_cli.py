@@ -117,6 +117,14 @@ def test_beta_max_is_an_unknown_key(tmp_path):
     assert not out.exists()
 
 
+def test_bench_acceptance_R_is_an_unknown_key(tmp_path):
+    """A = (0 | I) never measures the head that R scales, so no acceptance row depends on R."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=r"^config error: unknown key\(s\) R; known: "):
+        run("bench-acceptance", "--out", str(out), "R=30")
+    assert not out.exists()
+
+
 def test_two_main_calls_in_one_process_each_get_their_own_config(tmp_path):
     """The parser is built once and reused: a second call's subcommand, options and
     overrides are its own, and nothing of the first call's carries over."""
@@ -196,7 +204,7 @@ MALFORMED_CIRCUITS = {
         (("sample", "method=diffusion", "d=2", "d_prime=2", "provider=bogus"), "'provider'"),
         (("sample", "d=0"), "'d'"),
         (("sample", "--jobs", "0"), "'jobs'"),
-        (("bench-acceptance", "ms=0", "R=-1"), "'R'"),
+        (("invert", "R=-1"), "'R'"),  # the instance's R; bench-acceptance has no R key
         (("bench-acceptance", "ms=0", "eps=nan"), "'eps'"),
         (("posterior", "d=2", "d_prime=2", "sampler=brute-force", "y=1000,1000"), "'y'"),
         (("posterior", "d=1", "d_prime=1", "sampler=rejection", "y=-1000"), "'y'"),

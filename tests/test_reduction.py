@@ -6,6 +6,7 @@ import pytest
 from phaselab import reduction
 from phaselab import rng as prng
 from phaselab.circuits import all_inputs, constant_candidate, sign_identity
+from phaselab.diffusion import default_config, reverse_run
 from phaselab.instance import bits_eps, canonical_params, measurement_matrix
 from phaselab.instance import sample_discretized_gaussian, sample_unconditional
 from phaselab.posterior import PosteriorConfig, rejection_sample
@@ -14,10 +15,12 @@ from phaselab.reduction import (
     inversion_experiment,
     invert,
     make_brute_force_sampler,
+    make_heuristic_sampler,
     make_rejection_sampler,
     random_circuit_owf,
     sample_measurement_for_target,
 )
+from phaselab.scores import provider_by_name
 
 
 def test_report_validation():
@@ -198,6 +201,36 @@ def test_rejection_sampler_batch_row_is_the_lone_call_on_its_spawned_child():
     assert np.array_equal(x, want, equal_nan=True)
     proposals = sum(stats.rounds for _, stats in lone)
     assert info == {"proposals": proposals, "accepted": got, "rounds_per_accept": proposals / got}
+
+
+@pytest.mark.parametrize("provider", ["exact", "orthant"])
+def test_heuristic_sampler_is_the_likelihood_guided_reverse_chain(provider):
+    """The sampler is reverse_run, bit for bit, with the Gaussian-likelihood gradient
+    -A^T(Ax - y)/(beta^2 + t) as its extra drift: for one y and size draws, and for a (k, d')
+    y with one chain per row."""
+    params = canonical_params(2, 2, beta=0.3)
+    f = sign_identity(2)
+    A = measurement_matrix(params)
+    steps = 40
+    sampler = make_heuristic_sampler(params, f, provider, steps)
+    score, dcfg = provider_by_name(provider, params, f), default_config(params, N=steps)
+    k = 4
+    z = f(np.array([prng.signs(prng.stream(9, i), 2) for i in range(k)]))
+    Y = sample_measurement_for_target(z, params, [prng.stream(9, i) for i in range(k)])
+    for y, size in ((Y[0], 50), (Y, k)):
+        guidance = lambda t, x: -(x @ A.T - y) @ A / (params.beta**2 + t)
+        want = reverse_run(
+            score, dcfg, prng.stream(9, prng.BATCH), size=size, dim=params.dim, extra_drift=guidance
+        )
+        x, info = sampler(y, prng.stream(9, prng.BATCH), size)
+        assert x.shape == (size, params.dim) and info == {}
+        assert np.array_equal(x, want)
+
+
+def test_brute_force_sampler_past_the_enumeration_limit_fails_when_built():
+    params = canonical_params(13, 13)
+    with pytest.raises(ValueError, match="seed enumeration is limited to d <= 12"):
+        make_brute_force_sampler(params, sign_identity(13))
 
 
 def test_random_circuit_determinism_and_locality():

@@ -534,6 +534,14 @@ def test_provider_registry_names():
         provider_by_name("nope", params, f)
 
 
+def test_exact_provider_past_the_enumeration_limit_fails_when_built():
+    """The exact score enumerates the seeds, so it fails when made; the orthant score does not."""
+    params, f = canonical_params(13, 13), sign_identity(13)
+    with pytest.raises(ValueError, match="seed enumeration is limited to d <= 12"):
+        provider_by_name("exact", params, f)
+    assert provider_by_name("orthant", params, f).label == "orthant"
+
+
 def test_tail_phases_differ():
     """The two phase lattices are distinguishable at moderate smoothing."""
     eps = 1.0
