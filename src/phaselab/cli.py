@@ -159,23 +159,33 @@ def write_manifest(out: Path, subcommand: str, cfg_text: dict, h: str, seed: int
 
 
 def write_csv(path: Path, header: list[str], rows, h: str) -> None:
-    """The config-hash line, the header, then per row FMT for a float cell and str otherwise."""
+    """The config-hash line, the header, then per row FMT for a float cell and str otherwise.
+
+    Each block of CSV_BLOCK_ROWS rows is formatted by one `%` call. A float array's block
+    takes its row format from its dtype; other rows take one per tuple of cell types.
+    """
     formats: dict[tuple, str] = {}  # one row format per tuple of cell types
 
-    def line(row) -> str:
+    def row_format(row) -> str:
         types = tuple(map(type, row))
         if types not in formats:
             formats[types] = ",".join(
                 FMT if issubclass(t, (float, np.floating)) else "%s" for t in types
-            )
-        return formats[types] % tuple(row)
+            ) + "\n"
+        return formats[types]
+
+    def block_text(block) -> str:
+        # its cells and format string are freed on return, before the next block's are built
+        if isinstance(block, np.ndarray) and block.dtype.kind == "f":
+            row = ",".join([FMT] * block.shape[1]) + "\n"
+            return (row * len(block)) % tuple(block.ravel().tolist())
+        block = block.tolist() if isinstance(block, np.ndarray) else block
+        return "".join(map(row_format, block)) % tuple(cell for row in block for cell in row)
 
     with path.open("w") as fh:
         fh.write(f"# config-hash: {h}\n{','.join(header)}\n")
         for i in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[i : i + CSV_BLOCK_ROWS]
-            block = block.tolist() if isinstance(block, np.ndarray) else block
-            fh.write("\n".join(map(line, block)) + "\n")
+            fh.write(block_text(rows[i : i + CSV_BLOCK_ROWS]))
 
 
 def write_json(path: Path, obj: dict, h: str) -> None:

@@ -158,74 +158,95 @@ MALFORMED_CIRCUITS = {
 }
 
 
+# Every row names its own id, so deleting a row renames no other; the ids keep the
+# `argv<i>-<field>` names that earlier test records use.
 @pytest.mark.parametrize(
     "argv, field",
     [
-        (("sample", "count=-1"), "'count'"),
-        (("posterior", "count=0"), "'count'"),
-        (("invert", "trials=0"), "'trials'"),
-        (("posterior", "beta=nan"), "'beta'"),
-        (("sample", "R=inf"), "'R'"),
+        pytest.param(("sample", "count=-1"), "'count'", id="argv0-'count'"),
+        pytest.param(("posterior", "count=0"), "'count'", id="argv1-'count'"),
+        pytest.param(("invert", "trials=0"), "'trials'", id="argv2-'trials'"),
+        pytest.param(("posterior", "beta=nan"), "'beta'", id="argv3-'beta'"),
+        pytest.param(("sample", "R=inf"), "'R'", id="argv4-'R'"),
         # one-field checks done by the schema types
-        (("sample", "method=bogus"), "'method'"),
-        (("posterior", "sampler=bogus"), "'sampler'"),
-        (("invert", "sampler=bogus"), "'sampler'"),
-        (("posterior", "max_rounds=0"), "'max_rounds'"),
-        (("invert", "sampler=rejection", "max_rounds=0"), "'max_rounds'"),
-        (("bench-acceptance", "max_rounds=0"), "'max_rounds'"),
-        (("invert", "sampler=brute-force", "max_rounds=0"), "'max_rounds'"),
-        (("approx-score", "mc_draws=0"), "'mc_draws'"),
-        (("bench-acceptance", "trials=0"), "'trials'"),
-        (("posterior", "count=1e3"), "'count'"),
-        (("sample", "method=diffusion", "steps=-1"), "'steps'"),
-        (("posterior", "sampler=heuristic", "steps=-1"), "'steps'"),
-        (("sample", "method=diffusion", "steps=1.5"), "'steps'"),
-        (("approx-score", "sigma=0"), "'sigma'"),
+        pytest.param(("sample", "method=bogus"), "'method'", id="argv5-'method'"),
+        pytest.param(("posterior", "sampler=bogus"), "'sampler'", id="argv6-'sampler'"),
+        pytest.param(("invert", "sampler=bogus"), "'sampler'", id="argv7-'sampler'"),
+        pytest.param(("posterior", "max_rounds=0"), "'max_rounds'", id="argv8-'max_rounds'"),
+        pytest.param(("invert", "sampler=rejection", "max_rounds=0"),
+                     "'max_rounds'", id="argv9-'max_rounds'"),
+        pytest.param(("bench-acceptance", "max_rounds=0"),
+                     "'max_rounds'", id="argv10-'max_rounds'"),
+        pytest.param(("invert", "sampler=brute-force", "max_rounds=0"),
+                     "'max_rounds'", id="argv11-'max_rounds'"),
+        pytest.param(("approx-score", "mc_draws=0"), "'mc_draws'", id="argv12-'mc_draws'"),
+        pytest.param(("bench-acceptance", "trials=0"), "'trials'", id="argv13-'trials'"),
+        pytest.param(("posterior", "count=1e3"), "'count'", id="argv14-'count'"),
+        pytest.param(("sample", "method=diffusion", "steps=-1"), "'steps'", id="argv15-'steps'"),
+        pytest.param(("posterior", "sampler=heuristic", "steps=-1"),
+                     "'steps'", id="argv16-'steps'"),
+        pytest.param(("sample", "method=diffusion", "steps=1.5"), "'steps'", id="argv17-'steps'"),
+        pytest.param(("approx-score", "sigma=0"), "'sigma'", id="argv18-'sigma'"),
         # checks that need more than one field, each reported against its own
         # a y that no seed explains fails before any sampler runs, whichever it is
-        (("posterior", "d=2", "d_prime=2", "sampler=rejection", "y=1000,1000", "max_rounds=10"),
-         "'y'"),
-        (("posterior", "d=2", "d_prime=2", "sampler=heuristic", "y=1000,1000", "count=5",
-          "steps=20"), "'y'"),
-        (("posterior", "sampler=brute-force", "d=13", "d_prime=13"), "'d'"),
-        (("invert", "sampler=brute-force", "d=13", "d_prime=13"), "'d'"),
-        (("invert", "sampler=heuristic", "d=13", "d_prime=13"), "'d'"),
-        (("sample", "method=diffusion", "d=13", "d_prime=13"), "'d'"),
-        (("approx-score", "kappa=0.5"), "'kappa'"),
-        (("approx-score", "family=bogus"), "'family'"),
-        (("bench-acceptance", "ms=x"), "'ms'"),
-        (("bench-acceptance", "ms=1,-1"), "'ms'"),
-        (("bench-acceptance", "betas=0"), "'betas'"),
-        (("sample", "circuit=random:x:1"), "'circuit'"),
-        (("sample", "d=3", "d_prime=2"), "'circuit'"),
-        (("compile-circuit", "circuit=no/such.circuit"), "'circuit'"),
-        (("posterior", "d=2", "d_prime=2", "y=0.1,0.2,0.3"), "'y'"),
-        (("posterior", "d=2", "d_prime=2", "sampler=brute-force", "beta=0"), "'beta'"),
-        (("sample", "method=diffusion", "d=2", "d_prime=2", "provider=bogus"), "'provider'"),
-        (("sample", "d=0"), "'d'"),
-        (("sample", "--jobs", "0"), "'jobs'"),
-        (("invert", "R=-1"), "'R'"),  # the instance's R; bench-acceptance has no R key
-        (("bench-acceptance", "ms=0", "eps=nan"), "'eps'"),
-        (("posterior", "d=2", "d_prime=2", "sampler=brute-force", "y=1000,1000"), "'y'"),
-        (("posterior", "d=1", "d_prime=1", "sampler=rejection", "y=-1000"), "'y'"),
-        (("posterior", "d=1", "d_prime=1", "sampler=heuristic", "y=1e6"), "'y'"),
-        (("posterior", "d=2", "d_prime=2", "y=nan,0"), "'y'"),
-        (("posterior", "d=2", "d_prime=2", "y=1,inf"), "'y'"),
-        (("sample", "eps=16"), "'eps'"),
-        (("bench-acceptance", "ms=0", "eps=30"), "'eps'"),
-        (("approx-score", "family=dg", "sigma=1e-6", "kappa=0.25"), "'sigma'"),
-        (("invert", "--seed", "-3"), "'seed'"),
-        (("bench-acceptance", "--seed", "-3", "ms=0"), "'seed'"),
-        (("sample", "d_prime=-1"), "'d_prime'"),
-        (("sample", "R=0"), "'R'"),
-        (("sample", "method=diffusion", "d=2", "d_prime=2", "provider=relu:x.txt"), "'provider'"),
-        (("sample", "method=diffusion", "d=2", "d_prime=2", "provider=piecewise:x.csv"),
-         "'provider'"),
+        pytest.param(("posterior", "d=2", "d_prime=2", "sampler=rejection", "y=1000,1000",
+                      "max_rounds=10"), "'y'", id="argv19-'y'"),
+        pytest.param(("posterior", "d=2", "d_prime=2", "sampler=heuristic", "y=1000,1000",
+                      "count=5", "steps=20"), "'y'", id="argv20-'y'"),
+        pytest.param(("posterior", "sampler=brute-force", "d=13", "d_prime=13"),
+                     "'d'", id="argv21-'d'"),
+        pytest.param(("invert", "sampler=brute-force", "d=13", "d_prime=13"),
+                     "'d'", id="argv22-'d'"),
+        pytest.param(("invert", "sampler=heuristic", "d=13", "d_prime=13"), "'d'", id="argv23-'d'"),
+        pytest.param(("sample", "method=diffusion", "d=13", "d_prime=13"), "'d'", id="argv24-'d'"),
+        pytest.param(("approx-score", "kappa=0.5"), "'kappa'", id="argv25-'kappa'"),
+        pytest.param(("approx-score", "family=bogus"), "'family'", id="argv26-'family'"),
+        pytest.param(("bench-acceptance", "ms=x"), "'ms'", id="argv27-'ms'"),
+        pytest.param(("bench-acceptance", "ms=1,-1"), "'ms'", id="argv28-'ms'"),
+        pytest.param(("bench-acceptance", "betas=0"), "'betas'", id="argv29-'betas'"),
+        pytest.param(("sample", "circuit=random:x:1"), "'circuit'", id="argv30-'circuit'"),
+        pytest.param(("sample", "d=3", "d_prime=2"), "'circuit'", id="argv31-'circuit'"),
+        pytest.param(("compile-circuit", "circuit=no/such.circuit"),
+                     "'circuit'", id="argv32-'circuit'"),
+        pytest.param(("posterior", "d=2", "d_prime=2", "y=0.1,0.2,0.3"), "'y'", id="argv33-'y'"),
+        pytest.param(("posterior", "d=2", "d_prime=2", "sampler=brute-force", "beta=0"),
+                     "'beta'", id="argv34-'beta'"),
+        pytest.param(("sample", "method=diffusion", "d=2", "d_prime=2", "provider=bogus"),
+                     "'provider'", id="argv35-'provider'"),
+        pytest.param(("sample", "d=0"), "'d'", id="argv36-'d'"),
+        pytest.param(("sample", "--jobs", "0"), "'jobs'", id="argv37-'jobs'"),
+        # the instance's R; bench-acceptance has no R key
+        pytest.param(("invert", "R=-1"), "'R'", id="argv38-'R'"),
+        pytest.param(("bench-acceptance", "ms=0", "eps=nan"), "'eps'", id="argv39-'eps'"),
+        pytest.param(("posterior", "d=2", "d_prime=2", "sampler=brute-force", "y=1000,1000"),
+                     "'y'", id="argv40-'y'"),
+        pytest.param(("posterior", "d=1", "d_prime=1", "sampler=rejection", "y=-1000"),
+                     "'y'", id="argv41-'y'"),
+        pytest.param(("posterior", "d=1", "d_prime=1", "sampler=heuristic", "y=1e6"),
+                     "'y'", id="argv42-'y'"),
+        pytest.param(("posterior", "d=2", "d_prime=2", "y=nan,0"), "'y'", id="argv43-'y'"),
+        pytest.param(("posterior", "d=2", "d_prime=2", "y=1,inf"), "'y'", id="argv44-'y'"),
+        pytest.param(("sample", "eps=16"), "'eps'", id="argv45-'eps'"),
+        pytest.param(("bench-acceptance", "ms=0", "eps=30"), "'eps'", id="argv46-'eps'"),
+        pytest.param(("approx-score", "family=dg", "sigma=1e-6", "kappa=0.25"),
+                     "'sigma'", id="argv47-'sigma'"),
+        pytest.param(("invert", "--seed", "-3"), "'seed'", id="argv48-'seed'"),
+        pytest.param(("bench-acceptance", "--seed", "-3", "ms=0"), "'seed'", id="argv49-'seed'"),
+        pytest.param(("sample", "d_prime=-1"), "'d_prime'", id="argv50-'d_prime'"),
+        pytest.param(("sample", "R=0"), "'R'", id="argv51-'R'"),
+        pytest.param(("sample", "method=diffusion", "d=2", "d_prime=2", "provider=relu:x.txt"),
+                     "'provider'", id="argv52-'provider'"),
+        pytest.param(("sample", "method=diffusion", "d=2", "d_prime=2", "provider=piecewise:x.csv"),
+                     "'provider'", id="argv53-'provider'"),
         # the schema checks the name even where the sampler reads no provider
-        (("posterior", "sampler=brute-force", "provider=bogus"), "'provider'"),
-        (("compile-circuit", "circuit={tmp}/kindless.circuit"), "'circuit'"),
-        (("invert", "d=2", "d_prime=1", "circuit={tmp}/countless.circuit"), "'circuit'"),
-        (("compile-circuit", "circuit={tmp}/negative.circuit"), "'circuit'"),
+        pytest.param(("posterior", "sampler=brute-force", "provider=bogus"),
+                     "'provider'", id="argv54-'provider'"),
+        pytest.param(("compile-circuit", "circuit={tmp}/kindless.circuit"),
+                     "'circuit'", id="argv55-'circuit'"),
+        pytest.param(("invert", "d=2", "d_prime=1", "circuit={tmp}/countless.circuit"),
+                     "'circuit'", id="argv56-'circuit'"),
+        pytest.param(("compile-circuit", "circuit={tmp}/negative.circuit"),
+                     "'circuit'", id="argv57-'circuit'"),
     ],
 )
 def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
@@ -624,11 +645,45 @@ def _mixed_table():
     return list("abcdefg"), rows
 
 
+def _array_table(dtype):
+    """Two blocks + 1 row of `dtype` cells, with ints past 2^53 where %.17g would round."""
+    rows = 2 * cli.CSV_BLOCK_ROWS + 1
+    ints = np.random.default_rng(1).integers(-(2**62), 2**62, size=(rows, 3))
+    ints[0] = [2**63 - 1, -(2**63), 0]
+    x = {
+        "float32": ints.astype(np.float32) * np.float32(1e-20),
+        "int64": ints,
+        "bool": ints % 3 == 0,
+        "complex": ints * 1e-3 + 1j * np.where(ints % 2 == 0, -0.0, np.nan),
+    }
+    return ["a", "b", "c"], x[dtype]
+
+
+def _object_table():
+    """An object array: each cell keeps its own type, as a list row does."""
+    rows = [[1, 0.1, "s", None], [np.int64(-7), np.float64(-0.0), "", np.float32(0.1)]]
+    x = np.empty((2, 4), dtype=object)
+    x[:] = rows
+    return list("abcd"), x
+
+
 TABLES = {
     "float-array": _float_table,
     "mixed-list": _mixed_table,
     "empty-list": lambda: (["x0", "x1"], []),
     "empty-array": lambda: (["x0", "x1"], np.empty((0, 2))),
+    # the writer dispatches on the array's dtype: only a float dtype takes the FMT block format
+    "float32-array": lambda: _array_table("float32"),
+    "int64-array": lambda: _array_table("int64"),
+    "bool-array": lambda: _array_table("bool"),
+    "complex-array": lambda: _array_table("complex"),
+    "object-array": _object_table,
+    "one-column-float-array": lambda: (
+        ["x"], np.random.default_rng(2).standard_normal((cli.CSV_BLOCK_ROWS + 1, 1))
+    ),
+    "one-block-float-array": lambda: (
+        ["x", "y"], np.random.default_rng(3).standard_normal((cli.CSV_BLOCK_ROWS, 2))
+    ),
 }
 
 
