@@ -107,13 +107,26 @@ def lattice_quantiles(bits: np.ndarray, eps: float, u: np.ndarray) -> np.ndarray
     return u
 
 
-def sample_discretized_gaussian(b: int, eps: float, rng: np.random.Generator, size: int):
+def sample_discretized_gaussian(
+    b: int,
+    eps: float,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    size: int | Sequence[int],
+):
     """Draw size values from the unit Gaussian discretized to the phase-b lattice. It runs
-    rng.choice's own inverse CDF, so draws and rng state equal rng.choice(len(pts), size, p=p)'s."""
+    rng.choice's own inverse CDF, so draws and rng state equal rng.choice(len(pts), size, p=p)'s.
+
+    rng may be a sequence of distinct generators and size one size each: generator i draws
+    rng[i].random(size[i]) as a lone call would, and the draws come back concatenated in order.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    gens, sizes = ([rng], [size]) if isinstance(rng, np.random.Generator) else (rng, size)
+    if len(gens) != len(sizes):
+        raise ValueError("one size per generator")
+    u = np.concatenate([r.random(n) for r, n in zip(gens, sizes)])
     pts, cdf = _lattice_cdf(b, eps)
-    return pts[cdf.searchsorted(rng.random(size), side="right")]
+    return pts[cdf.searchsorted(u, side="right")]
 
 
 def sample_unconditional(
@@ -124,25 +137,25 @@ def sample_unconditional(
 ):
     """Draw size pairs (s, x) with s uniform and x from the seed-s component.
 
-    rng may be a sequence of k generators, k dividing size: generator i draws rows i*size/k to
-    (i+1)*size/k in the order a lone call of size/k rows would, and f runs once on all rows.
+    rng may be a sequence of k distinct generators (one listed twice would interleave its
+    blocks' draws), k dividing size: generator i draws rows i*size/k to (i+1)*size/k in a lone
+    call's order (signs, head normals, bit +1 then bit -1 lattice uniforms), and f and each
+    lattice lookup run once on all rows.
     """
     gens = [rng] if isinstance(rng, np.random.Generator) else rng
     b, left = divmod(size, len(gens))
     if left:
         raise ValueError("size must be a multiple of the number of generators")
-    blocks = [(r, slice(i * b, (i + 1) * b)) for i, r in enumerate(gens)]
-    s = np.empty((size, params.d), dtype=int)
+    heads = [(signs(r, (b, params.d)), r.standard_normal((b, params.d))) for r in gens]
+    s = np.concatenate([sg for sg, _ in heads])
     x = np.empty((size, params.dim))
-    for r, blk in blocks:
-        s[blk] = signs(r, (b, params.d))
-        x[blk, : params.d] = params.R * s[blk] + r.standard_normal((b, params.d))
+    x[:, : params.d] = params.R * s + np.concatenate([z for _, z in heads])
     bits, tail = f(s), x[:, params.d :]  # (n, d_prime) each
-    for r, blk in blocks:
-        for bit in (1, -1):
-            mask = bits[blk] == bit
-            if cnt := np.count_nonzero(mask):
-                tail[blk][mask] = sample_discretized_gaussian(bit, params.eps, r, cnt)
+    for bit in (1, -1):
+        mask = bits == bit
+        counts = np.count_nonzero(mask.reshape(len(gens), b * params.d_prime), axis=1)
+        if counts.any():
+            tail[mask] = sample_discretized_gaussian(bit, params.eps, gens, counts)
     return s, x
 
 

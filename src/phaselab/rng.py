@@ -11,7 +11,9 @@ rest (f, the lattice lookups) once for the batch. Trial t of row m of
 `posterior.acceptance_curve` draws from `child_stream(master, m, t)`, whose SeedSequence spawn
 key no `stream` key matches. The row runs its trials as one batch, yet each child stream's
 draw order is a lone trial's: its m signs, its measurement's uniforms and normals, then per
-rejection round its proposal rows and their acceptance uniforms.
+rejection round its proposal rows and their acceptance uniforms. A batch takes distinct
+generators: one listed twice in a `sample_unconditional` call would draw both its blocks' bit
++1 lattice uniforms before either block's bit -1 uniforms, not as two lone calls would.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from phaselab import instance
 from phaselab.circuits import no_output_candidate, sign_identity
 from phaselab.instance import (
     EPS_MAX,
@@ -100,6 +101,43 @@ def test_scalar_draw_is_generator_choice(b, eps):
         x = sample_discretized_gaussian(b, eps, rng, size)
         assert np.array_equal(x, pts[ref.choice(len(pts), size=size, p=p)])
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("b", [1, -1])
+def test_discretized_gaussian_generator_sequence_is_lone_calls(b):
+    """Generators with one size each: generator i draws what a lone call of size[i] draws, bit
+    for bit, and is left in that call's state; a zero size between nonzero ones draws nothing."""
+    sizes = [3, 0, 5, 1, 0, 2]
+    gens = [np.random.default_rng(60 + i) for i in range(len(sizes))]
+    x = sample_discretized_gaussian(b, 0.5, gens, sizes)
+    lone_gens = [np.random.default_rng(60 + i) for i in range(len(sizes))]
+    lone = [sample_discretized_gaussian(b, 0.5, r, n) for r, n in zip(lone_gens, sizes)]
+    assert np.array_equal(x, np.concatenate(lone))
+    for r, ref in zip(gens, lone_gens):
+        assert r.random() == ref.random()
+
+
+def test_discretized_gaussian_needs_one_size_per_generator():
+    """A sizes sequence of another length than the generators' raises before any draw."""
+    gens = [np.random.default_rng(i) for i in range(3)]
+    for sizes in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="one size per generator"):
+            sample_discretized_gaussian(1, 1.0, gens, sizes)
+    assert [r.random() for r in gens] == [np.random.default_rng(i).random() for i in range(3)]
+
+
+def test_sample_unconditional_draws_each_bit_once_per_call(monkeypatch):
+    """k = 8 generators: the tail takes one lattice draw per bit for the whole call, not one
+    per generator and bit."""
+    calls = []
+    draw = instance.sample_discretized_gaussian
+    monkeypatch.setattr(
+        instance, "sample_discretized_gaussian", lambda b, *a: calls.append(b) or draw(b, *a)
+    )
+    params = canonical_params(3, 4, beta=0.3)
+    f = random_circuit_owf(3, 4, 14, seed=3)
+    sample_unconditional(params, f, [np.random.default_rng(i) for i in range(8)], 64)
+    assert sorted(calls) == [-1, 1]
 
 
 def inline_draw_sample_unconditional(params, f, rng, size):

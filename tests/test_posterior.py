@@ -183,12 +183,28 @@ def test_batched_rejection_needs_one_generator_and_one_draw_per_row():
             rejection_sample(proposal, A, y, cfg, **bad)
 
 
-@pytest.mark.parametrize("d, d_prime, k, size", [(2, 2, 3, 30), (3, 1, 1, 8), (1, 3, 4, 4)])
-def test_sample_unconditional_generator_sequence_is_lone_blocks(d, d_prime, k, size):
+@pytest.mark.parametrize(
+    "d, d_prime, k, size, const",
+    [
+        pytest.param(2, 2, 3, 30, None, id="2-2-3-30"),
+        pytest.param(3, 1, 1, 8, None, id="3-1-1-8"),
+        pytest.param(1, 3, 4, 4, None, id="1-3-4-4"),
+        pytest.param(2, 3, 4, 12, 1, id="no-block-draws-bit-minus-1"),
+        pytest.param(3, 2, 3, 9, -1, id="no-block-draws-bit-plus-1"),
+        pytest.param(3, 0, 4, 8, None, id="d_prime-0"),
+    ],
+)
+def test_sample_unconditional_generator_sequence_is_lone_blocks(d, d_prime, k, size, const):
     """k generators: generator i draws rows i*size/k to (i+1)*size/k as a lone call of size/k
-    rows would, bit for bit, and is left in that call's state."""
+    rows would, bit for bit, and is left in that call's state; also when a constant candidate
+    leaves one bit undrawn and when there is no tail at all."""
     params = canonical_params(d, d_prime, beta=0.3)
-    f = random_circuit_owf(d, d_prime, 2 * (d + d_prime), seed=3)
+    if const is not None:
+        f = constant_candidate(d, np.full(d_prime, const))
+    elif d_prime:
+        f = random_circuit_owf(d, d_prime, 2 * (d + d_prime), seed=3)
+    else:
+        f = no_output_candidate(d)
     gens = [np.random.default_rng(40 + i) for i in range(k)]
     s, x = sample_unconditional(params, f, gens, size)
     b = size // k
