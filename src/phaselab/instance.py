@@ -68,12 +68,13 @@ def phase_of_bit(b: int, eps: float) -> float:
     return (eps / 2.0) * (1 - b) / 2.0
 
 
-def lattice_atoms(eps: float, phase: float, extent: float = LATTICE_EXTENT):
-    """Points {k*eps + phase : |point| <= extent} and their normalized unit-Gaussian weights.
-
-    Both arrays are cached and read-only: copy one before changing it."""
+def lattice_atoms(eps: float, phase: float, extent: float = LATTICE_EXTENT, log: bool = False):
+    """Points {k*eps + phase : |point| <= extent} and their normalized unit-Gaussian weights p,
+    or with log=True the points of positive p and their log p. The arrays are cached and
+    read-only: copy one before changing it."""
     k_lo, k_hi = math.ceil((-extent - phase) / eps), math.floor((extent - phase) / eps)
-    return _lattice_atoms(eps, phase, k_lo, k_hi)
+    pts, p, log_pts, logp = _lattice_atoms(eps, phase, k_lo, k_hi)
+    return (log_pts, logp) if log else (pts, p)
 
 
 # Keyed by the atom range: the smoothed density's extent 12 + 8 rho is a new float at every
@@ -84,8 +85,11 @@ def _lattice_atoms(eps: float, phase: float, k_lo: int, k_hi: int):
     logw = -0.5 * pts**2
     w = np.exp(logw - logw.max())
     p = w / w.sum()
-    pts.flags.writeable = p.flags.writeable = False
-    return pts, p
+    keep = p > 0  # the outer weights of a large extent underflow
+    atoms = pts, p, pts[keep], np.log(p[keep])
+    for a in atoms:
+        a.flags.writeable = False
+    return atoms
 
 
 def _lattice_cdf(b: int, eps: float):
@@ -146,10 +150,12 @@ def sample_unconditional(
     b, left = divmod(size, len(gens))
     if left:
         raise ValueError("size must be a multiple of the number of generators")
-    heads = [(signs(r, (b, params.d)), r.standard_normal((b, params.d))) for r in gens]
-    s = np.concatenate([sg for sg, _ in heads])
+    s, z = np.empty((size, params.d), dtype=np.int64), np.empty((size, params.d))
+    for i, r in enumerate(gens):
+        s[i * b : (i + 1) * b] = signs(r, (b, params.d))
+        r.standard_normal(out=z[i * b : (i + 1) * b])
     x = np.empty((size, params.dim))
-    x[:, : params.d] = params.R * s + np.concatenate([z for _, z in heads])
+    np.add(params.R * s, z, out=x[:, : params.d])
     bits, tail = f(s), x[:, params.d :]  # (n, d_prime) each
     for bit in (1, -1):
         mask = bits == bit

@@ -139,7 +139,7 @@ def seed_posterior_log_weights(
     if f.n_inputs != params.d:
         raise ValueError("input length mismatch")
     Y = np.atleast_2d(np.asarray(y, dtype=float))
-    ld = np.stack([dg_smoothed_log_density(sp, Y) for sp in _phase_specs(params.eps, params.beta)])
+    ld = dg_smoothed_log_density(_phase_specs(params.eps, params.beta), Y)
     # on a 2^-40 grid every GEMM sum below 2^13 is exact in any order: batch rows = lone rows
     # (a seed with a larger sum has exp(logw) = 0 once y passes the check below)
     ld = np.rint(ld * 2.0**40) * 2.0**-40
@@ -165,8 +165,8 @@ def seed_law_tv(params: InstanceParams, f: BooleanCircuit, y: np.ndarray, x: np.
 def _tail_posterior_cdf(eps: float, phase: float, beta: float, y: np.ndarray):
     """(pts, cdf): the phase lattice and one row per measurement in y of the CDF of the
     exact lattice posterior of a tail coordinate given that measurement."""
-    pts, p = lattice_atoms(eps, phase)
-    logpost = np.log(p)[None, :] - (y[:, None] - pts[None, :]) ** 2 / (2.0 * beta**2)
+    pts, logp = lattice_atoms(eps, phase, log=True)
+    logpost = logp[None, :] - (y[:, None] - pts[None, :]) ** 2 / (2.0 * beta**2)
     logpost -= logpost.max(axis=1, keepdims=True)
     w = np.exp(logpost)
     w /= w.sum(axis=1, keepdims=True)

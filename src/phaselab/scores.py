@@ -2,7 +2,7 @@
 
 Two independent routes are implemented for the smoothed discretized Gaussian:
 a Fourier (Poisson-summation) series, cut after its last term of at least
-1e-18, and a direct lattice convolution sum; the smoothing picks one (_use_series).
+1e-18, and a direct lattice convolution sum; the smoothing picks one (_smoothed).
 They must agree to 1e-10 relative; tests enforce this. The exact mixture score
 is two GEMMs and one softmax, in log-space; see mixture_score_exact.
 """
@@ -50,9 +50,16 @@ def _series_coeffs(eps: float, rho: float):
     a_j and angular frequencies 2*pi*j/eps of j >= 1, a_j freq_j / v and log sqrt(2 pi v)."""
     v = 1.0 + rho**2
     c = 2.0 * np.pi**2 * rho**2 / (eps**2 * v)
-    j = np.arange(1, int(np.sqrt(_SERIES_LOG_CUT / c)) + 1, dtype=float)
-    a, freq = np.exp(-c * j**2), 2.0 * np.pi * j / eps
+    j, freq = _series_freqs(int(np.sqrt(_SERIES_LOG_CUT / c)), eps)
+    a = np.exp(-c * j**2)
     return v, a, freq, a * freq / v, 0.5 * np.log(2.0 * np.pi * v)
+
+
+@functools.lru_cache(maxsize=4)
+def _series_freqs(J: int, eps: float):
+    """j = 1..J and the angular frequencies 2*pi*j/eps: rho sets only J."""
+    j = np.arange(1, J + 1, dtype=float)
+    return j, 2.0 * np.pi * j / eps
 
 
 @functools.lru_cache(maxsize=8)
@@ -67,41 +74,49 @@ def _lattice_normalizer_series(eps: float, phase: float) -> float:
     return z
 
 
-def _dg_series_log_density(spec: DiscreteGaussianSpec, x: np.ndarray):
-    v, a, freq, _, log_norm = _series_coeffs(spec.eps, spec.rho)
-    x = np.asarray(x, dtype=float)
+@functools.lru_cache(maxsize=8)
+def _series_phases(eps: float, phases: tuple, ndim: int):
+    """The phases and their log Ztilde as (k, 1, ...) columns against an x of ndim >= 1 dims (a
+    stack of dot products rounds as lone ones do; a matrix product need not)."""
+    col = (len(phases),) + (1,) * ndim
+    logz = [np.log(_lattice_normalizer_series(eps, ph)) for ph in phases]
+    return np.reshape(phases, col), np.reshape(logz, col)
+
+
+def _dg_series(specs, x: np.ndarray, part: int):
+    """Part 0 (log density) or 1 (score) on the series route of k specs that share eps and rho:
+    (k,) + x.shape, or (k, 1) for a scalar x."""
+    v, a, freq, afv, log_norm = _series_coeffs(specs[0].eps, specs[0].rho)
+    phase, logz = _series_phases(specs[0].eps, tuple(s.phase for s in specs), max(x.ndim, 1))
+    arg = np.multiply.outer(x / v - phase, freq)
+    if part == 1:
+        Tp = -2.0 * (np.sin(arg) @ afv)  # dT/dx
+        return -x / v + Tp / np.maximum(1.0 + 2.0 * (np.cos(arg) @ a), 1e-300)
     # oscillatory factor T = 1 + 2 sum_j a_j cos((x/v - phase) freq_j): g = w_sqrt(v) T / Ztilde
-    T = 1.0 + 2.0 * (np.cos(np.multiply.outer(x / v - spec.phase, freq)) @ a)
-    z = _lattice_normalizer_series(spec.eps, spec.phase)
+    T = 1.0 + 2.0 * (np.cos(arg) @ a)
     with np.errstate(divide="ignore"):
-        return -(x**2) / (2.0 * v) - log_norm + np.log(np.maximum(T, 0.0)) - np.log(z)
-
-
-def _dg_series_score(spec: DiscreteGaussianSpec, x: np.ndarray):
-    v, a, freq, afv, _ = _series_coeffs(spec.eps, spec.rho)
-    x = np.asarray(x, dtype=float)
-    arg = np.multiply.outer(x / v - spec.phase, freq)
-    Tp = -2.0 * (np.sin(arg) @ afv)  # dT/dx
-    return -x / v + Tp / np.maximum(1.0 + 2.0 * (np.cos(arg) @ a), 1e-300)
+        return -(x**2) / (2.0 * v) - log_norm + np.log(np.maximum(T, 0.0)) - logz
 
 
 @functools.lru_cache(maxsize=2)
-def _lattice_tables(spec: DiscreteGaussianSpec):
-    """The lattice route's x-free factors: the atoms |t| <= 12 + 8 rho, their log weights as a
-    column, rho^2, pts / rho^2 and log sqrt(2 pi rho^2)."""
-    pts, p = lattice_atoms(spec.eps, spec.phase, extent=LATTICE_EXTENT + 8.0 * spec.rho)
-    if p[0] == 0 or p[-1] == 0:  # outer weights underflow at large rho (direct calls only)
-        pts, p = pts[p > 0], p[p > 0]
-    rho2 = spec.rho**2
-    return pts, np.log(p)[:, None], rho2, pts / rho2, 0.5 * np.log(2.0 * np.pi * rho2)
+def _lattice_tables(eps: float, rho: float):
+    """The lattice route's x-free factors: rho^2, log sqrt(2 pi rho^2), and for phase 0, then eps/2,
+    the atoms |t| <= 12 + 8 rho of positive weight, their log weights (a column) and pts / rho^2."""
+    rho2, phases = rho**2, []
+    for phase in (0.0, eps / 2.0):
+        pts, logp = lattice_atoms(eps, phase, extent=LATTICE_EXTENT + 8.0 * rho, log=True)
+        phases.append((pts, logp[:, None], pts / rho2))
+    return rho2, 0.5 * np.log(2.0 * np.pi * rho2), phases
 
 
-def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
-    """(log density, score) by direct convolution over atoms |t| <= 12 + 8 rho."""
-    pts, logp, rho2, pts_scaled, log_norm = _lattice_tables(spec)
+def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray, parts=(0, 1)):
+    """Parts 0 (log density) and 1 (score), or those in parts, stacked, by direct convolution
+    over atoms |t| <= 12 + 8 rho."""
+    rho2, log_norm, phases = _lattice_tables(spec.eps, spec.rho)
+    pts, logp, pts_scaled = phases[spec.phase != 0.0]
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    logd, score = np.empty((2,) + flat.shape)
+    out = np.empty((len(parts), flat.size))
     chunk = max(1, int(2**22 // len(pts)))
     for lo in range(0, flat.size, chunk):
         xs = flat[lo : lo + chunk]
@@ -115,43 +130,52 @@ def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray):
         np.maximum(lg, _LOG_CUTOFF, out=lg)
         w = np.exp(lg, out=lg)
         tot = np.add.reduce(w, axis=0)
-        logd[lo : lo + chunk] = m + np.log(tot) - log_norm
-        score[lo : lo + chunk] = (pts_scaled @ w - tot * xs / rho2) / tot
-    return logd.reshape(x.shape), score.reshape(x.shape)
+        for row, part in zip(out, parts):
+            if part == 0:
+                row[lo : lo + chunk] = m + np.log(tot) - log_norm
+            else:
+                row[lo : lo + chunk] = (pts_scaled @ w - tot * xs / rho2) / tot
+    return out.reshape((len(parts),) + x.shape)
 
 
-def _use_series(spec: DiscreteGaussianSpec) -> bool:
-    """Whether the spec's smoothing takes the Fourier series (rho >= 0.35 eps), not the lattice.
-
-    At rho << eps the Fourier series suffers catastrophic cancellation between
-    atoms (the true density there underflows the series' roundoff floor), so
-    small smoothing uses the direct lattice convolution.
-    """
-    if spec.rho == 0:
+def _smoothed(spec, x, part: int):
+    """Part 0 (dg_smoothed_log_density) or 1 (dg_smoothed_score) of a spec or a phase pair."""
+    specs = (spec,) if isinstance(spec, DiscreteGaussianSpec) else tuple(spec)
+    if len({(s.eps, s.rho) for s in specs}) != 1:
+        raise ValueError("the specs of a phase pair must share eps and rho")
+    eps, rho, x = specs[0].eps, specs[0].rho, np.asarray(x, dtype=float)
+    if rho == 0:
         raise ValueError("rho = 0 is atomic (unsmoothed): no density, score undefined")
-    return spec.rho >= 0.35 * spec.eps
+    # At rho << eps the Fourier series suffers catastrophic cancellation between atoms (the true
+    # density there underflows the series' roundoff floor): rho < 0.35 eps takes the lattice.
+    if rho >= 0.35 * eps:
+        out = _dg_series(specs, x, part).reshape((len(specs),) + x.shape)
+    else:  # one (atoms, points) table per phase, one phase after the other
+        out = np.concatenate([_dg_lattice_parts(s, x, (part,)) for s in specs])
+    return out[0] if isinstance(spec, DiscreteGaussianSpec) else out
 
 
-def dg_smoothed_log_density(spec: DiscreteGaussianSpec, x):
-    return _dg_series_log_density(spec, x) if _use_series(spec) else _dg_lattice_parts(spec, x)[0]
+def dg_smoothed_log_density(spec, x):
+    """The log density at x of a spec, or of both specs of a phase pair (_phase_specs: specs that
+    share eps and rho) as a (2,) + x.shape stack."""
+    return _smoothed(spec, x, 0)
 
 
-def dg_smoothed_score(spec: DiscreteGaussianSpec, x):
-    return _dg_series_score(spec, x) if _use_series(spec) else _dg_lattice_parts(spec, x)[1]
+def dg_smoothed_score(spec, x):
+    """The score at x of a spec, or of both specs of a phase pair as a (2,) + x.shape stack."""
+    return _smoothed(spec, x, 1)
 
 
-def _phase_specs(eps: float, rho: float) -> list[DiscreteGaussianSpec]:
-    """The smoothed lattices of bit +1 and bit -1, in that order."""
-    return [DiscreteGaussianSpec(eps, phase_of_bit(b, eps), rho) for b in (1, -1)]
+def _phase_specs(eps: float, rho: float) -> tuple[DiscreteGaussianSpec, ...]:
+    """The phase pair: the smoothed lattices of bit +1 and bit -1, in that order."""
+    return tuple(DiscreteGaussianSpec(eps, phase_of_bit(b, eps), rho) for b in (1, -1))
 
 
 def _tail_phase_parts(params: InstanceParams, sigma: float, x_tail: np.ndarray):
     """(logd, sc) per tail coordinate and phase, each of shape (2,) + x_tail.shape: the log
     density and score of bit +1 at index 0 and of bit -1 at index 1."""
-    ld, sc = np.empty((2, 2) + x_tail.shape)
-    for i, spec in enumerate(_phase_specs(params.eps, sigma)):
-        ld[i], sc[i] = dg_smoothed_log_density(spec, x_tail), dg_smoothed_score(spec, x_tail)
-    return ld, sc
+    pair = _phase_specs(params.eps, sigma)
+    return dg_smoothed_log_density(pair, x_tail), dg_smoothed_score(pair, x_tail)
 
 
 def _seed_tail_loglik(ld: np.ndarray, tail_rhs: np.ndarray) -> np.ndarray:
@@ -228,7 +252,7 @@ def orthant_score(
     out = np.empty_like(X)
     out[:, : params.d] = -(X[:, : params.d] - params.R * r) / v
     tail = X[:, params.d :]
-    plus, minus = (dg_smoothed_score(spec, tail) for spec in _phase_specs(params.eps, sigma))
+    plus, minus = dg_smoothed_score(_phase_specs(params.eps, sigma), tail)
     out[:, params.d :] = np.where(bits == 1, plus, minus)
     return out
 

@@ -216,7 +216,7 @@ def test_criterion_08_fourier_bound_and_route_agreement():
     for eps, rho in ((0.5, 0.4), (1.0, 0.5), (1.0, 2.0)):
         spec = DiscreteGaussianSpec(eps, 0.0, rho)
         x = np.linspace(-8, 8, 601)
-        a = np.exp(scores._dg_series_log_density(spec, x))
+        a = np.exp(scores._dg_series((spec,), x, 0)[0])
         b = np.exp(scores._dg_lattice_parts(spec, x)[0])
         agree = max(agree, float(np.max(np.abs(a - b) / np.maximum(b, 1e-300))))
     ok = ok and agree <= 1e-10

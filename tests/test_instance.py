@@ -71,14 +71,22 @@ def test_lattice_atoms_match_gaussian_weights():
 
 
 def test_lattice_atoms_are_cached_and_read_only():
-    """Repeat calls share one pair of arrays, so no caller may write into them."""
+    """Repeat calls share one pair of arrays, so no caller may write into them; the log form
+    keeps the atoms of positive weight (at extent 40 the outer weights underflow to 0)."""
     pts, p = lattice_atoms(1.0, 0.5)
     again = lattice_atoms(1.0, 0.5)
     assert again[0] is pts and again[1] is p
-    for a in (pts, p):
+    log_pts, logp = lattice_atoms(1.0, 0.5, log=True)
+    assert lattice_atoms(1.0, 0.5, log=True)[1] is logp
+    assert np.array_equal(log_pts, pts) and np.array_equal(logp, np.log(p))
+    for a in (pts, p, log_pts, logp):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     assert not np.shares_memory(pts, lattice_atoms(1.0, 0.5, extent=6.0)[0])
+    pts, p = lattice_atoms(1.0, 0.5, extent=40.0)
+    log_pts, logp = lattice_atoms(1.0, 0.5, extent=40.0, log=True)
+    assert p[0] == 0.0 and np.array_equal(log_pts, pts[p > 0])
+    assert np.array_equal(logp, np.log(p[p > 0]))
 
 
 def test_discretized_gaussian_moments():

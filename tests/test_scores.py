@@ -32,7 +32,7 @@ def density(spec, x):
 
 def series_parts(spec, x):
     """(log density, score) on the series route, whatever the spec's smoothing."""
-    return scores._dg_series_log_density(spec, x), scores._dg_series_score(spec, x)
+    return scores._dg_series((spec,), x, 0)[0], scores._dg_series((spec,), x, 1)[0]
 
 
 def fd(logd, x, h=1e-6):
@@ -175,6 +175,28 @@ def test_dg_small_smoothing_pulls_to_lattice():
     spec = DiscreteGaussianSpec(1.0, 0.0, 0.05)
     assert dg_smoothed_score(spec, np.array([0.1]))[0] < -20
     assert dg_smoothed_score(spec, np.array([-0.1]))[0] > 20
+
+
+@pytest.mark.parametrize("smoothed", [dg_smoothed_log_density, dg_smoothed_score])
+def test_dg_phase_pair_is_the_stack_of_lone_calls(smoothed):
+    """A phase pair gives np.stack of its two lone calls bit for bit, on both routes: rho below,
+    at and above 0.35 eps, and eps = 12, rho = 4.1 (the lattice route, where the outer atoms of
+    the eps/2 phase underflow to weight 0); for x of shape (n,), (n, d') and size 0. A lone
+    spec keeps x's shape; a pair whose specs differ in eps or rho is refused."""
+    rng = np.random.default_rng(28)
+    assert lattice_atoms(12.0, 6.0, LATTICE_EXTENT + 8.0 * 4.1)[1][0] == 0.0
+    for eps, rho in [(1.0, 0.1), (1.0, 0.35), (1.0, 0.8), (0.5, 0.17), (12.0, 4.1)]:
+        pair = scores._phase_specs(eps, rho)
+        for shape in [(1,), (16,), (500,), (2, 8), (37, 3), (0,), (0, 4)]:
+            x = rng.standard_normal(shape) * (2.0 + rho) + rng.integers(-3, 4, shape) * eps / 2
+            lone = [smoothed(spec, x) for spec in pair]
+            assert all(out.shape == shape for out in lone)
+            got = smoothed(pair, x)
+            assert got.shape == (2,) + shape
+            assert np.array_equal(got, np.stack(lone))
+    for other in (DiscreteGaussianSpec(2.0, 1.0, 0.2), DiscreteGaussianSpec(1.0, 0.5, 0.3)):
+        with pytest.raises(ValueError, match="share eps and rho"):
+            smoothed((DiscreteGaussianSpec(1.0, 0.0, 0.2), other), np.zeros(3))
 
 
 def test_dg_rejects_atomic():
@@ -491,6 +513,28 @@ def test_orthant_score_agrees_deep_in_orthant():
     assert_allclose(
         orthant_score(params, f, 0.5, x), mixture_score_exact(params, f, 0.5, x), atol=1e-8
     )
+
+
+def test_exact_score_and_seed_weights_make_one_pair_call_per_name(monkeypatch):
+    """mixture_score_exact asks for both phases' log densities in one call and their scores in
+    another, on both routes; seed_posterior_log_weights asks for the log densities once."""
+    from phaselab import posterior
+
+    calls = []
+    for mod, name in [(scores, "dg_smoothed_log_density"), (scores, "dg_smoothed_score"),
+                      (posterior, "dg_smoothed_log_density")]:
+        fn = getattr(mod, name)
+        wrapped = lambda spec, x, fn=fn, name=name: calls.append(name) or fn(spec, x)
+        monkeypatch.setattr(mod, name, wrapped)
+    params, f = canonical_params(2, 2), sign_identity(2)
+    x = np.random.default_rng(5).standard_normal((20, 4))
+    for sigma in (0.1, 1.0):  # the lattice and the series route
+        calls.clear()
+        mixture_score_exact(params, f, sigma, x)
+        assert sorted(calls) == ["dg_smoothed_log_density", "dg_smoothed_score"]
+    calls.clear()
+    seed_posterior_log_weights(params, f, x[:3, 2:])
+    assert calls == ["dg_smoothed_log_density"]
 
 
 def test_orthant_score_runs_one_lattice_sum_per_phase(monkeypatch):
