@@ -238,7 +238,7 @@ def build_provider(name: str, params: InstanceParams, f: BooleanCircuit) -> Scor
 
 
 def build_sampler(cfg: dict, params: InstanceParams, f: BooleanCircuit):
-    """The sampler that cfg["sampler"] names, in reduction.invert's form sampler(y, rng, size)
+    """The sampler that cfg["sampler"] names, in reduction.invert's form sampler(m, rng, size)
     -> (x, info): the one place where `posterior` and `invert` choose one."""
     from .reduction import make_brute_force_sampler, make_heuristic_sampler, make_rejection_sampler
 
@@ -286,7 +286,7 @@ def cmd_sample(cfg: dict, args) -> tuple[dict, str]:
 
 
 def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
-    from .posterior import seed_law_tv, seed_posterior_log_weights
+    from .posterior import Measurement, seed_law_tv
     from .reduction import sample_measurement_for_target
 
     params, f = build_instance(cfg)
@@ -294,19 +294,20 @@ def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
     rng = prng.stream(args.seed, 0)
     if cfg["y"] == "fresh":
         s = prng.signs(rng, params.d)
-        y = sample_measurement_for_target(f(s), params, rng)
+        y = sample_measurement_for_target(f(s)[None], params, [rng])[0]
     else:
         y = _field("y", _measurement, cfg["y"], params.d_prime)
+    m = Measurement(params, f, y)
     exact = params.d <= MAX_ENUM_D  # the seed posterior is enumerable: a y it rules out fails here
     if exact:
-        _field("y", seed_posterior_log_weights, params, f, y)
-    x, stats = run_chain("steps", cfg, sampler, y, rng, cfg["count"])
+        _field("y", lambda: m.log_weights)
+    x, stats = run_chain("steps", cfg, sampler, m, rng, cfg["count"])
     info: dict = {"y": [float(v) for v in y], "sampler": cfg["sampler"], **stats}
     lines = []
     if len(x) < cfg["count"]:  # only the rejection sampler runs out
         lines.append(f"rejection budget exhausted after {stats['proposals']} proposals: "
                      f"accepted {len(x)} of {cfg['count']} requested samples")
-    info["seed_law_tv"] = seed_law_tv(params, f, y, x) if exact else None
+    info["seed_law_tv"] = seed_law_tv(m, x) if exact else None
     lines.append(f"wrote {len(x)} posterior samples to {Path(args.out) / 'posterior.csv'}")
     table = ([f"x{j}" for j in range(params.dim)], x)
     return {"posterior.csv": table, "posterior_stats.json": info}, "\n".join(lines)
@@ -455,7 +456,8 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
-SAMPLERS = choice("rejection", "brute-force", "heuristic")
+SAMPLER_NAMES = ("rejection", "brute-force", "heuristic")  # the names build_sampler knows
+SAMPLERS = choice(*SAMPLER_NAMES)
 DIFFUSION_KEYS = {
     "provider": (choice(*PROVIDER_NAMES), "exact"),
     "steps": (non_negative_int, DEFAULT_STEPS),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,15 +152,29 @@ def seed_posterior_log_weights(
     return logw if np.ndim(y) == 2 else logw[0]
 
 
-def seed_law_tv(params: InstanceParams, f: BooleanCircuit, y: np.ndarray, x: np.ndarray):
+@dataclass(frozen=True, eq=False)
+class Measurement:
+    """A float measurement y of the instance (params, f): one (d_prime,) row or (k, d_prime) rows.
+    log_weights, seed_posterior_log_weights(params, f, y), is built on first read and kept."""
+
+    params: InstanceParams
+    f: BooleanCircuit
+    y: np.ndarray
+
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        return seed_posterior_log_weights(self.params, self.f, self.y)
+
+
+def seed_law_tv(m: Measurement, x: np.ndarray):
     """Total variation between the law of round_R(x_head) over the rows of x and the exact seed
-    posterior given y, both over the 2^d seeds in all_inputs order; None for an empty x."""
+    posterior given m.y, both over the 2^d seeds in all_inputs order; None for an empty x."""
     if len(x) == 0:
         return None
-    minus = round_R(np.asarray(x)[:, : params.d], params.R) == -1  # all_inputs: -1 is bit 1
-    law = np.bincount(minus @ (1 << np.arange(params.d - 1, -1, -1)), minlength=2**params.d)
-    w = np.exp(seed_posterior_log_weights(params, f, y))
-    return float(0.5 * np.abs(law / len(x) - w).sum())
+    d = m.params.d
+    minus = round_R(np.asarray(x)[:, :d], m.params.R) == -1  # all_inputs: -1 is bit 1
+    law = np.bincount(minus @ (1 << np.arange(d - 1, -1, -1)), minlength=2**d)
+    return float(0.5 * np.abs(law / len(x) - np.exp(m.log_weights)).sum())
 
 
 def _tail_posterior_cdf(eps: float, phase: float, beta: float, y: np.ndarray):
@@ -175,35 +190,29 @@ def _tail_posterior_cdf(eps: float, phase: float, beta: float, y: np.ndarray):
     return pts, cdf
 
 
-def brute_force_posterior(
-    params: InstanceParams,
-    f: BooleanCircuit,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
-    """Exact posterior draws given y under A = (0 | I).
+def brute_force_posterior(m: Measurement, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Exact posterior draws given the measurement m under A = (0 | I).
 
-    Seeds are drawn from the enumerated seed posterior; the first block is
-    N(R s, I) (independent of y); tail coordinates come from the exact
-    discrete lattice posterior given y. A y of shape (n, d_prime) draws row i
-    (size n) as the i-th of size=n draws given y[i] alone. The tail's
+    Seeds are drawn from the enumerated seed posterior m.log_weights; the first
+    block is N(R s, I) (independent of y); tail coordinates come from the exact
+    discrete lattice posterior given y = m.y. A y of shape (n, d_prime) draws row
+    i (size n) as the i-th of size=n draws given y[i] alone. The tail's
     uniforms are drawn coordinate by coordinate, bit +1 then bit -1, each group's
     in draw order; every tail draw is the first atom whose posterior CDF exceeds its
     uniform, as in Generator.choice.
     """
+    params, y = m.params, m.y
     if params.beta <= 0:
         raise ValueError("posterior requires beta > 0")
-    y = np.asarray(y, dtype=float)
     # inverse CDF: per weight row w, the draws of rng.choice(2^d, size, p=w)
-    cdf = np.cumsum(np.exp(seed_posterior_log_weights(params, f, y)), axis=-1)
+    cdf = np.cumsum(np.exp(m.log_weights), axis=-1)
     cdf /= cdf[..., -1:]
     u = rng.random(size)
     if cdf.ndim == 1:  # one weight row: no (n, 2^d) table
         pick = np.searchsorted(cdf, u, side="right")
     else:  # a size that does not match the rows of y fails to broadcast here
         pick = (cdf <= u[:, None]).sum(axis=1)
-    S, F = f.seed_table
+    S, F = m.f.seed_table
     x = np.empty((size, params.dim))
     x[:, : params.d] = params.R * S[pick] + rng.standard_normal((size, params.d))
     bits = F[pick]
@@ -263,8 +272,8 @@ def acceptance_curve(
                 f = sign_identity(m)
                 rs = [prng.child_stream(master_seed, m, t) for t in range(trials)]
                 s = np.stack([prng.signs(r, m) for r in rs])
-                y = sample_measurement_for_target(f(s), params, rs)
-                x, info = make_rejection_sampler(params, f, max_rounds)(y, rs, trials)
+                meas = Measurement(params, f, sample_measurement_for_target(f(s), params, rs))
+                x, info = make_rejection_sampler(params, f, max_rounds)(meas, rs, trials)
                 total, censored = info["proposals"], int(np.isnan(x).any(axis=1).sum())
             mean = total / trials
             log_mean = float(np.log(mean))

@@ -23,7 +23,7 @@ from .diffusion import DEFAULT_STEPS, default_config, reverse_run
 from .instance import InstanceParams, bits_eps, lattice_quantiles, round_R
 from .instance import measurement_matrix, sample_unconditional
 from .instance import sample_discretized_gaussian  # noqa: F401 - bench/spans.py traces this binding
-from .posterior import PosteriorConfig, brute_force_posterior, rejection_sample
+from .posterior import Measurement, PosteriorConfig, brute_force_posterior, rejection_sample
 from .scores import provider_by_name
 
 
@@ -44,22 +44,14 @@ class InversionReport:
 
 
 def sample_measurement_for_target(
-    z: np.ndarray,
-    params: InstanceParams,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    z: np.ndarray, params: InstanceParams, rng: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """y_j ~ psi_{z_j} + beta*N(0,1), the measurement marginal for targets z.
-
-    A z of shape (n, d_prime) takes one generator per row: row i draws its d' uniforms and
-    then its d' normals from rng[i], and the lattice lookup runs once for the batch. One
-    Generator with a 1-D z is the one-row batch, and gives one 1-D measurement.
-    """
+    """y_j ~ psi_{z_j} + beta*N(0,1), the measurement marginal for targets z of shape
+    (n, d_prime): row i draws its d' uniforms and then its d' normals from rng[i], one generator
+    per row, and the lattice lookup runs once for the batch."""
     if np.shape(z)[-1] != params.d_prime:
         raise ValueError("target length mismatch")
-    one = isinstance(rng, np.random.Generator)
-    if one:
-        z, rng = np.asarray(z)[None], [rng]
-    if np.ndim(z) != 2 or len(rng) != len(z):
+    if np.ndim(z) != 2 or isinstance(rng, np.random.Generator) or len(rng) != len(z):
         raise ValueError("a batch takes a (n, d_prime) z and one generator per row")
     u, noise = np.empty(np.shape(z)), np.empty(np.shape(z))
     for i, r in enumerate(rng):
@@ -67,19 +59,19 @@ def sample_measurement_for_target(
         r.standard_normal(out=noise[i])
     y = lattice_quantiles(np.asarray(z), params.eps, u)
     y += params.beta * noise
-    return y[0] if one else y
+    return y
 
 
-def invert(sampler, y: np.ndarray, params: InstanceParams, rng: np.random.Generator):
-    """Inversion attempts for measurements y of shape (n, d_prime): (guesses, no_guess).
+def invert(sampler, m: Measurement, rng: np.random.Generator):
+    """(guesses, no_guess): one inversion attempt per row of the (n, d_prime) measurement m.y.
 
-    Every sampler has one call form, sampler(y, rng, size) -> (x, info): a (d_prime,) y gives
-    `size` draws given y, a (k, d_prime) y with size=k one draw per row, NaN where the sampler
+    Every sampler has one call form, sampler(m, rng, size) -> (x, info): a (d_prime,) m.y gives
+    `size` draws given y, a (k, d_prime) m.y with size=k one draw per row, NaN where the sampler
     made none; info holds its own posterior_stats.json fields. Here info is unused, and a guess
-    is round_R of the first d coordinates of sampler(y, rng, n)'s draw.
+    is round_R of the first d coordinates of sampler(m, rng, n)'s draw.
     """
-    x = np.asarray(sampler(y, rng, len(y))[0])
-    return round_R(x[:, : params.d], params.R), np.isnan(x).any(axis=1)
+    x = np.asarray(sampler(m, rng, len(m.y))[0])
+    return round_R(x[:, : m.params.d], m.params.R), np.isnan(x).any(axis=1)
 
 
 def inversion_experiment(
@@ -97,13 +89,13 @@ def inversion_experiment(
     streams = [prng.stream(master_seed, i) for i in range(trials)]
     s = np.array([prng.signs(r, params.d) for r in streams])
     z = f(s)
-    y = sample_measurement_for_target(z, params, streams)
+    m = Measurement(params, f, sample_measurement_for_target(z, params, streams))
     t0 = time.perf_counter_ns()
-    guess, no_guess = invert(sampler, y, params, prng.stream(master_seed, prng.BATCH))
+    guess, no_guess = invert(sampler, m, prng.stream(master_seed, prng.BATCH))
     nanos = (time.perf_counter_ns() - t0) / trials
     solved = np.all(f(guess) == z, axis=1) & ~no_guess
     hits = solved & np.all(guess == s, axis=1)
-    bits = np.all(bits_eps(y, params.eps) == z, axis=1)
+    bits = np.all(bits_eps(m.y, params.eps) == z, axis=1)
     return InversionReport(
         trials, int(solved.sum()), int(hits.sum()), int(bits.sum()), int(no_guess.sum()), nanos
     )
@@ -113,7 +105,7 @@ def make_brute_force_sampler(params: InstanceParams, f: BooleanCircuit):
     """The exact oracle brute_force_posterior in invert's sampler form; its info is {}. Its seed
     table is built now, so that d > MAX_ENUM_D raises ValueError here."""
     f.seed_table
-    return lambda y, rng, size: (brute_force_posterior(params, f, y, rng, size=size), {})
+    return lambda m, rng, size: (brute_force_posterior(m, rng, size=size), {})
 
 
 def make_rejection_sampler(params: InstanceParams, f: BooleanCircuit, max_rounds: int):
@@ -125,10 +117,10 @@ def make_rejection_sampler(params: InstanceParams, f: BooleanCircuit, max_rounds
     cfg = PosteriorConfig(max_rounds, params.beta)
     proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
 
-    def sampler(y, rng, size):
-        if np.ndim(y) == 2 and isinstance(rng, np.random.Generator):
+    def sampler(m, rng, size):
+        if np.ndim(m.y) == 2 and isinstance(rng, np.random.Generator):
             rng = rng.spawn(size)
-        x, stats = rejection_sample(proposal, A, y, cfg, rng, size=size)
+        x, stats = rejection_sample(proposal, A, m.y, cfg, rng, size=size)
         got = int(np.isfinite(x).all(axis=1).sum())
         rate = stats.rounds / got if got else None
         return x, {"proposals": stats.rounds, "accepted": got, "rounds_per_accept": rate}
@@ -147,8 +139,8 @@ def make_heuristic_sampler(
     dcfg = default_config(params, N=steps)
     score = provider_by_name(provider, params, f)
 
-    def sampler(y, rng, size):
-        y = np.asarray(y, dtype=float)
+    def sampler(m, rng, size):
+        y = m.y
         guidance = lambda t, x: -(x @ A.T - y) @ A / (params.beta**2 + t)
         return reverse_run(score, dcfg, rng, dim=params.dim, size=size, extra_drift=guidance), {}
 

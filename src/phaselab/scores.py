@@ -171,18 +171,11 @@ def _phase_specs(eps: float, rho: float) -> tuple[DiscreteGaussianSpec, ...]:
     return tuple(DiscreteGaussianSpec(eps, phase_of_bit(b, eps), rho) for b in (1, -1))
 
 
-def _tail_phase_parts(params: InstanceParams, sigma: float, x_tail: np.ndarray):
-    """(logd, sc) per tail coordinate and phase, each of shape (2,) + x_tail.shape: the log
-    density and score of bit +1 at index 0 and of bit -1 at index 1."""
-    pair = _phase_specs(params.eps, sigma)
-    return dg_smoothed_log_density(pair, x_tail), dg_smoothed_score(pair, x_tail)
-
-
 def _seed_tail_loglik(ld: np.ndarray, tail_rhs: np.ndarray) -> np.ndarray:
     """(n, 2^d) log-likelihood of the tail under each seed: ld[0] @ Fp.T + ld[1] @ (1-Fp).T.
 
-    ld is (2, n, d_prime) as from _tail_phase_parts; tail_rhs is [Fp, 1-Fp].T, Fp the 0/1 table
-    of f(s)_j == +1 (BooleanCircuit.float_seed_table).
+    ld is (2, n, d_prime), dg_smoothed_log_density of the phase pair; tail_rhs is [Fp, 1-Fp].T,
+    Fp the 0/1 table of f(s)_j == +1 (BooleanCircuit.float_seed_table).
     """
     return np.concatenate(ld, axis=1) @ tail_rhs  # (n, 2 d_prime) @ (2 d_prime, 2^d)
 
@@ -213,7 +206,9 @@ def mixture_score_exact(
     S, Fp, tail_rhs = f.float_seed_table  # (2^d, d), (2^d, d_prime), (2 d_prime, 2^d)
     v = 1.0 + sigma**2
     head = X[:, : params.d]
-    ld_ph, sc_ph = _tail_phase_parts(params, sigma, X[:, params.d :])  # (2, n, d_prime)
+    pair, tail = _phase_specs(params.eps, sigma), X[:, params.d :]
+    ld_ph = dg_smoothed_log_density(pair, tail)  # (2, n, d_prime): bit +1, then bit -1
+    sc_ph = dg_smoothed_score(pair, tail)
 
     loglik = _seed_tail_loglik(ld_ph, tail_rhs)  # (n, 2^d); updated in place from here on
     loglik += head @ ((params.R / v) * S.T)

@@ -26,6 +26,7 @@ from phaselab.instance import (
     sample_unconditional,
 )
 from phaselab.piecewise import (
+    C4_L2,
     ApproxParams,
     PiecewiseLinear,
     build_score_approx,
@@ -33,6 +34,7 @@ from phaselab.piecewise import (
     score_family,
 )
 from phaselab.posterior import (
+    Measurement,
     PosteriorConfig,
     acceptance_curve,
     brute_force_posterior,
@@ -66,8 +68,8 @@ def test_criterion_01_rejection_sampler_correctness():
     f = sign_identity(2)
     rng = np.random.default_rng(101)
     s = np.array([1, -1])
-    y = sample_measurement_for_target(f(s), params, rng)
-    oracle = brute_force_posterior(params, f, y, rng, size=100_000)
+    y = sample_measurement_for_target(f(s)[None], params, [rng])[0]
+    oracle = brute_force_posterior(Measurement(params, f, y), rng, size=100_000)
     A = measurement_matrix(params)
     cfg = PosteriorConfig(10**6, params.beta)
     proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
@@ -143,10 +145,10 @@ def test_criterion_05_score_approximation_error():
     n1 = build_score_approx(score, ApproxParams(0.04, 1.0, m2)).piece_count
     n2 = build_score_approx(score, ApproxParams(0.01, 1.0, m2)).piece_count
     ratio = n2 / n1
-    ok = worst <= 10.0 and 4.0 <= ratio <= 16.0
+    ok = worst <= C4_L2 and 4.0 <= ratio <= 16.0
     report(
         5, "score approximation", ok,
-        f"max scaled L2 error {worst:.2e} <= 10; piece ratio {ratio:.2f} in [4, 16] "
+        f"max scaled L2 error {worst:.2e} <= {C4_L2:g}; piece ratio {ratio:.2f} in [4, 16] "
         f"({n1} -> {n2} pieces for 4x smaller kappa)",
     )
 

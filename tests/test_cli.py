@@ -13,7 +13,8 @@ from phaselab.circuits import candidate_to_text, sign_identity
 from phaselab import cli, scores
 from phaselab.cli import config_hash, main
 from phaselab.instance import DEFAULT_EPS, DEFAULT_R, InstanceParams
-from phaselab.posterior import seed_law_tv
+from phaselab import posterior
+from phaselab.posterior import Measurement, seed_law_tv
 
 
 def run(*argv):
@@ -508,16 +509,41 @@ def test_posterior_seed_law_tv_of_exact_samplers_is_within_bound(tmp_path, d, be
     assert 0.0 <= tv <= SEED_LAW_TV_BOUND
     x = np.loadtxt(tmp_path / "posterior.csv", delimiter=",", skiprows=2)
     params = InstanceParams(d, d, DEFAULT_R, DEFAULT_EPS, float(beta))
-    yv = np.array([float(v) for v in y.split(",")])
-    assert seed_law_tv(params, sign_identity(d), yv, x) == tv
+    m = Measurement(params, sign_identity(d), np.array([float(v) for v in y.split(",")]))
+    assert seed_law_tv(m, x) == tv
     x[:, :d] *= -1
-    assert seed_law_tv(params, sign_identity(d), yv, x) > SEED_LAW_TV_BOUND
+    assert seed_law_tv(m, x) > SEED_LAW_TV_BOUND
 
 
 def test_posterior_seed_law_tv_is_null_beyond_the_enumeration_limit(tmp_path):
     assert run("posterior", "--out", str(tmp_path), "d=13", "d_prime=0", "count=5") == 0
     stats = json.loads((tmp_path / "posterior_stats.json").read_text())
     assert stats["accepted"] == 5 and stats["seed_law_tv"] is None
+
+
+# argv -> the seed_posterior_log_weights calls its run makes
+TABLE_RUNS = {
+    "posterior sampler=brute-force": 1,
+    "posterior sampler=rejection d=2 d_prime=2 beta=0.3 count=20": 1,
+    "posterior sampler=heuristic steps=20 count=20": 1,
+    "posterior d=13 d_prime=0 count=5": 0,
+    "invert sampler=brute-force trials=5": 1,
+    "invert sampler=rejection d=2 d_prime=2 beta=0.3 trials=5": 0,
+    "invert sampler=heuristic d=2 d_prime=2 trials=2": 0,
+}
+
+
+@pytest.mark.parametrize("argv", TABLE_RUNS)
+def test_a_run_builds_at_most_one_seed_posterior_table(tmp_path, monkeypatch, argv):
+    """The y check, the sampler and seed_law_tv read one Measurement's table: one per posterior
+    run at d <= 12, none past it, and one per invert run only where brute force reads it."""
+    calls = []
+    build = posterior.seed_posterior_log_weights
+    monkeypatch.setattr(posterior, "seed_posterior_log_weights",
+                        lambda *a: calls.append(1) or build(*a))
+    name, *overrides = argv.split()
+    assert run(name, "--out", str(tmp_path), *overrides) == 0
+    assert len(calls) == TABLE_RUNS[argv]
 
 
 def test_posterior_with_nothing_accepted_writes_strict_json(tmp_path, capsys):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from phaselab.instance import lattice_atoms
 from phaselab.piecewise import (
+    C4_L2,
     EPS_DG,
     ApproxParams,
     PiecewiseLinear,
@@ -119,7 +120,7 @@ def test_l2_error_scales_with_kappa(family):
     for kappa in (0.04, 0.01):
         l = build_score_approx(score, ApproxParams(kappa, sigma, m2))
         err = measure_l2_error(l, score, sampler, 100_000, rng)
-        assert err * sigma**2 / kappa <= 10.0
+        assert err * sigma**2 / kappa <= C4_L2
 
 
 def test_piece_count_trend():

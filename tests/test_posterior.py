@@ -21,6 +21,7 @@ from phaselab.instance import (
     sample_unconditional,
 )
 from phaselab.posterior import (
+    Measurement,
     PosteriorConfig,
     acceptance_curve,
     brute_force_posterior,
@@ -230,7 +231,7 @@ def test_seed_enumeration_rejects_candidate_of_other_length():
     with pytest.raises(ValueError, match="input length"):
         seed_posterior_log_weights(params, f, np.zeros(3))
     with pytest.raises(ValueError, match="input length"):
-        brute_force_posterior(params, f, np.zeros(3), np.random.default_rng(0), size=1)
+        brute_force_posterior(Measurement(params, f, np.zeros(3)), np.random.default_rng(0), size=1)
     with pytest.raises(ValueError, match="input length"):
         mixture_score_exact(params, f, 1.0, np.zeros((1, 6)))
 
@@ -246,7 +247,7 @@ def test_seed_enumeration_limit_is_one_check_with_one_message():
     with pytest.raises(ValueError, match=msg):
         seed_posterior_log_weights(params, f, np.zeros(13))
     with pytest.raises(ValueError, match=msg):
-        brute_force_posterior(params, f, np.zeros(13), np.random.default_rng(0), size=1)
+        brute_force_posterior(Measurement(params, f, np.zeros(13)), np.random.default_rng(0), 1)
     with pytest.raises(ValueError, match=msg):
         mixture_score_exact(params, f, 1.0, np.zeros((1, 26)))
 
@@ -256,7 +257,7 @@ def test_seed_posterior_weights_normalized_and_peaked():
     f = sign_identity(3)
     rng = np.random.default_rng(5)
     s = np.array([1, -1, 1])
-    y = sample_measurement_for_target(f(s), params, rng)
+    y = sample_measurement_for_target(f(s)[None], params, [rng])[0]
     logw = seed_posterior_log_weights(params, f, y)
     assert_allclose(np.exp(logw).sum(), 1.0, rtol=1e-12)
     # the true seed class dominates at beta = eps/40
@@ -367,12 +368,9 @@ def test_brute_force_on_tiled_measurement_equals_size_n_draws(d, d_prime, n, bet
     params = canonical_params(d, d_prime, beta=beta)
     f = random_circuit_owf(d, d_prime, 2 * d_prime, seed)
     y = np.random.default_rng(seed).uniform(-2, 2, size=d_prime)
-    tiled = accepted_or_none(
-        brute_force_posterior, params, f, np.tile(y, (n, 1)), np.random.default_rng(seed), n
-    )
-    sized = accepted_or_none(
-        brute_force_posterior, params, f, y, np.random.default_rng(seed), size=n
-    )
+    rows, one = Measurement(params, f, np.tile(y, (n, 1))), Measurement(params, f, y)
+    tiled = accepted_or_none(brute_force_posterior, rows, np.random.default_rng(seed), n)
+    sized = accepted_or_none(brute_force_posterior, one, np.random.default_rng(seed), size=n)
     assert (tiled is None) == (sized is None)
     if tiled is not None:
         assert tiled.shape == (n, params.dim) and np.array_equal(tiled, sized)
@@ -386,7 +384,8 @@ def test_brute_force_rejects_measurement_that_no_seed_explains():
         with pytest.raises(ValueError, match="^y has zero likelihood under every seed$"):
             seed_posterior_log_weights(params, sign_identity(2), y)
         with pytest.raises(ValueError, match="zero likelihood under every seed"):
-            brute_force_posterior(params, sign_identity(2), y, np.random.default_rng(0), size=2)
+            m = Measurement(params, sign_identity(2), y)
+            brute_force_posterior(m, np.random.default_rng(0), size=2)
 
 
 def _reference_brute_force_posterior(params, f, y, rng, size=None):
@@ -458,7 +457,7 @@ def test_brute_force_draws_as_inline_reference(d, beta, batched, make_rng):
         for size in (1, 7, 20_000) if seed < 2 or not batched else (1, 7):
             shape = (size, d) if batched else d
             y = np.random.default_rng(seed).uniform(-2, 2, size=shape)
-            got = brute_force_posterior(params, f, y, make_rng(seed), size=size)
+            got = brute_force_posterior(Measurement(params, f, y), make_rng(seed), size=size)
             want = _reference_brute_force_posterior(params, f, y, make_rng(seed), size=size)
             assert np.array_equal(got, want), (seed, size)
 
@@ -515,7 +514,7 @@ def test_brute_force_tail_draws_and_state_as_per_group_calls(d_prime, batched):
         shape = (n, d_prime) if batched else d_prime
         y = np.random.default_rng(seed).uniform(-2, 2, size=shape)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = brute_force_posterior(params, f, y, rng, size=n)
+        got = brute_force_posterior(Measurement(params, f, y), rng, size=n)
         want = _per_group_brute_force_posterior(params, f, y, ref, size=n)
         assert got.shape == (n, params.dim) and np.array_equal(got, want), seed
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -540,7 +539,7 @@ def test_tail_draw_with_cdf_rounded_below_one_stays_on_lattice():
     params = InstanceParams(1, 1, 30.0, 1.0, 0.3)
     f = constant_candidate(1, np.array([-1]))
     top = _ConstantRng(np.nextafter(1.0, 0.0))
-    x = brute_force_posterior(params, f, np.array([-5.772]), top, size=3)
+    x = brute_force_posterior(Measurement(params, f, np.array([-5.772])), top, size=3)
     pts, _ = lattice_atoms(1.0, 0.5)
     assert np.array_equal(x[:, 1], np.full(3, pts[-1]))
 
@@ -549,7 +548,7 @@ def test_tail_draw_at_zero_uniform_skips_zero_weight_atoms():
     """At y = 2 and beta 0.025 every atom more than 1/2 from y has posterior weight 0
     in double precision; u = 0 picked the lattice's first atom, -12, before."""
     params, f = canonical_params(1, 1), sign_identity(1)
-    x = brute_force_posterior(params, f, [2.0], _ConstantRng(0.0), size=2)
+    x = brute_force_posterior(Measurement(params, f, [2.0]), _ConstantRng(0.0), size=2)
     assert np.all(np.abs(x[:, 1] - 2.0) <= 0.5), x[:, 1]
 
 
@@ -558,8 +557,8 @@ def test_brute_force_posterior_head_matches_seed_law():
     f = sign_identity(2)
     rng = np.random.default_rng(6)
     s = np.array([-1, 1])
-    y = sample_measurement_for_target(f(s), params, rng)
-    x = brute_force_posterior(params, f, y, rng, size=4000)
+    y = sample_measurement_for_target(f(s)[None], params, [rng])[0]
+    x = brute_force_posterior(Measurement(params, f, y), rng, size=4000)
     # decoded seeds all map onto the observed bit pattern
     guesses = round_R(x[:, :2], params.R)
     assert np.mean(np.all(f(guesses) == f(s), axis=1)) > 0.999
@@ -579,8 +578,8 @@ def test_seed_law_tv_indexes_seeds_in_all_inputs_order():
     for k, s in enumerate(all_inputs(2)):
         x = np.zeros((3, params.dim))
         x[:, :2] = params.R * s + np.array([[0.0, 0.0], [29.0, -29.0], [-29.0, 29.0]])
-        assert seed_law_tv(params, f, y, x) == pytest.approx(1.0 - w[k], abs=1e-12)
-    assert seed_law_tv(params, f, y, np.empty((0, params.dim))) is None
+        assert seed_law_tv(Measurement(params, f, y), x) == pytest.approx(1.0 - w[k], abs=1e-12)
+    assert seed_law_tv(Measurement(params, f, y), np.empty((0, params.dim))) is None
 
 
 def test_rejection_matches_brute_force_small_run():
@@ -589,8 +588,8 @@ def test_rejection_matches_brute_force_small_run():
     f = sign_identity(2)
     rng = np.random.default_rng(7)
     s = np.array([1, -1])
-    y = sample_measurement_for_target(f(s), params, rng)
-    oracle = brute_force_posterior(params, f, y, rng, size=20_000)
+    y = sample_measurement_for_target(f(s)[None], params, [rng])[0]
+    oracle = brute_force_posterior(Measurement(params, f, y), rng, size=20_000)
     cfg = PosteriorConfig(10**6, params.beta)
     A = measurement_matrix(params)
     proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
@@ -603,7 +602,7 @@ def test_tail_posterior_concentrates_near_measurement():
     f = sign_identity(2)
     rng = np.random.default_rng(8)
     y = np.array([2.0, -1.5])  # exact lattice points of the +1 phase
-    x = brute_force_posterior(params, f, y, rng, size=2000)
+    x = brute_force_posterior(Measurement(params, f, y), rng, size=2000)
     # beta = 0.025: the posterior tail sits on the nearest atoms
     assert_allclose(x[:, 2:], np.tile(y, (2000, 1)), atol=1e-9)
 
@@ -653,7 +652,8 @@ def test_heuristic_posterior_uninformative_limit():
     params = canonical_params(1, 1, beta=50.0)
     f = sign_identity(1)
     rng = np.random.default_rng(9)
-    x = make_heuristic_sampler(params, f, "exact", steps=800)(np.zeros(1), rng, 4000)[0]
+    sampler = make_heuristic_sampler(params, f, "exact", steps=800)
+    x = sampler(Measurement(params, f, np.zeros(1)), rng, 4000)[0]
     # head marginal: half the mass near each of -R and +R
     frac = np.mean(x[:, 0] > 0)
     assert abs(frac - 0.5) < 0.05

@@ -5,11 +5,12 @@ import pytest
 
 from phaselab import reduction
 from phaselab import rng as prng
+from phaselab.cli import SAMPLER_NAMES, build_sampler
 from phaselab.circuits import all_inputs, constant_candidate, sign_identity
 from phaselab.diffusion import default_config, reverse_run
 from phaselab.instance import bits_eps, canonical_params, measurement_matrix
 from phaselab.instance import sample_discretized_gaussian, sample_unconditional
-from phaselab.posterior import PosteriorConfig, rejection_sample
+from phaselab.posterior import Measurement, PosteriorConfig, rejection_sample
 from phaselab.reduction import (
     InversionReport,
     inversion_experiment,
@@ -56,15 +57,15 @@ def _reference_sample_measurement_for_target(z, params, rng):
 @pytest.mark.parametrize("d_prime", [0, 1, 8])
 @pytest.mark.parametrize("rows", [None, 5])
 def test_measurement_for_target_draws_as_per_coordinate_reference(d_prime, rows):
-    """One draw for the whole tail gives the per-coordinate draws and generator state: for
-    one Generator and a 1-D z (rows None), and for each row of a batch, on its own generator."""
+    """One draw for the whole tail gives the per-coordinate draws and generator state for each
+    row of a batch, on its own generator; rows None is the one-row batch of a 1-D target."""
     params = canonical_params(8, d_prime, beta=0.3)
     for seed in range(20):
         z = np.random.default_rng(seed).choice(np.array([-1, 1]), size=(rows or 1, d_prime))
         seeds = [seed] if rows is None else [[seed, i] for i in range(rows)]
         rngs, refs = [[np.random.default_rng(sd) for sd in seeds] for _ in range(2)]
         if rows is None:
-            y = sample_measurement_for_target(z[0], params, rngs[0])[None]
+            y = sample_measurement_for_target(z[0][None], params, rngs[:1])
         else:
             y = sample_measurement_for_target(z, params, rngs)
         want = [_reference_sample_measurement_for_target(zi, params, r) for zi, r in zip(z, refs)]
@@ -74,8 +75,8 @@ def test_measurement_for_target_draws_as_per_coordinate_reference(d_prime, rows)
 
 @pytest.mark.parametrize("d_prime", [0, 1, 8])
 def test_batched_measurement_rows_equal_one_generator_draws(d_prime):
-    """Row i of a batch drawn with one generator per row equals the one-generator draw for
-    z[i] from the same stream, and leaves that generator in the same state."""
+    """Row i of a batch drawn with one generator per row equals the one-row batch of z[i] on
+    the same stream, and leaves that generator in the same state."""
     params = canonical_params(8, d_prime, beta=0.3)
     z = prng.signs(np.random.default_rng(d_prime), (30, d_prime))
     streams = [prng.stream(5, i) for i in range(30)]
@@ -83,7 +84,7 @@ def test_batched_measurement_rows_equal_one_generator_draws(d_prime):
     assert y.shape == (30, d_prime)
     for i, r in enumerate(streams):
         ref = prng.stream(5, i)
-        assert np.array_equal(y[i], sample_measurement_for_target(z[i], params, ref))
+        assert np.array_equal(y[i], sample_measurement_for_target(z[i][None], params, [ref])[0])
         assert r.bit_generator.state == ref.bit_generator.state
 
 
@@ -119,7 +120,7 @@ def test_invert_constant_function_always_succeeds():
     rng = np.random.default_rng(1)
     z = np.tile(f(np.array([1, 1, -1])), (4, 1))
     y = sample_measurement_for_target(z, params, [prng.stream(1, i) for i in range(4)])
-    guesses, no_guess = invert(sampler, y, params, rng)
+    guesses, no_guess = invert(sampler, Measurement(params, f, y), rng)
     assert guesses.shape == (4, 3) and not no_guess.any()
     assert np.all(f(guesses) == np.array([1, -1]))
 
@@ -151,9 +152,9 @@ def test_inversion_deterministic_and_trial_draws_independent_of_trial_count():
             seen.setdefault("sz", (s, out))
             return out
 
-        def sampler_seen(y, rng, size):
-            seen["y"] = y
-            return sampler(y, rng, size)
+        def sampler_seen(m, rng, size):  # m's f is f_seen, which has no seed table
+            seen["y"] = m.y
+            return sampler(Measurement(params, f, m.y), rng, size)
 
         inversion_experiment(f_seen, sampler_seen, trials, params, master_seed=3)
         return (*seen["sz"], seen["y"])
@@ -165,7 +166,7 @@ def test_inversion_deterministic_and_trial_draws_independent_of_trial_count():
     for i in (0, 9):  # trial i draws s, then y, from stream(master_seed, i)
         r = prng.stream(3, i)
         assert np.array_equal(r.choice(np.array([-1, 1]), size=6), s[i])
-        assert np.array_equal(sample_measurement_for_target(z[i], params, r), y[i])
+        assert np.array_equal(sample_measurement_for_target(z[i][None], params, [r])[0], y[i])
 
 
 def test_exhausted_rejection_budget_is_a_no_guess_not_a_success():
@@ -188,7 +189,8 @@ def test_rejection_sampler_batch_row_is_the_lone_call_on_its_spawned_child():
     z = f(np.array([prng.signs(prng.stream(5, i), 2) for i in range(k)]))
     Y = sample_measurement_for_target(z, params, [prng.stream(5, i) for i in range(k)])
     Y[3] = 40.0  # 40 from every lattice point at beta 0.3: never accepted
-    x, info = make_rejection_sampler(params, f, max_rounds)(Y, prng.stream(5, prng.BATCH), k)
+    m = Measurement(params, f, Y)
+    x, info = make_rejection_sampler(params, f, max_rounds)(m, prng.stream(5, prng.BATCH), k)
 
     A = measurement_matrix(params)
     cfg = PosteriorConfig(max_rounds, params.beta)
@@ -222,9 +224,31 @@ def test_heuristic_sampler_is_the_likelihood_guided_reverse_chain(provider):
         want = reverse_run(
             score, dcfg, prng.stream(9, prng.BATCH), size=size, dim=params.dim, extra_drift=guidance
         )
-        x, info = sampler(y, prng.stream(9, prng.BATCH), size)
+        x, info = sampler(Measurement(params, f, y), prng.stream(9, prng.BATCH), size)
         assert x.shape == (size, params.dim) and info == {}
         assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("name", SAMPLER_NAMES)
+def test_every_sampler_has_the_one_call_form(name):
+    """sampler(m, rng, size): a (d',) y gives (size, dim) draws; a (k, d') y with size=k gives
+    (k, dim), a row of NaN exactly where info counts a miss. Row 3 lies 5 prior standard
+    deviations out in each coordinate: the rejection budget runs out there, and the other samplers
+    still draw."""
+    params, f = canonical_params(2, 2, beta=0.3), sign_identity(2)
+    sampler = build_sampler({"sampler": name, "max_rounds": 10**4, "steps": 40}, params, f)
+    k = 5
+    z = f(np.array([prng.signs(prng.stream(3, i), 2) for i in range(k)]))
+    Y = sample_measurement_for_target(z, params, [prng.stream(3, i) for i in range(k)])
+    Y[3] = 5.0
+    x, _ = sampler(Measurement(params, f, Y[0]), prng.stream(3, prng.BATCH), 7)
+    assert x.shape == (7, params.dim) and np.isfinite(x).all()
+    x, info = sampler(Measurement(params, f, Y), prng.stream(3, prng.BATCH), k)
+    assert x.shape == (k, params.dim)
+    missed = np.isnan(x).any(axis=1)
+    assert np.array_equal(missed, np.isnan(x).all(axis=1))
+    assert missed.sum() == k - info.get("accepted", k)
+    assert missed[3] == (name == "rejection") and not missed[:3].any()
 
 
 def test_brute_force_sampler_past_the_enumeration_limit_fails_when_built():
