@@ -168,7 +168,10 @@ class Measurement:
 
 def seed_law_tv(m: Measurement, x: np.ndarray):
     """Total variation between the law of round_R(x_head) over the rows of x and the exact seed
-    posterior given m.y, both over the 2^d seeds in all_inputs order; None for an empty x."""
+    posterior given m.y, both over the 2^d seeds in all_inputs order; None for an empty x.
+    ValueError for a Measurement of (k, d_prime) rows: one law of x has one posterior to meet."""
+    if np.ndim(m.y) == 2:
+        raise ValueError("seed_law_tv takes a Measurement of one (d_prime,) y")
     if len(x) == 0:
         return None
     d = m.params.d

@@ -18,9 +18,16 @@ from .circuits import BooleanCircuit
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
 from .instance import InstanceParams, LATTICE_EXTENT, lattice_atoms, phase_of_bit
 
-# The clamp on exp arguments (exp is slow where it underflows; e^-700 is lost next to a largest
-# term of 1), and the least log-likelihood, summed over the seeds, that a measurement y may have.
+# The least log-likelihood, summed over the seeds, that a measurement y may have (posterior.py).
 _LOG_CUTOFF = -700.0
+
+# The floor of the two exp clamps below (exp is slow where it underflows). Each clamps a log
+# weight less its row's largest, so a floored term is lost next to the largest term 1. The sums
+# that follow, of +-e^F / 2^d terms (2^d seeds' weights, normalised), leave rounding residues that
+# are multiples of e^F 2^-52 / 2^d; these stay normal, off x86's slow subnormal path, only if
+# F >= ln 2 (-1022 + 52 + d): -664 at d = MAX_ENUM_D = 12. -600 holds for sums of up to 2^100
+# terms, so for any lattice table's atoms too. At -700, w @ S ran 4x slower on an Intel Xeon.
+_EXP_FLOOR = -600.0
 
 # The series keeps exactly its terms a_j = exp(-c j^2) >= e^-_SERIES_LOG_CUT = 1e-18,
 # c = 2 pi^2 rho^2 / (eps^2 v): j <= sqrt(_SERIES_LOG_CUT / c).
@@ -127,7 +134,7 @@ def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray, parts=(0, 1)):
         lg += logp
         m = np.maximum.reduce(lg, axis=0)
         lg -= m
-        np.maximum(lg, _LOG_CUTOFF, out=lg)
+        np.maximum(lg, _EXP_FLOOR, out=lg)
         w = np.exp(lg, out=lg)
         tot = np.add.reduce(w, axis=0)
         for row, part in zip(out, parts):
@@ -214,7 +221,7 @@ def mixture_score_exact(
     loglik += head @ ((params.R / v) * S.T)
     m = np.maximum.reduce(loglik, axis=1, keepdims=True)
     loglik -= m
-    np.maximum(loglik, _LOG_CUTOFF, out=loglik)  # as in _dg_lattice_parts
+    np.maximum(loglik, _EXP_FLOOR, out=loglik)  # as in _dg_lattice_parts
     w = np.exp(loglik, out=loglik)
     tot = np.add.reduce(w, axis=1, keepdims=True)
     w /= tot

@@ -582,6 +582,18 @@ def test_seed_law_tv_indexes_seeds_in_all_inputs_order():
     assert seed_law_tv(Measurement(params, f, y), np.empty((0, params.dim))) is None
 
 
+def test_seed_law_tv_refuses_a_measurement_of_several_rows():
+    """k = 2 copies of one y would broadcast two weight rows against one law and sum both: twice
+    the one-row distance. A (k, d') Measurement is ValueError instead."""
+    params, f = InstanceParams(2, 2, 30.0, 1.0, 0.3), sign_identity(2)
+    y = np.array([0.3, 0.1])
+    x = np.zeros((3, params.dim))
+    x[:, :2] = params.R
+    assert seed_law_tv(Measurement(params, f, y), x) > 0.0
+    with pytest.raises(ValueError, match=r"one \(d_prime,\) y"):
+        seed_law_tv(Measurement(params, f, np.tile(y, (2, 1))), x)
+
+
 def test_rejection_matches_brute_force_small_run():
     """Mini version of the headline comparison: binned TV on 20k samples."""
     params = canonical_params(2, 2)

@@ -251,6 +251,26 @@ def test_every_sampler_has_the_one_call_form(name):
     assert missed[3] == (name == "rejection") and not missed[:3].any()
 
 
+@pytest.mark.parametrize("name", SAMPLER_NAMES)
+def test_every_sampler_refuses_a_measurement_of_another_instance(name):
+    """A Measurement of another circuit, or of other params, is ValueError before any draw: no
+    sampler draws for an instance it was not built for."""
+    params, f = canonical_params(2, 2, beta=0.3), sign_identity(2)
+    sampler = build_sampler({"sampler": name, "max_rounds": 10**4, "steps": 40}, params, f)
+    y = np.array([0.3, 0.1])
+    others = (
+        Measurement(params, constant_candidate(2, np.array([1, -1])), y),
+        Measurement(replace(params, beta=0.5), f, y),
+    )
+    for m in others:
+        rng = prng.stream(3, prng.BATCH)
+        with pytest.raises(ValueError, match="another instance"):
+            sampler(m, rng, 4)
+        assert rng.bit_generator.state == prng.stream(3, prng.BATCH).bit_generator.state
+    x, _ = sampler(Measurement(params, f, y), prng.stream(3, prng.BATCH), 4)
+    assert x.shape == (4, params.dim)
+
+
 def test_brute_force_sampler_past_the_enumeration_limit_fails_when_built():
     params = canonical_params(13, 13)
     with pytest.raises(ValueError, match="seed enumeration is limited to d <= 12"):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
-from phaselab.circuits import constant_candidate, sign_identity
+from phaselab.circuits import MAX_ENUM_D, constant_candidate, sign_identity
 from phaselab import scores
 from phaselab.diffusion import default_config, geometric_grid, reverse_run
 from phaselab.instance import InstanceParams, LATTICE_EXTENT, canonical_params, lattice_atoms
@@ -396,6 +396,13 @@ def test_mixture_score_is_bit_identical_to_frozen_reference():
                 assert np.all(np.isfinite(got[0])) and np.isfinite(got_ld[0])
                 assert_relative_max(got[:1], ref_sc, 1e-12)
                 assert_allclose(got_ld[0], ref_ld[0], rtol=1e-12)
+
+
+def test_exp_floor_keeps_seed_sums_out_of_the_subnormal_range():
+    """A sum of +-e^_EXP_FLOOR / 2^d weights over 2^MAX_ENUM_D seeds leaves rounding residues of
+    e^_EXP_FLOOR eps / 2^d; below the smallest normal float, x86 sums them on its slow path."""
+    residue = np.exp(scores._EXP_FLOOR) * np.finfo(float).eps / 2**MAX_ENUM_D
+    assert residue >= np.finfo(float).smallest_normal
 
 
 def logsumexp_mixture(params, f, sigma, X):
