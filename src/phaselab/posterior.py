@@ -1,10 +1,11 @@
 """Posterior samplers for y = Ax + beta*N(0, I).
 
-Two exact samplers: rejection sampling from any unconditional proposal (accept
-with probability exp(-||Ax-y||^2/(2 beta^2))), and a brute-force oracle that
-enumerates the seed posterior (d <= MAX_ENUM_D). The guided-diffusion heuristic
-baseline, which has no correctness contract, is reduction.make_heuristic_sampler.
-seed_law_tv measures any sampler's draws against the exact seed posterior.
+A Measurement holds one y batch of an instance (params, f), checked once, and its seed-posterior
+table. Exact samplers: rejection sampling from any unconditional proposal (accept with
+probability exp(-||Ax-y||^2/(2 beta^2))), and a brute-force oracle: seeds from the enumerated
+seed posterior (d <= MAX_ENUM_D), then draw_given_seeds (any d). The guided-diffusion
+heuristic, with no correctness contract, is reduction.make_heuristic_sampler. seed_law_tv
+measures any sampler's draws against the exact seed posterior.
 """
 
 from __future__ import annotations
@@ -129,48 +130,59 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(s / c) + np.log(c) + M
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def seed_posterior_log_weights(
-    params: InstanceParams, f: BooleanCircuit, y: np.ndarray
-) -> np.ndarray:
-    """Normalised log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j),
-    each row less its _logsumexp; a y of shape (n, d_prime) gives an (n, 2^d) table, row i
-    as for y[i] alone. ValueError if a y's likelihood summed over the seeds is below e^-700
-    (or overflows to NaN, which numpy's over/invalid/divide warnings would only repeat)."""
-    if f.n_inputs != params.d:
-        raise ValueError("input length mismatch")
-    Y = np.atleast_2d(np.asarray(y, dtype=float))
-    ld = dg_smoothed_log_density(_phase_specs(params.eps, params.beta), Y)
-    # on a 2^-40 grid every GEMM sum below 2^13 is exact in any order: batch rows = lone rows
-    # (a seed with a larger sum has exp(logw) = 0 once y passes the check below)
-    ld = np.rint(ld * 2.0**40) * 2.0**-40
-    logw = _seed_tail_loglik(ld, f.float_seed_table[2])
-    lse = _logsumexp(logw)
-    if not (lse >= _LOG_CUTOFF).all():  # False for NaN too: y so far out that it overflowed
-        raise ValueError("y has zero likelihood under every seed")
-    logw -= lse
-    return logw if np.ndim(y) == 2 else logw[0]
-
-
 @dataclass(frozen=True, eq=False)
 class Measurement:
     """A float measurement y of the instance (params, f): one (d_prime,) row or (k, d_prime) rows.
-    log_weights, seed_posterior_log_weights(params, f, y), is built on first read and kept."""
+    ValueError at construction for an f of another arity than (d, d_prime), a y of another shape
+    or beta <= 0. log_weights, seed_posterior_log_weights(self), is built on first read and kept."""
 
     params: InstanceParams
     f: BooleanCircuit
     y: np.ndarray
 
+    def __post_init__(self):
+        d, d_prime = self.params.d, self.params.d_prime
+        if self.f.n_inputs != d:
+            raise ValueError(f"input length mismatch: f takes {self.f.n_inputs} bits, d = {d}")
+        if self.f.n_outputs != d_prime:
+            raise ValueError(f"output length mismatch: f gives {self.f.n_outputs} bits, "
+                             f"d_prime = {d_prime}")
+        y = np.asarray(self.y, dtype=float)
+        if y.ndim not in (1, 2) or y.shape[-1] != d_prime:
+            raise ValueError(f"y must be ({d_prime},) or (k, {d_prime}), got shape {y.shape}")
+        if not self.params.beta > 0:
+            raise ValueError("beta must be positive: y = Ax + beta * N(0, I)")
+        object.__setattr__(self, "y", y)
+
     @cached_property
     def log_weights(self) -> np.ndarray:
-        return seed_posterior_log_weights(self.params, self.f, self.y)
+        return seed_posterior_log_weights(self)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def seed_posterior_log_weights(m: Measurement) -> np.ndarray:
+    """Normalised log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j),
+    each row less its _logsumexp; a (n, d_prime) m.y gives an (n, 2^d) table, row i as for
+    y[i] alone. ValueError if a y's likelihood summed over the seeds is below e^-700 (or
+    overflows to NaN, which numpy's over/invalid/divide warnings would only repeat)."""
+    params = m.params
+    ld = dg_smoothed_log_density(_phase_specs(params.eps, params.beta), np.atleast_2d(m.y))
+    # on a 2^-40 grid every GEMM sum below 2^13 is exact in any order: batch rows = lone rows
+    # (a seed with a larger sum has exp(logw) = 0 once y passes the check below)
+    ld = np.rint(ld * 2.0**40) * 2.0**-40
+    logw = _seed_tail_loglik(ld, m.f.float_seed_table[2])
+    lse = _logsumexp(logw)
+    if not (lse >= _LOG_CUTOFF).all():  # False for NaN too: y so far out that it overflowed
+        raise ValueError("y has zero likelihood under every seed")
+    logw -= lse
+    return logw if m.y.ndim == 2 else logw[0]
 
 
 def seed_law_tv(m: Measurement, x: np.ndarray):
     """Total variation between the law of round_R(x_head) over the rows of x and the exact seed
     posterior given m.y, both over the 2^d seeds in all_inputs order; None for an empty x.
     ValueError for a Measurement of (k, d_prime) rows: one law of x has one posterior to meet."""
-    if np.ndim(m.y) == 2:
+    if m.y.ndim == 2:
         raise ValueError("seed_law_tv takes a Measurement of one (d_prime,) y")
     if len(x) == 0:
         return None
@@ -180,11 +192,19 @@ def seed_law_tv(m: Measurement, x: np.ndarray):
     return float(0.5 * np.abs(law / len(x) - np.exp(m.log_weights)).sum())
 
 
-def _tail_posterior_cdf(eps: float, phase: float, beta: float, y: np.ndarray):
-    """(pts, cdf): the phase lattice and one row per measurement in y of the CDF of the
+def _search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per u, the count of CDF entries <= u: the index that Generator.choice draws. cdf is one
+    row that every u searches, or one row per u."""
+    if cdf.ndim == 1:
+        return cdf.searchsorted(u, side="right")
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _tail_posterior_cdf(params: InstanceParams, b: int, y: np.ndarray):
+    """(pts, cdf): bit b's phase lattice and one row per measurement in y of the CDF of the
     exact lattice posterior of a tail coordinate given that measurement."""
-    pts, logp = lattice_atoms(eps, phase, log=True)
-    logpost = logp[None, :] - (y[:, None] - pts[None, :]) ** 2 / (2.0 * beta**2)
+    pts, logp = lattice_atoms(params.eps, phase_of_bit(b, params.eps), log=True)
+    logpost = logp[None, :] - (y[:, None] - pts[None, :]) ** 2 / (2.0 * params.beta**2)
     logpost -= logpost.max(axis=1, keepdims=True)
     w = np.exp(logpost)
     w /= w.sum(axis=1, keepdims=True)
@@ -194,38 +214,33 @@ def _tail_posterior_cdf(eps: float, phase: float, beta: float, y: np.ndarray):
 
 
 def brute_force_posterior(m: Measurement, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Exact posterior draws given the measurement m under A = (0 | I).
-
-    Seeds are drawn from the enumerated seed posterior m.log_weights; the first
-    block is N(R s, I) (independent of y); tail coordinates come from the exact
-    discrete lattice posterior given y = m.y. A y of shape (n, d_prime) draws row
-    i (size n) as the i-th of size=n draws given y[i] alone. The tail's
-    uniforms are drawn coordinate by coordinate, bit +1 then bit -1, each group's
-    in draw order; every tail draw is the first atom whose posterior CDF exceeds its
-    uniform, as in Generator.choice.
-    """
-    params, y = m.params, m.y
-    if params.beta <= 0:
-        raise ValueError("posterior requires beta > 0")
-    # inverse CDF: per weight row w, the draws of rng.choice(2^d, size, p=w)
+    """Exact posterior draws given the measurement m under A = (0 | I): `size` seeds drawn
+    from the enumerated seed posterior m.log_weights, as Generator.choice draws them from one
+    u each, then draw_given_seeds on those seeds' table rows. A (k, d_prime) m.y takes
+    size=k and draws row i given y[i] alone."""
     cdf = np.cumsum(np.exp(m.log_weights), axis=-1)
     cdf /= cdf[..., -1:]
-    u = rng.random(size)
-    if cdf.ndim == 1:  # one weight row: no (n, 2^d) table
-        pick = np.searchsorted(cdf, u, side="right")
-    else:  # a size that does not match the rows of y fails to broadcast here
-        pick = (cdf <= u[:, None]).sum(axis=1)
+    pick = _search(cdf, rng.random(size))
     S, F = m.f.seed_table
-    x = np.empty((size, params.dim))
-    x[:, : params.d] = params.R * S[pick] + rng.standard_normal((size, params.d))
-    bits = F[pick]
-    tail = x[:, params.d :]
-    phases = {b: phase_of_bit(b, params.eps) for b in (1, -1)}
-    Y = np.atleast_2d(y)
+    return draw_given_seeds(m, S[pick], F[pick], rng)
+
+
+def draw_given_seeds(
+    m: Measurement, s: np.ndarray, bits: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Exact posterior draws x given their (n, d) seeds s and bits = m.f(s), under A = (0 | I),
+    at any d (no seed table is read). The head is N(R s, I); each tail coordinate comes from the
+    exact lattice posterior of its bit's phase given one (d_prime,) m.y, or draw i's given y[i]
+    of an (n, d_prime) m.y. The head's normals are drawn first, then the tail's uniforms
+    coordinate by coordinate, bit +1 then bit -1, each group's in draw order; a tail draw is the
+    first atom whose posterior CDF exceeds its uniform, as in Generator.choice."""
+    params, Y = m.params, np.atleast_2d(m.y)
+    x = np.empty((len(s), params.dim))
+    head, tail = x[:, : params.d], x[:, params.d :]
+    np.multiply(s, params.R, out=head)
+    head += rng.standard_normal(head.shape)
     if len(Y) == 1:  # one y for every draw: one CDF row per (bit, coordinate)
-        tables = {
-            b: _tail_posterior_cdf(params.eps, ph, params.beta, Y[0]) for b, ph in phases.items()
-        }
+        tables = {b: _tail_posterior_cdf(params, b, Y[0]) for b in (1, -1)}
     u = np.empty(bits.shape)
     for j in range(params.d_prime):
         for b in (1, -1):
@@ -233,14 +248,14 @@ def brute_force_posterior(m: Measurement, rng: np.random.Generator, size: int) -
             v = rng.random(sel.size)
             if len(Y) == 1:  # the group's draws share one CDF row: search it now
                 pts, cdf = tables[b]
-                tail[sel, j] = pts[cdf[j].searchsorted(v, side="right")]
+                tail[sel, j] = pts[_search(cdf[j], v)]
             else:
                 u[sel, j] = v
     if len(Y) > 1:  # one y per draw: one CDF row per (draw, coordinate), one table per bit
-        for b, ph in phases.items():
+        for b in (1, -1):
             at = bits == b
-            pts, cdf = _tail_posterior_cdf(params.eps, ph, params.beta, Y[at])
-            tail[at] = pts[(cdf <= u[at][:, None]).sum(axis=1)]
+            pts, cdf = _tail_posterior_cdf(params, b, Y[at])
+            tail[at] = pts[_search(cdf, u[at])]
     return x
 
 

@@ -68,8 +68,9 @@ def invert(sampler, m: Measurement, rng: np.random.Generator):
     Every sampler has one call form, sampler(m, rng, size) -> (x, info): a (d_prime,) m.y gives
     `size` draws given y, a (k, d_prime) m.y with size=k one draw per row, NaN where the sampler
     made none; info holds its own posterior_stats.json fields. An m of another instance than the
-    sampler's is ValueError (_own). Here info is unused, and a guess is round_R of the first d
-    coordinates of sampler(m, rng, n)'s draw.
+    sampler's, or a (k, d_prime) m.y with size != k, is ValueError before any draw (_own). Here
+    info is unused, and a guess is round_R of the first d coordinates of sampler(m, rng, n)'s
+    draw.
     """
     x = np.asarray(sampler(m, rng, len(m.y))[0])
     return round_R(x[:, : m.params.d], m.params.R), np.isnan(x).any(axis=1)
@@ -102,10 +103,14 @@ def inversion_experiment(
     )
 
 
-def _own(m: Measurement, params: InstanceParams, f: BooleanCircuit) -> Measurement:
-    """m, or ValueError if m is of another instance than the sampler's (params, f)."""
+def _own(m: Measurement, params: InstanceParams, f: BooleanCircuit, size: int) -> Measurement:
+    """m, or ValueError if m is of another instance than the sampler's (params, f), or if its
+    (k, d_prime) y comes with size != k; every sampler calls this before its first draw."""
     if not (m.params == params and m.f is f):
         raise ValueError("the measurement is of another instance than the sampler's")
+    if m.y.ndim == 2 and size != len(m.y):
+        raise ValueError(f"a (k, d_prime) y takes size=k, one draw per row: k = {len(m.y)}, "
+                         f"size = {size}")
     return m
 
 
@@ -113,7 +118,7 @@ def make_brute_force_sampler(params: InstanceParams, f: BooleanCircuit):
     """The exact oracle brute_force_posterior in invert's sampler form; its info is {}. Its seed
     table is built now, so that d > MAX_ENUM_D raises ValueError here."""
     f.seed_table
-    return lambda m, rng, size: (brute_force_posterior(_own(m, params, f), rng, size=size), {})
+    return lambda m, rng, size: (brute_force_posterior(_own(m, params, f, size), rng, size), {})
 
 
 def make_rejection_sampler(params: InstanceParams, f: BooleanCircuit, max_rounds: int):
@@ -126,7 +131,7 @@ def make_rejection_sampler(params: InstanceParams, f: BooleanCircuit, max_rounds
     proposal = lambda n, r: sample_unconditional(params, f, r, size=n)[1]
 
     def sampler(m, rng, size):
-        _own(m, params, f)
+        _own(m, params, f, size)
         if np.ndim(m.y) == 2 and isinstance(rng, np.random.Generator):
             rng = rng.spawn(size)
         x, stats = rejection_sample(proposal, A, m.y, cfg, rng, size=size)
@@ -149,7 +154,7 @@ def make_heuristic_sampler(
     score = provider_by_name(provider, params, f)
 
     def sampler(m, rng, size):
-        y = _own(m, params, f).y
+        y = _own(m, params, f, size).y
         guidance = lambda t, x: -(x @ A.T - y) @ A / (params.beta**2 + t)
         return reverse_run(score, dcfg, rng, dim=params.dim, size=size, extra_drift=guidance), {}
 

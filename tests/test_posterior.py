@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,10 +10,12 @@ from scipy.special import logsumexp
 
 from phaselab import posterior
 from phaselab import rng as prng
-from phaselab.circuits import all_inputs, constant_candidate, no_output_candidate, sign_identity
+from phaselab.circuits import BooleanCircuit, all_inputs, constant_candidate, no_output_candidate
+from phaselab.circuits import sign_identity
 from phaselab.diagnostics import tv_binned
 from phaselab.instance import (
     InstanceParams,
+    bits_eps,
     canonical_params,
     lattice_atoms,
     measurement_matrix,
@@ -25,6 +28,7 @@ from phaselab.posterior import (
     PosteriorConfig,
     acceptance_curve,
     brute_force_posterior,
+    draw_given_seeds,
     rejection_sample,
     seed_law_tv,
     seed_posterior_log_weights,
@@ -229,7 +233,7 @@ def test_seed_enumeration_rejects_candidate_of_other_length():
     params = canonical_params(3, 3)
     f = sign_identity(2)
     with pytest.raises(ValueError, match="input length"):
-        seed_posterior_log_weights(params, f, np.zeros(3))
+        seed_posterior_log_weights(Measurement(params, f, np.zeros(3)))
     with pytest.raises(ValueError, match="input length"):
         brute_force_posterior(Measurement(params, f, np.zeros(3)), np.random.default_rng(0), size=1)
     with pytest.raises(ValueError, match="input length"):
@@ -245,11 +249,70 @@ def test_seed_enumeration_limit_is_one_check_with_one_message():
     with pytest.raises(ValueError, match=msg):
         f.seed_table
     with pytest.raises(ValueError, match=msg):
-        seed_posterior_log_weights(params, f, np.zeros(13))
+        seed_posterior_log_weights(Measurement(params, f, np.zeros(13)))
     with pytest.raises(ValueError, match=msg):
         brute_force_posterior(Measurement(params, f, np.zeros(13)), np.random.default_rng(0), 1)
     with pytest.raises(ValueError, match=msg):
         mixture_score_exact(params, f, 1.0, np.zeros((1, 26)))
+
+
+def _no_seed_table(monkeypatch):
+    """Make any read of a circuit's seed table (or of its float table, built from it) fail."""
+    read = property(lambda c: pytest.fail("a seed table was read"))
+    monkeypatch.setattr(BooleanCircuit, "seed_table", read)
+
+
+_P32 = canonical_params(3, 2)
+
+
+@pytest.mark.parametrize(
+    "params, f, y, match",
+    [
+        (_P32, random_circuit_owf(2, 2, 4, 0), np.zeros(2), "input length mismatch"),
+        (_P32, random_circuit_owf(3, 3, 6, 0), np.zeros(2), "output length mismatch"),
+        (_P32, random_circuit_owf(3, 2, 4, 0), np.zeros(3), r"y must be \(2,\) or \(k, 2\)"),
+        (_P32, random_circuit_owf(3, 2, 4, 0), np.zeros((2, 1, 2)), r"y must be \(2,\)"),
+        (replace(_P32, beta=0.0), random_circuit_owf(3, 2, 4, 0), np.zeros(2), "beta must be"),
+    ],
+    ids=["f-input-arity", "f-output-arity", "y-length", "y-3d", "beta-0"],
+)
+def test_measurement_refuses_bad_inputs_when_built(monkeypatch, params, f, y, match):
+    """Each is ValueError at construction, before any seed table is built."""
+    _no_seed_table(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        Measurement(params, f, y)
+
+
+def test_draw_given_seeds_past_the_enumeration_limit_and_as_the_oracle(monkeypatch):
+    """At d = d' = 64, with a y per draw and with one y for 500 seeds, every head rounds to its
+    seed and every tail decodes to f(s), and no seed table is read. At d = 6 the oracle is its
+    seed draw, as Generator.choice draws from each row's weights, then draw_given_seeds on the
+    picked table rows: the same draws and the same generator state."""
+    with monkeypatch.context() as mp:
+        _no_seed_table(mp)
+        params, f = canonical_params(64, 64), random_circuit_owf(64, 64, 192, 7)
+        rng = np.random.default_rng(4)
+        for k, n in ((20, 20), (1, 500)):
+            s = prng.signs(rng, (n, 64))
+            y = sample_measurement_for_target(f(s[:k]), params, [rng] * k)
+            x = draw_given_seeds(Measurement(params, f, y if k > 1 else y[0]), s, f(s), rng)
+            assert x.shape == (n, params.dim)
+            assert np.array_equal(round_R(x[:, :64], params.R), s)
+            assert np.array_equal(bits_eps(x[:, 64:], params.eps), f(s))
+    params, f = canonical_params(6, 6, beta=0.3), random_circuit_owf(6, 6, 18, 3)
+    S, F = f.seed_table
+    for shape in (6, (40, 6)):
+        m = Measurement(params, f, np.random.default_rng(5).uniform(-2, 2, size=shape))
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        got = brute_force_posterior(m, rng, 40)
+        w = np.exp(m.log_weights)
+        if w.ndim == 1:
+            pick = ref.choice(2**6, size=40, p=w)
+        else:
+            cdf = np.cumsum(w, axis=1)
+            pick = [np.searchsorted(c / c[-1], v, "right") for c, v in zip(cdf, ref.random(40))]
+        assert np.array_equal(got, draw_given_seeds(m, S[pick], F[pick], ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_seed_posterior_weights_normalized_and_peaked():
@@ -258,7 +321,7 @@ def test_seed_posterior_weights_normalized_and_peaked():
     rng = np.random.default_rng(5)
     s = np.array([1, -1, 1])
     y = sample_measurement_for_target(f(s)[None], params, [rng])[0]
-    logw = seed_posterior_log_weights(params, f, y)
+    logw = seed_posterior_log_weights(Measurement(params, f, y))
     assert_allclose(np.exp(logw).sum(), 1.0, rtol=1e-12)
     # the true seed class dominates at beta = eps/40
     from phaselab.circuits import all_inputs
@@ -319,9 +382,9 @@ def test_seed_weights_normalise_as_scipy_logsumexp_does(d, d_prime, n, beta, see
     y = np.random.default_rng(seed).uniform(-2, 2, size=(n, d_prime))
 
     def accepted(y) -> bool:
-        got = accepted_or_none(seed_posterior_log_weights, params, f, y)
+        got = accepted_or_none(seed_posterior_log_weights, Measurement(params, f, y))
         with mock.patch.object(posterior, "_logsumexp", scipy_logsumexp):
-            want = accepted_or_none(seed_posterior_log_weights, params, f, y)
+            want = accepted_or_none(seed_posterior_log_weights, Measurement(params, f, y))
         assert (got is None) == (want is None)
         if got is not None:
             assert_same_bits(got, want)
@@ -349,12 +412,13 @@ def test_batched_seed_weights_rows_equal_single_measurement(d, d_prime, n, beta,
     params = canonical_params(d, d_prime, beta=beta)
     f = random_circuit_owf(d, d_prime, 2 * d_prime, seed)
     y = np.random.default_rng(seed).uniform(-2, 2, size=(n, d_prime))
-    single = [accepted_or_none(seed_posterior_log_weights, params, f, row) for row in y]
+    single = [accepted_or_none(seed_posterior_log_weights, Measurement(params, f, r)) for r in y]
     rows = np.array([w is not None for w in single])
-    assert (accepted_or_none(seed_posterior_log_weights, params, f, y) is not None) == rows.all()
+    batch = Measurement(params, f, y)
+    assert (accepted_or_none(seed_posterior_log_weights, batch) is not None) == rows.all()
     if not rows.any():
         return
-    batched = seed_posterior_log_weights(params, f, y[rows])
+    batched = seed_posterior_log_weights(Measurement(params, f, y[rows]))
     assert batched.shape == (rows.sum(), 2**d)
     for b, w in zip(batched, [w for w in single if w is not None]):
         assert np.array_equal(b, w)
@@ -382,7 +446,7 @@ def test_brute_force_rejects_measurement_that_no_seed_explains():
     params = canonical_params(2, 2)
     for y in (np.full(2, 1000.0), np.array([[0.0, 0.0], [1000.0, 1000.0]])):
         with pytest.raises(ValueError, match="^y has zero likelihood under every seed$"):
-            seed_posterior_log_weights(params, sign_identity(2), y)
+            seed_posterior_log_weights(Measurement(params, sign_identity(2), y))
         with pytest.raises(ValueError, match="zero likelihood under every seed"):
             m = Measurement(params, sign_identity(2), y)
             brute_force_posterior(m, np.random.default_rng(0), size=2)
@@ -405,7 +469,7 @@ def _reference_brute_force_posterior(params, f, y, rng, size=None):
 
     y = np.asarray(y, dtype=float)
     n = (len(y) if y.ndim == 2 else 1) if size is None else size
-    cdf = np.cumsum(np.exp(seed_posterior_log_weights(params, f, y)), axis=-1)
+    cdf = np.cumsum(np.exp(seed_posterior_log_weights(Measurement(params, f, y))), axis=-1)
     cdf /= cdf[..., -1:]
     u = rng.random(n)
     if cdf.ndim == 1:
@@ -481,7 +545,7 @@ def _per_group_brute_force_posterior(params, f, y, rng, size=None):
 
     y = np.asarray(y, dtype=float)
     n = (len(y) if y.ndim == 2 else 1) if size is None else size
-    cdf = np.cumsum(np.exp(seed_posterior_log_weights(params, f, y)), axis=-1)
+    cdf = np.cumsum(np.exp(seed_posterior_log_weights(Measurement(params, f, y))), axis=-1)
     cdf /= cdf[..., -1:]
     u = rng.random(n)
     if cdf.ndim == 1:
@@ -573,7 +637,7 @@ def test_seed_law_tv_indexes_seeds_in_all_inputs_order():
     params = InstanceParams(2, 2, 30.0, 1.0, 0.3)
     f = sign_identity(2)
     y = np.array([0.3, 0.1])
-    w = np.exp(seed_posterior_log_weights(params, f, y))
+    w = np.exp(seed_posterior_log_weights(Measurement(params, f, y)))
     assert np.min(np.abs(np.subtract.outer(w, w)) + np.eye(4)) > 0.01  # a wrong order shows
     for k, s in enumerate(all_inputs(2)):
         x = np.zeros((3, params.dim))

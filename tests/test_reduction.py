@@ -152,6 +152,8 @@ def test_inversion_deterministic_and_trial_draws_independent_of_trial_count():
             seen.setdefault("sz", (s, out))
             return out
 
+        f_seen.n_inputs, f_seen.n_outputs = f.n_inputs, f.n_outputs  # Measurement checks these
+
         def sampler_seen(m, rng, size):  # m's f is f_seen, which has no seed table
             seen["y"] = m.y
             return sampler(Measurement(params, f, m.y), rng, size)
@@ -269,6 +271,21 @@ def test_every_sampler_refuses_a_measurement_of_another_instance(name):
         assert rng.bit_generator.state == prng.stream(3, prng.BATCH).bit_generator.state
     x, _ = sampler(Measurement(params, f, y), prng.stream(3, prng.BATCH), 4)
     assert x.shape == (4, params.dim)
+
+
+@pytest.mark.parametrize("name", SAMPLER_NAMES)
+def test_every_sampler_refuses_a_size_other_than_the_rows_of_y(name):
+    """A (k, d') y takes size=k: sizes 1 and k + 2 are one ValueError before any draw."""
+    params, f = canonical_params(2, 2, beta=0.3), sign_identity(2)
+    sampler = build_sampler({"sampler": name, "max_rounds": 10**4, "steps": 40}, params, f)
+    k = 3
+    m = Measurement(params, f, np.tile([0.3, 0.1], (k, 1)))
+    for size in (1, k + 2):
+        rng = prng.stream(3, prng.BATCH)
+        rule = rf"^a \(k, d_prime\) y takes size=k, one draw per row: k = 3, size = {size}$"
+        with pytest.raises(ValueError, match=rule):
+            sampler(m, rng, size)
+        assert rng.bit_generator.state == prng.stream(3, prng.BATCH).bit_generator.state
 
 
 def test_brute_force_sampler_past_the_enumeration_limit_fails_when_built():

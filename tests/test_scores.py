@@ -10,7 +10,7 @@ from phaselab import scores
 from phaselab.diffusion import default_config, geometric_grid, reverse_run
 from phaselab.instance import InstanceParams, LATTICE_EXTENT, canonical_params, lattice_atoms
 from phaselab.instance import phase_of_bit
-from phaselab.posterior import seed_posterior_log_weights
+from phaselab.posterior import Measurement, seed_posterior_log_weights
 from phaselab.reduction import random_circuit_owf
 from phaselab.scores import (
     DiscreteGaussianSpec,
@@ -467,7 +467,8 @@ def test_brute_force_seed_weights_stay_finite_where_a_bit_is_unlikely():
     """The brute-force oracle's seed weights come from the same tail term: the seeds with
     s_0 = +1 have log weight about -1250, finite, and the weights still sum to 1."""
     f = sign_identity(2)
-    logw = seed_posterior_log_weights(canonical_params(2, 2, beta=0.01), f, np.array([0.5, 0.25]))
+    m = Measurement(canonical_params(2, 2, beta=0.01), f, np.array([0.5, 0.25]))
+    logw = seed_posterior_log_weights(m)
     plus = f.seed_table[1][:, 0] == 1
     assert np.all(np.isfinite(logw)) and np.all(logw[plus] < -1000) and np.all(logw[~plus] > -5)
     assert_allclose(logsumexp(logw), 0.0, atol=1e-12)
@@ -540,7 +541,7 @@ def test_exact_score_and_seed_weights_make_one_pair_call_per_name(monkeypatch):
         mixture_score_exact(params, f, sigma, x)
         assert sorted(calls) == ["dg_smoothed_log_density", "dg_smoothed_score"]
     calls.clear()
-    seed_posterior_log_weights(params, f, x[:3, 2:])
+    seed_posterior_log_weights(Measurement(params, f, x[:3, 2:]))
     assert calls == ["dg_smoothed_log_density"]
 
 
