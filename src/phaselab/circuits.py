@@ -118,19 +118,6 @@ def no_output_candidate(d: int) -> BooleanCircuit:
     return BooleanCircuit(d, (), (), "no-output")
 
 
-def constant_candidate(d: int, bits: np.ndarray) -> BooleanCircuit:
-    """f(s) = bits for every s. +1 = AND(x0, NOT x0), -1 = OR(x0, NOT x0)."""
-    bits = np.asarray(bits)
-    gates = [Gate("NOT", (0,))]
-    not0 = d  # reference of NOT(x0)
-    outs = []
-    for b in bits:
-        kind = "OR" if b == -1 else "AND"
-        gates.append(Gate(kind, (0, not0)))
-        outs.append(d + len(gates) - 1)
-    return BooleanCircuit(d, tuple(gates), tuple(outs), "constant")
-
-
 # --- text serialization: one declaration per line, refs are x<i> / g<k> ---
 
 

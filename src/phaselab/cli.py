@@ -161,18 +161,12 @@ def write_manifest(out: Path, subcommand: str, cfg_text: dict, h: str, seed: int
 def write_csv(path: Path, header: list[str], rows, h: str) -> None:
     """The config-hash line, the header, then per row FMT for a float cell and str otherwise.
 
-    Each block of CSV_BLOCK_ROWS rows is formatted by one `%` call. A float array's block
-    takes its row format from its dtype; other rows take one per tuple of cell types.
+    A float array's block of CSV_BLOCK_ROWS rows is formatted by one `%` call; list rows and
+    other arrays, one cell at a time.
     """
-    formats: dict[tuple, str] = {}  # one row format per tuple of cell types
 
-    def row_format(row) -> str:
-        types = tuple(map(type, row))
-        if types not in formats:
-            formats[types] = ",".join(
-                FMT if issubclass(t, (float, np.floating)) else "%s" for t in types
-            ) + "\n"
-        return formats[types]
+    def cell(v) -> str:
+        return FMT % v if isinstance(v, (float, np.floating)) else str(v)
 
     def block_text(block) -> str:
         # its cells and format string are freed on return, before the next block's are built
@@ -180,7 +174,7 @@ def write_csv(path: Path, header: list[str], rows, h: str) -> None:
             row = ",".join([FMT] * block.shape[1]) + "\n"
             return (row * len(block)) % tuple(block.ravel().tolist())
         block = block.tolist() if isinstance(block, np.ndarray) else block
-        return "".join(map(row_format, block)) % tuple(cell for row in block for cell in row)
+        return "".join(",".join(map(cell, row)) + "\n" for row in block)
 
     with path.open("w") as fh:
         fh.write(f"# config-hash: {h}\n{','.join(header)}\n")

@@ -1,12 +1,11 @@
-"""The lattice-mixture distribution family, its measurement channels, and decoders.
+"""The lattice-mixture distribution family, its measurement channel, and decoders.
 
 The family over R^(d+dPrime) is a uniform mixture over seeds s in {-1,+1}^d of
 product distributions: the first d coordinates are N(R*s_i, 1); the last dPrime
 coordinates are standard Gaussians discretized to the lattice {k*eps + phase}
 with phase 0 (bit +1) or eps/2 (bit -1), the bit pattern being f(s) for a fixed
 candidate map f. Measurements observe the last dPrime coordinates plus
-beta*N(0, I) noise. A bounded-noise variant clips that noise to the decode radius
-eps/4; only the checks of the bounded-noise reduction use it.
+beta*N(0, I) noise.
 """
 
 from __future__ import annotations
@@ -178,27 +177,6 @@ def measurement_matrix(params: InstanceParams) -> np.ndarray:
     A = np.zeros((params.d_prime, params.dim))
     A[:, params.d :] = np.eye(params.d_prime)
     return A
-
-
-def clipped_noise(
-    beta: float, beta_max: float, rng: np.random.Generator, shape
-) -> np.ndarray:
-    """beta*N(0,1) truncated to [-beta_max, beta_max], exactly, by the inverse CDF:
-    u ~ U[Phi(-a), Phi(a)) with a = beta_max/beta; the clip only absorbs rounding."""
-    if beta == 0:
-        return np.zeros(shape)
-    from scipy.special import ndtr, ndtri
-
-    a = beta_max / beta
-    eta = beta * ndtri(rng.uniform(ndtr(-a), ndtr(a), size=shape))
-    return np.clip(eta, -beta_max, beta_max)
-
-
-def measure_clipped(x: np.ndarray, params: InstanceParams, rng: np.random.Generator) -> np.ndarray:
-    """Measurement under the bounded-noise channel: |noise| <= eps/4, bits_eps's decode radius."""
-    x = np.asarray(x)
-    tail = x[..., params.d :]
-    return tail + clipped_noise(params.beta, params.eps / 4, rng, tail.shape)
 
 
 def round_R(v: np.ndarray, R: float) -> np.ndarray:

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import sample_discretized_gaussian
-from .scores import (
-    DiscreteGaussianSpec,
-    dg_smoothed_score,
-    two_point_log_density,
-    two_point_score,
-)
+from .scores import DiscreteGaussianSpec, dg_smoothed_score, two_point_score
 
 # Calibration constants for the structural bounds of build_score_approx,
 # fixed once for the whole repo. C4 is only checked empirically in tests.
@@ -242,37 +237,3 @@ def score_family(name: str, sigma: float):
             return sample_discretized_gaussian(1, EPS_DG, rng, n) + sigma * rng.standard_normal(n)
         return score, sampler, float(np.sqrt(v))
     raise ValueError(f"unknown test family {name!r}")
-
-
-def score_family_log_density(name: str, sigma: float):
-    """Log density matching score_family (for finite-difference cross-checks)."""
-    v = 1.0 + sigma**2
-    if name == "gaussian":
-        return lambda x: -np.asarray(x, dtype=float) ** 2 / (2 * v) - 0.5 * np.log(2 * np.pi * v)
-    if name == "two_point":
-        return lambda x: two_point_log_density(3.0, sigma, x)
-    if name == "dg":
-        from .scores import dg_smoothed_log_density
-
-        spec = DiscreteGaussianSpec(EPS_DG, 0.0, sigma)
-        return lambda x: dg_smoothed_log_density(spec, x)
-    raise ValueError(f"unknown test family {name!r}")
-
-
-def estimate_sup_score_moment(
-    name: str, sigma: float, eps: float, n: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo E[ sup_{|c|<=eps} score'(x+c)^2 ] for a named family.
-
-    The derivative uses centered differences with step sigma*1e-4; the sup is
-    taken over a 41-point grid on [x-eps, x+eps].
-    """
-    if eps > sigma:
-        raise ValueError("require eps <= sigma")
-    score, sampler, _ = score_family(name, sigma)
-    x = sampler(n, rng)
-    offs = np.linspace(-eps, eps, 41) if eps > 0 else np.zeros(1)
-    pts = x[:, None] + offs[None, :]
-    h = sigma * 1e-4
-    deriv = (score(pts + h) - score(pts - h)) / (2 * h)
-    return float(np.mean(np.max(deriv**2, axis=1)))

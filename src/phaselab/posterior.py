@@ -163,8 +163,9 @@ class Measurement:
 def seed_posterior_log_weights(m: Measurement) -> np.ndarray:
     """Normalised log w_s over all 2^d seeds: w_s ∝ prod_j (psi_{f(s)_j} * N(0, beta^2))(y_j),
     each row less its _logsumexp; a (n, d_prime) m.y gives an (n, 2^d) table, row i as for
-    y[i] alone. ValueError if a y's likelihood summed over the seeds is below e^-700 (or
-    overflows to NaN, which numpy's over/invalid/divide warnings would only repeat)."""
+    y[i] alone. ValueError if a y's likelihood summed over the seeds is below e^-700 (or NaN,
+    as at a far y, whose -inf log densities meet the table's zeros; numpy's warning would only
+    repeat it)."""
     params = m.params
     ld = dg_smoothed_log_density(_phase_specs(params.eps, params.beta), np.atleast_2d(m.y))
     # on a 2^-40 grid every GEMM sum below 2^13 is exact in any order: batch rows = lone rows
@@ -172,7 +173,7 @@ def seed_posterior_log_weights(m: Measurement) -> np.ndarray:
     ld = np.rint(ld * 2.0**40) * 2.0**-40
     logw = _seed_tail_loglik(ld, m.f.float_seed_table[2])
     lse = _logsumexp(logw)
-    if not (lse >= _LOG_CUTOFF).all():  # False for NaN too: y so far out that it overflowed
+    if not (lse >= _LOG_CUTOFF).all():  # False for NaN too: a far y
         raise ValueError("y has zero likelihood under every seed")
     logw -= lse
     return logw if m.y.ndim == 2 else logw[0]

@@ -29,6 +29,13 @@ _LOG_CUTOFF = -700.0
 # terms, so for any lattice table's atoms too. At -700, w @ S ran 4x slower on an Intel Xeon.
 _EXP_FLOOR = -600.0
 
+# Past |x| = _FAR_X min(rho, 1) a point is far: the lattice route's squares would overflow from
+# |x| = 1.3e154 and the series' phases from about 1e306. There the log density is below -1e290
+# (for rho up to 1e4) and is given as -inf; the score is its own limit, to within rounding: the
+# outermost atom's (t - x) / rho^2 on the lattice route, and the Gaussian envelope -x / (1 + rho^2)
+# on the series route, whose periodic part is O(1).
+_FAR_X = 1e150
+
 # The series keeps exactly its terms a_j = exp(-c j^2) >= e^-_SERIES_LOG_CUT = 1e-18,
 # c = 2 pi^2 rho^2 / (eps^2 v): j <= sqrt(_SERIES_LOG_CUT / c).
 _SERIES_LOG_CUT = 18.0 * np.log(10.0)
@@ -95,14 +102,15 @@ def _dg_series(specs, x: np.ndarray, part: int):
     (k,) + x.shape, or (k, 1) for a scalar x."""
     v, a, freq, afv, log_norm = _series_coeffs(specs[0].eps, specs[0].rho)
     phase, logz = _series_phases(specs[0].eps, tuple(s.phase for s in specs), max(x.ndim, 1))
-    arg = np.multiply.outer(x / v - phase, freq)
+    xv = x / v
+    arg = np.multiply.outer(xv - phase, freq)
     if part == 1:
         Tp = -2.0 * (np.sin(arg) @ afv)  # dT/dx
-        return -x / v + Tp / np.maximum(1.0 + 2.0 * (np.cos(arg) @ a), 1e-300)
+        return Tp / np.maximum(1.0 + 2.0 * (np.cos(arg) @ a), 1e-300) - xv
     # oscillatory factor T = 1 + 2 sum_j a_j cos((x/v - phase) freq_j): g = w_sqrt(v) T / Ztilde
     T = 1.0 + 2.0 * (np.cos(arg) @ a)
     with np.errstate(divide="ignore"):
-        return -(x**2) / (2.0 * v) - log_norm + np.log(np.maximum(T, 0.0)) - logz
+        return x**2 / (-2.0 * v) - log_norm + np.log(np.maximum(T, 0.0)) - logz
 
 
 @functools.lru_cache(maxsize=2)
@@ -150,16 +158,37 @@ def _smoothed(spec, x, part: int):
     specs = (spec,) if isinstance(spec, DiscreteGaussianSpec) else tuple(spec)
     if len({(s.eps, s.rho) for s in specs}) != 1:
         raise ValueError("the specs of a phase pair must share eps and rho")
-    eps, rho, x = specs[0].eps, specs[0].rho, np.asarray(x, dtype=float)
+    # C order: a strided x (a batch's tail columns) is copied once here, not by each call below
+    eps, rho, x = specs[0].eps, specs[0].rho, np.asarray(x, dtype=float, order="C")
     if rho == 0:
         raise ValueError("rho = 0 is atomic (unsmoothed): no density, score undefined")
+    edge, far = _FAR_X * min(rho, 1.0), None
+    # x.x >= max x^2 in one call (vdot overflows to inf with no warning); NaN x takes this branch
+    if not np.vdot(x, x) <= edge * edge:  # the ordinary points as usual, at a stand-in x = 0
+        far = np.abs(x) > edge
+        x, x_far = np.where(far, 0.0, x), x[far]
     # At rho << eps the Fourier series suffers catastrophic cancellation between atoms (the true
     # density there underflows the series' roundoff floor): rho < 0.35 eps takes the lattice.
-    if rho >= 0.35 * eps:
+    series = rho >= 0.35 * eps
+    if series:
         out = _dg_series(specs, x, part).reshape((len(specs),) + x.shape)
     else:  # one (atoms, points) table per phase, one phase after the other
         out = np.concatenate([_dg_lattice_parts(s, x, (part,)) for s in specs])
+    if far is not None:
+        out[:, far] = _far_parts(specs, x_far, part, series)
     return out[0] if isinstance(spec, DiscreteGaussianSpec) else out
+
+
+def _far_parts(specs, x: np.ndarray, part: int, series: bool) -> np.ndarray:
+    """Part 0 (-inf) or 1 (the score's limit) of k specs at far points x (1-D), as (k, x.size)."""
+    if part == 0:
+        return np.full((len(specs), x.size), -np.inf)
+    if series:
+        return np.broadcast_to(-x / (1.0 + specs[0].rho ** 2), (len(specs), x.size))
+    rho2, _, phases = _lattice_tables(specs[0].eps, specs[0].rho)
+    outermost = [phases[s.phase != 0.0][0][[0, -1]] for s in specs]  # each phase's lowest, highest
+    with np.errstate(over="ignore"):  # past |x| = 1.8e308 rho^2 it is +-inf
+        return np.stack([(np.where(x > 0, hi, lo) - x) / rho2 for lo, hi in outermost])
 
 
 def dg_smoothed_log_density(spec, x):
@@ -215,6 +244,8 @@ def mixture_score_exact(
     head = X[:, : params.d]
     pair, tail = _phase_specs(params.eps, sigma), X[:, params.d :]
     ld_ph = dg_smoothed_log_density(pair, tail)  # (2, n, d_prime): bit +1, then bit -1
+    if not np.vdot(ld_ph, ld_ph) < np.inf:  # as in _smoothed: -inf at a far tail point, whose
+        ld_ph[ld_ph == -np.inf] = np.nan  # seed weights are undefined: NaN passes the GEMMs quietly
     sc_ph = dg_smoothed_score(pair, tail)
 
     loglik = _seed_tail_loglik(ld_ph, tail_rhs)  # (n, 2^d); updated in place from here on
@@ -232,9 +263,9 @@ def mixture_score_exact(
         log_mix = (m + np.log(tot))[:, 0] - shift
 
     out = np.empty_like(X)
-    out[:, : params.d] = (-head + params.R * (w @ S)) / v
+    np.divide(params.R * (w @ S) - head, v, out=out[:, : params.d])
     wp = w @ Fp  # (n, d_prime): weight of bit +1 per tail coordinate
-    out[:, params.d :] = wp * sc_ph[0] + (1.0 - wp) * sc_ph[1]
+    np.add(wp * sc_ph[0], (1.0 - wp) * sc_ph[1], out=out[:, params.d :])
 
     return (out, log_mix) if return_log_density else out
 
@@ -267,14 +298,6 @@ def two_point_score(R: float, sigma: float, x):
     x = np.asarray(x, dtype=float)
     w = expit(2.0 * R * x / v)  # posterior weight of the +R component
     return -(x - R * (2.0 * w - 1.0)) / v
-
-
-def two_point_log_density(R: float, sigma: float, x):
-    v = 1.0 + sigma**2
-    x = np.asarray(x, dtype=float)
-    la = -((x - R) ** 2) / (2 * v)
-    lb = -((x + R) ** 2) / (2 * v)
-    return np.logaddexp(la, lb) - np.log(2.0) - 0.5 * np.log(2.0 * np.pi * v)
 
 
 def large_sigma_score(params: InstanceParams, sigma: float, x) -> np.ndarray:

@@ -10,17 +10,10 @@ import numpy as np
 from scipy.stats import norm
 
 from phaselab.circuits import all_inputs, sign_identity
-from phaselab.diagnostics import (
-    clipped_noise_tv,
-    conditional_tv_check,
-    ks,
-    tv_binned,
-)
 from phaselab.instance import (
     InstanceParams,
     bits_eps,
     canonical_params,
-    measure_clipped,
     measurement_matrix,
     round_R,
     sample_unconditional,
@@ -55,6 +48,8 @@ from phaselab.relu import (
 )
 from phaselab import scores
 from phaselab.scores import DiscreteGaussianSpec, dg_smoothed_log_density, mixture_score_exact
+
+from lemmas import clipped_noise_tv, conditional_tv_check, ks, measure_clipped, tv_binned
 
 
 def report(num, name, ok, detail):

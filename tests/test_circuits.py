@@ -9,11 +9,12 @@ from phaselab.circuits import (
     all_inputs,
     candidate_from_text,
     candidate_to_text,
-    constant_candidate,
     eval_circuit,
     no_output_candidate,
     sign_identity,
 )
+
+from lemmas import constant_candidate
 
 # convention reminder: -1 encodes True, +1 encodes False
 

@@ -32,8 +32,9 @@ print(json.dumps(sorted(sys.modules)))
 
 def test_sampling_runs_load_no_heavy_scipy_module(tmp_path):
     """A fresh process's sampling runs import none of these: scipy.special alone took
-    about two thirds of `import phaselab.cli`. Clipped noise, the two-point and large-sigma
-    scores, relu and diagnostics still load them."""
+    about two thirds of `import phaselab.cli`. The two-point and large-sigma scores load
+    scipy.special, and relu scipy.sparse; scipy.stats and scipy.integrate only the tests'
+    lemma helpers."""
     small = ["d=3", "d_prime=3"]
     runs = [
         ["invert", "sampler=brute-force", "trials=3", *small],
@@ -261,8 +262,8 @@ def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
 
 
 def test_posterior_y_whose_density_overflows_is_rejected_for_every_sampler(tmp_path):
-    """At |y| = 1e200 the tail log densities overflow to NaN under every seed, which explains
-    y no more than -inf does: each sampler stops at field 'y' and writes nothing."""
+    """At |y| = 1e200 the tail log densities are -inf under every seed, and the seed weights
+    undefined: each sampler stops at field 'y' and writes nothing."""
     out = tmp_path / "out"
     for sampler in ("rejection", "brute-force", "heuristic"):
         with pytest.raises(SystemExit, match="^config error: field 'y': y has zero likelihood"):

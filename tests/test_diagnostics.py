@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
-from phaselab.diagnostics import (
+from lemmas import (
     clipped_noise_tv,
     conditional_tv_check,
     ks,

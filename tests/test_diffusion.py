@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 from scipy.stats import norm
 
 from phaselab.circuits import sign_identity
-from phaselab.diagnostics import ks
 from phaselab.diffusion import (
     DiffusionConfig,
     coordinate_second_moment,
@@ -15,6 +14,8 @@ from phaselab.diffusion import (
 from phaselab import instance
 from phaselab.instance import canonical_params
 from phaselab.scores import ScoreProvider, provider_by_name
+
+from lemmas import ks
 
 
 def test_config_validation():

@@ -12,9 +12,7 @@ from phaselab.instance import (
     bits_eps,
     canonical_params,
     check_operator_norm,
-    clipped_noise,
     lattice_atoms,
-    measure_clipped,
     measurement_matrix,
     phase_of_bit,
     round_R,
@@ -22,6 +20,8 @@ from phaselab.instance import (
     sample_unconditional,
 )
 from phaselab.reduction import random_circuit_owf
+
+from lemmas import clipped_noise, measure_clipped
 
 
 def test_params_validation():

@@ -12,11 +12,11 @@ from phaselab.piecewise import (
     PiecewiseLinear,
     build_good_interval,
     build_score_approx,
-    estimate_sup_score_moment,
     measure_l2_error,
     score_family,
-    score_family_log_density,
 )
+
+from lemmas import estimate_sup_score_moment, score_family_log_density
 
 FAMILIES = ("gaussian", "two_point", "dg")
 

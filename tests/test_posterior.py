@@ -10,9 +10,8 @@ from scipy.special import logsumexp
 
 from phaselab import posterior
 from phaselab import rng as prng
-from phaselab.circuits import BooleanCircuit, all_inputs, constant_candidate, no_output_candidate
+from phaselab.circuits import BooleanCircuit, all_inputs, no_output_candidate
 from phaselab.circuits import sign_identity
-from phaselab.diagnostics import tv_binned
 from phaselab.instance import (
     InstanceParams,
     bits_eps,
@@ -34,6 +33,8 @@ from phaselab.posterior import (
     seed_posterior_log_weights,
 )
 from phaselab.reduction import random_circuit_owf, sample_measurement_for_target
+
+from lemmas import constant_candidate, tv_binned
 
 
 def test_config_validation():

@@ -6,7 +6,7 @@ import pytest
 from phaselab import reduction
 from phaselab import rng as prng
 from phaselab.cli import SAMPLER_NAMES, build_sampler
-from phaselab.circuits import all_inputs, constant_candidate, sign_identity
+from phaselab.circuits import all_inputs, sign_identity
 from phaselab.diffusion import default_config, reverse_run
 from phaselab.instance import bits_eps, canonical_params, measurement_matrix
 from phaselab.instance import sample_discretized_gaussian, sample_unconditional
@@ -22,6 +22,8 @@ from phaselab.reduction import (
     sample_measurement_for_target,
 )
 from phaselab.scores import provider_by_name
+
+from lemmas import constant_candidate
 
 
 def test_report_validation():

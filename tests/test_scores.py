@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
-from phaselab.circuits import MAX_ENUM_D, constant_candidate, sign_identity
+from phaselab.circuits import MAX_ENUM_D, sign_identity
 from phaselab import scores
 from phaselab.diffusion import default_config, geometric_grid, reverse_run
 from phaselab.instance import InstanceParams, LATTICE_EXTENT, canonical_params, lattice_atoms
@@ -21,9 +21,10 @@ from phaselab.scores import (
     mixture_score_exact,
     orthant_score,
     provider_by_name,
-    two_point_log_density,
     two_point_score,
 )
+
+from lemmas import constant_candidate, two_point_log_density
 
 
 def density(spec, x):
@@ -202,6 +203,28 @@ def test_dg_phase_pair_is_the_stack_of_lone_calls(smoothed):
 def test_dg_rejects_atomic():
     with pytest.raises(ValueError):
         dg_smoothed_score(DiscreteGaussianSpec(1.0, 0.0, 0.0), np.zeros(1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho", [0.1, 0.5], ids=["lattice", "series"])
+def test_dg_far_points_have_defined_values(rho):
+    """At |x| = 1e160, where the squares overflow, the log density is -inf and the score is its
+    limit: the outermost atom's (t - x) / rho^2 on the lattice route, the envelope -x / v on the
+    series route; with no warning. The ordinary point of the same call keeps the bits that it
+    has next to ordinary points (the series' GEMMs round by batch shape, so the shape is kept)."""
+    pair = scores._phase_specs(1.0, rho)
+    x = np.array([1e160, -1e160, 0.3])
+    ld, sc = dg_smoothed_log_density(pair, x), dg_smoothed_score(pair, x)
+    assert np.array_equal(ld[:, :2], np.full((2, 2), -np.inf))
+    for k, spec in enumerate(pair):
+        if rho < 0.35:
+            t = lattice_atoms(1.0, spec.phase, LATTICE_EXTENT + 8.0 * rho, log=True)[0]
+            assert_allclose(sc[k, :2], (np.array([t[-1], t[0]]) - x[:2]) / rho**2, rtol=1e-15)
+        else:
+            assert_allclose(sc[k, :2], -x[:2] / (1.0 + rho**2), rtol=1e-15)
+    near = np.array([0.7, -0.2, 0.3])
+    assert np.array_equal(ld[:, 2], dg_smoothed_log_density(pair, near)[:, 2])
+    assert np.array_equal(sc[:, 2], dg_smoothed_score(pair, near)[:, 2])
 
 
 def test_mixture_score_matches_log_density_gradient():
@@ -484,6 +507,18 @@ def test_exact_score_provider_is_finite_where_every_seed_tail_is_tiny():
     got = provider_by_name("exact", params, f)(0.01, x)
     assert np.all(np.isfinite(got))
     assert_relative_max(got, logsumexp_mixture(params, f, 0.01, x)[0], 1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [0.1, 0.5], ids=["lattice", "series"])
+def test_far_tail_point_orthant_is_finite_and_exact_raises(sigma):
+    """A tail coordinate at 1e160: the orthant surrogate reads one phase's score, which is finite
+    there; the exact score's seed weights are undefined, so its provider raises, with no warning."""
+    params, f = canonical_params(2, 2), sign_identity(2)
+    x = np.array([[30.0, -30.0, 1e160, 0.2], [30.0, 30.0, 0.3, -0.4]])
+    assert np.all(np.isfinite(provider_by_name("orthant", params, f)(sigma, x)))
+    with pytest.raises(FloatingPointError, match="provider 'exact' produced non-finite score"):
+        provider_by_name("exact", params, f)(sigma, x)
 
 
 def test_exact_score_is_finite_along_large_sigma_chains():
