@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import sample_discretized_gaussian
-from .scores import DiscreteGaussianSpec, dg_smoothed_score, two_point_score
+from .scores import dg_smoothed_score, two_point_score
 
 # Calibration constants for the structural bounds of build_score_approx,
 # fixed once for the whole repo. C4 is only checked empirically in tests.
@@ -231,8 +231,7 @@ def score_family(name: str, sigma: float):
             return c + np.sqrt(v) * rng.standard_normal(n)
         return score, sampler, float(np.sqrt(9.0 + v))
     if name == "dg":
-        spec = DiscreteGaussianSpec(EPS_DG, 0.0, sigma)
-        score = lambda x: dg_smoothed_score(spec, x)
+        score = lambda x: dg_smoothed_score(EPS_DG, sigma, x, (1,))[0]
         def sampler(n, rng):  # bit +1: the phase-0 lattice
             return sample_discretized_gaussian(1, EPS_DG, rng, n) + sigma * rng.standard_normal(n)
         return score, sampler, float(np.sqrt(v))

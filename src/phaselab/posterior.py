@@ -21,7 +21,7 @@ from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this bind
 from .diffusion import reverse_run  # noqa: F401 - bench/spans.py traces this binding
 from .instance import DEFAULT_EPS, DEFAULT_R, InstanceParams, check_operator_norm, lattice_atoms
 from .instance import phase_of_bit, round_R
-from .scores import _LOG_CUTOFF, _phase_specs, _seed_tail_loglik
+from .scores import _LOG_CUTOFF, _seed_tail_loglik
 from .scores import dg_smoothed_log_density
 
 
@@ -167,7 +167,7 @@ def seed_posterior_log_weights(m: Measurement) -> np.ndarray:
     as at a far y, whose -inf log densities meet the table's zeros; numpy's warning would only
     repeat it)."""
     params = m.params
-    ld = dg_smoothed_log_density(_phase_specs(params.eps, params.beta), np.atleast_2d(m.y))
+    ld = dg_smoothed_log_density(params.eps, params.beta, np.atleast_2d(m.y))
     # on a 2^-40 grid every GEMM sum below 2^13 is exact in any order: batch rows = lone rows
     # (a seed with a larger sum has exp(logw) = 0 once y passes the check below)
     ld = np.rint(ld * 2.0**40) * 2.0**-40

@@ -16,9 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .circuits import BooleanCircuit
-from .instance import InstanceParams, phase_of_bit
+from .instance import InstanceParams
 from .piecewise import ApproxParams, PiecewiseLinear, build_score_approx
-from .scores import DiscreteGaussianSpec, dg_smoothed_score, two_point_score
+from .scores import dg_smoothed_score, two_point_score
 
 
 @dataclass(frozen=True)
@@ -282,10 +282,8 @@ def assemble_score_net_small_sigma(
     # per-coordinate pieces
     phase_pls = {}
     for b in (1, -1):
-        spec = DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), sigma)
-        phase_pls[b] = build_score_approx(
-            lambda t, spec=spec: dg_smoothed_score(spec, t), ap, max_radius=_CLAMP_CAP_SDS * ap.m2
-        )
+        score = lambda t, b=b: dg_smoothed_score(params.eps, sigma, t, (b,))[0]
+        phase_pls[b] = build_score_approx(score, ap, max_radius=_CLAMP_CAP_SDS * ap.m2)
     phase_nets = {b: compile_piecewise(pl) for b, pl in phase_pls.items()}
     gauss_net = compile_piecewise(_linear_pl(-1.0 / v, _CLAMP_CAP_SDS * np.sqrt(v)))
     T = float(np.ceil(max(np.abs(pl.values).max() for pl in phase_pls.values()))) + 1.0

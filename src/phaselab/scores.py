@@ -2,7 +2,7 @@
 
 Two independent routes are implemented for the smoothed discretized Gaussian:
 a Fourier (Poisson-summation) series, cut after its last term of at least
-1e-18, and a direct lattice convolution sum; the smoothing picks one (_smoothed).
+1e-18, and a direct lattice convolution sum; rho and eps pick one (_smoothed).
 They must agree to 1e-10 relative; tests enforce this. The exact mixture score
 is two GEMMs and one softmax, in log-space; see mixture_score_exact.
 """
@@ -10,13 +10,12 @@ is two GEMMs and one softmax, in log-space; see mixture_score_exact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import BooleanCircuit
 from .circuits import all_inputs  # noqa: F401 - bench/spans.py traces this binding
-from .instance import InstanceParams, LATTICE_EXTENT, lattice_atoms, phase_of_bit
+from .instance import EPS_MAX, InstanceParams, LATTICE_EXTENT, lattice_atoms, phase_of_bit
 
 # The least log-likelihood, summed over the seeds, that a measurement y may have (posterior.py).
 _LOG_CUTOFF = -700.0
@@ -39,23 +38,6 @@ _FAR_X = 1e150
 # The series keeps exactly its terms a_j = exp(-c j^2) >= e^-_SERIES_LOG_CUT = 1e-18,
 # c = 2 pi^2 rho^2 / (eps^2 v): j <= sqrt(_SERIES_LOG_CUT / c).
 _SERIES_LOG_CUT = 18.0 * np.log(10.0)
-
-
-@dataclass(frozen=True)
-class DiscreteGaussianSpec:
-    """Unit Gaussian on the lattice {k*eps + phase}, smoothed by N(0, rho^2)."""
-
-    eps: float
-    phase: float
-    rho: float
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.phase not in (0.0, self.eps / 2.0):
-            raise ValueError("phase must be 0 or eps/2")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
 
 
 @functools.lru_cache(maxsize=2)
@@ -89,128 +71,126 @@ def _lattice_normalizer_series(eps: float, phase: float) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _series_phases(eps: float, phases: tuple, ndim: int):
-    """The phases and their log Ztilde as (k, 1, ...) columns against an x of ndim >= 1 dims (a
-    stack of dot products rounds as lone ones do; a matrix product need not)."""
-    col = (len(phases),) + (1,) * ndim
+def _series_phases(eps: float, bits: tuple, ndim: int):
+    """The phases of bits and their log Ztilde as (k, 1, ...) columns against an x of ndim >= 1
+    dims (a stack of dot products rounds as lone ones do; a matrix product need not)."""
+    col = (len(bits),) + (1,) * ndim
+    phases = [phase_of_bit(b, eps) for b in bits]
     logz = [np.log(_lattice_normalizer_series(eps, ph)) for ph in phases]
     return np.reshape(phases, col), np.reshape(logz, col)
 
 
-def _dg_series(specs, x: np.ndarray, part: int):
-    """Part 0 (log density) or 1 (score) on the series route of k specs that share eps and rho:
-    (k,) + x.shape, or (k, 1) for a scalar x."""
-    v, a, freq, afv, log_norm = _series_coeffs(specs[0].eps, specs[0].rho)
-    phase, logz = _series_phases(specs[0].eps, tuple(s.phase for s in specs), max(x.ndim, 1))
+def _dg_series(eps: float, rho: float, bits: tuple, x: np.ndarray, part: int):
+    """Part 0 (log density) or 1 (score) of the lattices of bits on the series route:
+    (len(bits),) + x.shape."""
+    v, a, freq, afv, log_norm = _series_coeffs(eps, rho)
+    phase, logz = _series_phases(eps, bits, max(x.ndim, 1))
     xv = x / v
     arg = np.multiply.outer(xv - phase, freq)
     if part == 1:
         Tp = -2.0 * (np.sin(arg) @ afv)  # dT/dx
-        return Tp / np.maximum(1.0 + 2.0 * (np.cos(arg) @ a), 1e-300) - xv
-    # oscillatory factor T = 1 + 2 sum_j a_j cos((x/v - phase) freq_j): g = w_sqrt(v) T / Ztilde
-    T = 1.0 + 2.0 * (np.cos(arg) @ a)
-    with np.errstate(divide="ignore"):
-        return x**2 / (-2.0 * v) - log_norm + np.log(np.maximum(T, 0.0)) - logz
+        out = Tp / np.maximum(1.0 + 2.0 * (np.cos(arg) @ a), 1e-300) - xv
+    else:
+        # oscillatory factor T = 1 + 2 sum_j a_j cos((x/v - phase) freq_j): g = w_sqrt(v) T / Ztilde
+        T = 1.0 + 2.0 * (np.cos(arg) @ a)
+        with np.errstate(divide="ignore"):
+            out = x**2 / (-2.0 * v) - log_norm + np.log(np.maximum(T, 0.0)) - logz
+    return out.reshape((len(bits),) + x.shape)
 
 
 @functools.lru_cache(maxsize=2)
 def _lattice_tables(eps: float, rho: float):
-    """The lattice route's x-free factors: rho^2, log sqrt(2 pi rho^2), and for phase 0, then eps/2,
+    """The lattice route's x-free factors: rho^2, log sqrt(2 pi rho^2), and per bit (+1 and -1)
     the atoms |t| <= 12 + 8 rho of positive weight, their log weights (a column) and pts / rho^2."""
-    rho2, phases = rho**2, []
-    for phase in (0.0, eps / 2.0):
-        pts, logp = lattice_atoms(eps, phase, extent=LATTICE_EXTENT + 8.0 * rho, log=True)
-        phases.append((pts, logp[:, None], pts / rho2))
-    return rho2, 0.5 * np.log(2.0 * np.pi * rho2), phases
+    rho2, extent, tables = rho**2, LATTICE_EXTENT + 8.0 * rho, {}
+    for b in (1, -1):
+        pts, logp = lattice_atoms(eps, phase_of_bit(b, eps), extent=extent, log=True)
+        tables[b] = pts, logp[:, None], pts / rho2
+    return rho2, 0.5 * np.log(2.0 * np.pi * rho2), tables
 
 
-def _dg_lattice_parts(spec: DiscreteGaussianSpec, x: np.ndarray, parts=(0, 1)):
-    """Parts 0 (log density) and 1 (score), or those in parts, stacked, by direct convolution
-    over atoms |t| <= 12 + 8 rho."""
-    rho2, log_norm, phases = _lattice_tables(spec.eps, spec.rho)
-    pts, logp, pts_scaled = phases[spec.phase != 0.0]
-    x = np.asarray(x, dtype=float)
+def _dg_lattice(eps: float, rho: float, bits: tuple, x: np.ndarray, part: int):
+    """Part 0 (log density) or 1 (score) of the lattices of bits by direct convolution over atoms
+    |t| <= 12 + 8 rho, one (atoms, points) table per bit: (len(bits),) + x.shape."""
+    rho2, log_norm, tables = _lattice_tables(eps, rho)
     flat = x.reshape(-1)
-    out = np.empty((len(parts), flat.size))
-    chunk = max(1, int(2**22 // len(pts)))
-    for lo in range(0, flat.size, chunk):
-        xs = flat[lo : lo + chunk]
-        # (atoms, points), in place: log of atom weight times N(x; atom, rho^2), up to a constant
-        lg = np.subtract.outer(pts, xs)
-        lg *= lg
-        lg *= -0.5 / rho2
-        lg += logp
-        m = np.maximum.reduce(lg, axis=0)
-        lg -= m
-        np.maximum(lg, _EXP_FLOOR, out=lg)
-        w = np.exp(lg, out=lg)
-        tot = np.add.reduce(w, axis=0)
-        for row, part in zip(out, parts):
+    out = np.empty((len(bits), flat.size))
+    for row, b in zip(out, bits):
+        pts, logp, pts_scaled = tables[b]
+        chunk = max(1, int(2**22 // len(pts)))
+        for lo in range(0, flat.size, chunk):
+            xs = flat[lo : lo + chunk]
+            # (atoms, points), in place: log atom weight + log N(x; atom, rho^2), up to a constant
+            lg = np.subtract.outer(pts, xs)
+            lg *= lg
+            lg *= -0.5 / rho2
+            lg += logp
+            m = np.maximum.reduce(lg, axis=0)
+            lg -= m
+            np.maximum(lg, _EXP_FLOOR, out=lg)
+            w = np.exp(lg, out=lg)
+            tot = np.add.reduce(w, axis=0)
             if part == 0:
                 row[lo : lo + chunk] = m + np.log(tot) - log_norm
             else:
                 row[lo : lo + chunk] = (pts_scaled @ w - tot * xs / rho2) / tot
-    return out.reshape((len(parts),) + x.shape)
+    return out.reshape((len(bits),) + x.shape)
 
 
-def _smoothed(spec, x, part: int):
-    """Part 0 (dg_smoothed_log_density) or 1 (dg_smoothed_score) of a spec or a phase pair."""
-    specs = (spec,) if isinstance(spec, DiscreteGaussianSpec) else tuple(spec)
-    if len({(s.eps, s.rho) for s in specs}) != 1:
-        raise ValueError("the specs of a phase pair must share eps and rho")
-    # C order: a strided x (a batch's tail columns) is copied once here, not by each call below
-    eps, rho, x = specs[0].eps, specs[0].rho, np.asarray(x, dtype=float, order="C")
-    if rho == 0:
-        raise ValueError("rho = 0 is atomic (unsmoothed): no density, score undefined")
+def _smoothed(eps, rho, x, bits, part: int):
+    """Part 0 (dg_smoothed_log_density) or 1 (dg_smoothed_score): the layer's one input check."""
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not 0 < rho < np.inf:  # rho = 0 is atomic (unsmoothed): no density, score undefined
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    if not (type(bits) is tuple and bits and set(bits) <= {1, -1}):
+        raise ValueError(f"bits must be a nonempty tuple of +1 and -1, got {bits!r}")
+    # C order: a strided x (a batch's tail columns) is copied once here, not by each bit's table
+    x = np.asarray(x, dtype=float, order="C")
     edge, far = _FAR_X * min(rho, 1.0), None
     # x.x >= max x^2 in one call (vdot overflows to inf with no warning); NaN x takes this branch
     if not np.vdot(x, x) <= edge * edge:  # the ordinary points as usual, at a stand-in x = 0
         far = np.abs(x) > edge
         x, x_far = np.where(far, 0.0, x), x[far]
     # At rho << eps the Fourier series suffers catastrophic cancellation between atoms (the true
-    # density there underflows the series' roundoff floor): rho < 0.35 eps takes the lattice.
-    series = rho >= 0.35 * eps
-    if series:
-        out = _dg_series(specs, x, part).reshape((len(specs),) + x.shape)
-    else:  # one (atoms, points) table per phase, one phase after the other
-        out = np.concatenate([_dg_lattice_parts(s, x, (part,)) for s in specs])
+    # density there underflows the series' roundoff floor): rho < 0.35 eps takes the lattice. Past
+    # EPS_MAX the eps/2 phase's normaliser cancels below its roundoff: the lattice at every rho.
+    series = 0.35 * eps <= rho and eps <= EPS_MAX
+    out = (_dg_series if series else _dg_lattice)(eps, rho, bits, x, part)
     if far is not None:
-        out[:, far] = _far_parts(specs, x_far, part, series)
-    return out[0] if isinstance(spec, DiscreteGaussianSpec) else out
+        out[:, far] = _far_parts(eps, rho, bits, x_far, part, series)
+    return out
 
 
-def _far_parts(specs, x: np.ndarray, part: int, series: bool) -> np.ndarray:
-    """Part 0 (-inf) or 1 (the score's limit) of k specs at far points x (1-D), as (k, x.size)."""
+def _far_parts(eps, rho, bits, x: np.ndarray, part: int, series: bool) -> np.ndarray:
+    """Part 0 (-inf) or 1 (the score's limit) of the lattices of bits at far points x (1-D), as
+    (len(bits), x.size)."""
     if part == 0:
-        return np.full((len(specs), x.size), -np.inf)
+        return np.full((len(bits), x.size), -np.inf)
     if series:
-        return np.broadcast_to(-x / (1.0 + specs[0].rho ** 2), (len(specs), x.size))
-    rho2, _, phases = _lattice_tables(specs[0].eps, specs[0].rho)
-    outermost = [phases[s.phase != 0.0][0][[0, -1]] for s in specs]  # each phase's lowest, highest
+        return np.broadcast_to(-x / (1.0 + rho**2), (len(bits), x.size))
+    rho2, _, tables = _lattice_tables(eps, rho)
+    outermost = [tables[b][0][[0, -1]] for b in bits]  # each lattice's lowest, highest atom
     with np.errstate(over="ignore"):  # past |x| = 1.8e308 rho^2 it is +-inf
         return np.stack([(np.where(x > 0, hi, lo) - x) / rho2 for lo, hi in outermost])
 
 
-def dg_smoothed_log_density(spec, x):
-    """The log density at x of a spec, or of both specs of a phase pair (_phase_specs: specs that
-    share eps and rho) as a (2,) + x.shape stack."""
-    return _smoothed(spec, x, 0)
+def dg_smoothed_log_density(eps, rho, x, bits=(1, -1)):
+    """The log density at x of the unit Gaussian on the lattice of each bit b in bits ({k eps}
+    for b = +1, {k eps + eps/2} for b = -1), smoothed by N(0, rho^2): (len(bits),) + x.shape,
+    row i for bits[i]."""
+    return _smoothed(eps, rho, x, bits, 0)
 
 
-def dg_smoothed_score(spec, x):
-    """The score at x of a spec, or of both specs of a phase pair as a (2,) + x.shape stack."""
-    return _smoothed(spec, x, 1)
-
-
-def _phase_specs(eps: float, rho: float) -> tuple[DiscreteGaussianSpec, ...]:
-    """The phase pair: the smoothed lattices of bit +1 and bit -1, in that order."""
-    return tuple(DiscreteGaussianSpec(eps, phase_of_bit(b, eps), rho) for b in (1, -1))
+def dg_smoothed_score(eps, rho, x, bits=(1, -1)):
+    """The score at x of the same smoothed lattices: (len(bits),) + x.shape, row i for bits[i]."""
+    return _smoothed(eps, rho, x, bits, 1)
 
 
 def _seed_tail_loglik(ld: np.ndarray, tail_rhs: np.ndarray) -> np.ndarray:
     """(n, 2^d) log-likelihood of the tail under each seed: ld[0] @ Fp.T + ld[1] @ (1-Fp).T.
 
-    ld is (2, n, d_prime), dg_smoothed_log_density of the phase pair; tail_rhs is [Fp, 1-Fp].T,
+    ld is (2, n, d_prime), dg_smoothed_log_density of bits (1, -1); tail_rhs is [Fp, 1-Fp].T,
     Fp the 0/1 table of f(s)_j == +1 (BooleanCircuit.float_seed_table).
     """
     return np.concatenate(ld, axis=1) @ tail_rhs  # (n, 2 d_prime) @ (2 d_prime, 2^d)
@@ -241,18 +221,17 @@ def mixture_score_exact(
 
     S, Fp, tail_rhs = f.float_seed_table  # (2^d, d), (2^d, d_prime), (2 d_prime, 2^d)
     v = 1.0 + sigma**2
-    head = X[:, : params.d]
-    pair, tail = _phase_specs(params.eps, sigma), X[:, params.d :]
-    ld_ph = dg_smoothed_log_density(pair, tail)  # (2, n, d_prime): bit +1, then bit -1
+    head, tail = X[:, : params.d], X[:, params.d :]
+    ld_ph = dg_smoothed_log_density(params.eps, sigma, tail)  # (2, n, d_prime): bit +1, then -1
     if not np.vdot(ld_ph, ld_ph) < np.inf:  # as in _smoothed: -inf at a far tail point, whose
         ld_ph[ld_ph == -np.inf] = np.nan  # seed weights are undefined: NaN passes the GEMMs quietly
-    sc_ph = dg_smoothed_score(pair, tail)
+    sc_ph = dg_smoothed_score(params.eps, sigma, tail)
 
     loglik = _seed_tail_loglik(ld_ph, tail_rhs)  # (n, 2^d); updated in place from here on
     loglik += head @ ((params.R / v) * S.T)
     m = np.maximum.reduce(loglik, axis=1, keepdims=True)
     loglik -= m
-    np.maximum(loglik, _EXP_FLOOR, out=loglik)  # as in _dg_lattice_parts
+    np.maximum(loglik, _EXP_FLOOR, out=loglik)  # as in _dg_lattice
     w = np.exp(loglik, out=loglik)
     tot = np.add.reduce(w, axis=1, keepdims=True)
     w /= tot
@@ -285,7 +264,7 @@ def orthant_score(
     out = np.empty_like(X)
     out[:, : params.d] = -(X[:, : params.d] - params.R * r) / v
     tail = X[:, params.d :]
-    plus, minus = dg_smoothed_score(_phase_specs(params.eps, sigma), tail)
+    plus, minus = dg_smoothed_score(params.eps, sigma, tail)
     out[:, params.d :] = np.where(bits == 1, plus, minus)
     return out
 

@@ -21,7 +21,7 @@ from scipy.stats import norm
 from phaselab.circuits import BooleanCircuit, Gate
 from phaselab.instance import InstanceParams
 from phaselab.piecewise import EPS_DG, score_family
-from phaselab.scores import DiscreteGaussianSpec, dg_smoothed_log_density
+from phaselab.scores import dg_smoothed_log_density
 
 # --- statistical distances ---
 
@@ -177,8 +177,7 @@ def score_family_log_density(name: str, sigma: float):
     if name == "two_point":
         return lambda x: two_point_log_density(3.0, sigma, x)
     if name == "dg":
-        spec = DiscreteGaussianSpec(EPS_DG, 0.0, sigma)
-        return lambda x: dg_smoothed_log_density(spec, x)
+        return lambda x: dg_smoothed_log_density(EPS_DG, sigma, x, (1,))[0]
     raise ValueError(f"unknown test family {name!r}")
 
 

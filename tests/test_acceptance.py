@@ -47,7 +47,7 @@ from phaselab.relu import (
     eval_net,
 )
 from phaselab import scores
-from phaselab.scores import DiscreteGaussianSpec, dg_smoothed_log_density, mixture_score_exact
+from phaselab.scores import dg_smoothed_log_density, mixture_score_exact
 
 from lemmas import clipped_noise_tv, conditional_tv_check, ks, measure_clipped, tv_binned
 
@@ -200,9 +200,8 @@ def test_criterion_08_fourier_bound_and_route_agreement():
         v = 1.0 + rho**2
         x = np.linspace(-6 * np.sqrt(v), 6 * np.sqrt(v), 601)
         bound = 3.0 * np.exp(-(rho**2) / (2.0 * eps**2 * v))
-        for phase in (0.0, eps / 2):
-            spec = DiscreteGaussianSpec(eps, phase, rho)
-            g = np.exp(dg_smoothed_log_density(spec, x))
+        for b in (1, -1):
+            g = np.exp(dg_smoothed_log_density(eps, rho, x, (b,))[0])
             w = norm.pdf(x, scale=np.sqrt(v))
             dev = float(np.max(np.abs(g - w) / w))
             # the analytic bound can sit far below double precision; allow
@@ -211,10 +210,9 @@ def test_criterion_08_fourier_bound_and_route_agreement():
         details.append(f"(eps={eps}, rho={rho}): deviation {dev:.2e} <= {bound:.2e}")
     agree = 0.0
     for eps, rho in ((0.5, 0.4), (1.0, 0.5), (1.0, 2.0)):
-        spec = DiscreteGaussianSpec(eps, 0.0, rho)
         x = np.linspace(-8, 8, 601)
-        a = np.exp(scores._dg_series((spec,), x, 0)[0])
-        b = np.exp(scores._dg_lattice_parts(spec, x)[0])
+        a = np.exp(scores._dg_series(eps, rho, (1,), x, 0)[0])
+        b = np.exp(scores._dg_lattice(eps, rho, (1,), x, 0)[0])
         agree = max(agree, float(np.max(np.abs(a - b) / np.maximum(b, 1e-300))))
     ok = ok and agree <= 1e-10
     report(8, "Fourier comparison", ok, "; ".join(details) + f"; route agreement {agree:.1e} <= 1e-10")

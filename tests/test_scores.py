@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from phaselab.instance import phase_of_bit
 from phaselab.posterior import Measurement, seed_posterior_log_weights
 from phaselab.reduction import random_circuit_owf
 from phaselab.scores import (
-    DiscreteGaussianSpec,
     ScoreProvider,
     dg_smoothed_log_density,
     dg_smoothed_score,
@@ -27,13 +28,24 @@ from phaselab.scores import (
 from lemmas import constant_candidate, two_point_log_density
 
 
-def density(spec, x):
-    return np.exp(dg_smoothed_log_density(spec, x))
+# The references' lattice: the unit Gaussian on {k eps + phase}, smoothed by N(0, rho^2)
+Spec = namedtuple("Spec", "eps phase rho")
+
+
+def route_parts(kernel, spec, x):
+    """(log density, score) of spec's lattice from one route's kernel, whatever its smoothing."""
+    bits = (1,) if spec.phase == 0.0 else (-1,)
+    return kernel(spec.eps, spec.rho, bits, x, 0)[0], kernel(spec.eps, spec.rho, bits, x, 1)[0]
 
 
 def series_parts(spec, x):
     """(log density, score) on the series route, whatever the spec's smoothing."""
-    return scores._dg_series((spec,), x, 0)[0], scores._dg_series((spec,), x, 1)[0]
+    return route_parts(scores._dg_series, spec, x)
+
+
+def lattice_parts(spec, x):
+    """(log density, score) on the lattice route, whatever the spec's smoothing."""
+    return route_parts(scores._dg_lattice, spec, x)
 
 
 def fd(logd, x, h=1e-6):
@@ -45,9 +57,9 @@ def test_dg_series_matches_lattice():
     """Both evaluation routes agree far below the 1e-10 requirement (worst gap about 5e-14)."""
     for eps, rho in [(1.0, 0.5), (0.5, 0.4), (1.0, 2.0), (0.5, 0.3)]:
         for phase in (0.0, eps / 2):
-            spec = DiscreteGaussianSpec(eps, phase, rho)
+            spec = Spec(eps, phase, rho)
             x = np.linspace(-8, 8, 801)
-            (ls, ss), (ll, sl) = series_parts(spec, x), scores._dg_lattice_parts(spec, x)
+            (ls, ss), (ll, sl) = series_parts(spec, x), lattice_parts(spec, x)
             assert_allclose(np.exp(ls), np.exp(ll), rtol=0, atol=1e-10)
             assert_allclose(ss, sl, rtol=0, atol=1e-10)
 
@@ -105,7 +117,7 @@ def test_dg_series_keeps_exactly_its_terms_above_1e18():
         x = np.linspace(-40.0, 40.0, 1601) * max(1.0, eps / 2)
         for rho in (0.35 * eps, 0.5 * eps, eps, 2 * eps, 5 * eps, 100.0):
             for phase in (0.0, eps / 2):
-                spec = DiscreteGaussianSpec(eps, phase, rho)
+                spec = Spec(eps, phase, rho)
                 _, a, *_ = scores._series_coeffs(eps, rho)
                 c = 2.0 * np.pi**2 * rho**2 / (eps**2 * (1.0 + rho**2))
                 assert np.all(a >= 1e-18)
@@ -122,7 +134,7 @@ def test_dg_lattice_sum_matches_row_major_reference():
     for eps in (0.05, 1.0, 8.0):
         for rho in (0.01 * eps, 0.1 * eps, 0.34 * eps):
             for phase in (0.0, eps / 2):
-                spec = DiscreteGaussianSpec(eps, phase, rho)
+                spec = Spec(eps, phase, rho)
                 pts, _ = lattice_atoms(eps, phase, extent=LATTICE_EXTENT + 8.0 * rho)
                 x = np.concatenate(
                     [pts, pts + rho * rng.standard_normal(pts.size), np.linspace(-30, 30, 601)]
@@ -131,7 +143,7 @@ def test_dg_lattice_sum_matches_row_major_reference():
                     # more points than one chunk of 2**22 // atoms holds: the loop runs twice
                     x = np.concatenate([x, rng.uniform(-15, 15, 2**22 // pts.size)])
                 want_ld, want_sc = old_lattice_parts(spec, x)
-                ld, sc = scores._dg_lattice_parts(spec, x)
+                ld, sc = lattice_parts(spec, x)
                 assert_same_log_density(ld, want_ld)
                 tol = 1e-13 * (np.abs(x) + 12.0 + 8.0 * rho) / rho**2
                 assert np.all(np.abs(sc - want_sc) <= tol)
@@ -143,66 +155,87 @@ def test_dg_lattice_route_forced_at_large_smoothing():
     for eps in (1.0, 0.5):
         for rho in (5.0, 10.0, 20.0):
             for phase in (0.0, eps / 2):
-                spec = DiscreteGaussianSpec(eps, phase, rho)
-                (ll, sl), (ls, ss) = scores._dg_lattice_parts(spec, x), series_parts(spec, x)
+                spec = Spec(eps, phase, rho)
+                (ll, sl), (ls, ss) = lattice_parts(spec, x), series_parts(spec, x)
                 assert_allclose(ll, ls, rtol=0, atol=1e-10)
                 assert_allclose(sl, ss, rtol=1e-10, atol=1e-10)
 
 
 def test_dg_density_integrates_to_one():
-    spec = DiscreteGaussianSpec(1.0, 0.5, 0.7)
     x = np.linspace(-14, 14, 20_001)
-    mass = np.trapezoid(density(spec, x), x)
+    mass = np.trapezoid(np.exp(dg_smoothed_log_density(1.0, 0.7, x, (-1,))[0]), x)
     assert_allclose(mass, 1.0, rtol=1e-8)
 
 
 def test_dg_score_is_log_density_gradient():
     for rho in (0.2, 0.8, 3.0):
-        spec = DiscreteGaussianSpec(1.0, 0.0, rho)
         x = np.linspace(-3, 3, 41)
-        want = fd(lambda t: dg_smoothed_log_density(spec, t), x)
-        assert_allclose(dg_smoothed_score(spec, x), want, atol=1e-4)
+        want = fd(lambda t: dg_smoothed_log_density(1.0, rho, t, (1,))[0], x)
+        assert_allclose(dg_smoothed_score(1.0, rho, x, (1,))[0], want, atol=1e-4)
 
 
 def test_dg_large_smoothing_approaches_plain_gaussian():
     """At rho >> eps the lattice is invisible: score ~ Gaussian with var 1 + rho^2."""
-    spec = DiscreteGaussianSpec(0.5, 0.25, 8.0)
     x = np.linspace(-10, 10, 101)
-    assert_allclose(dg_smoothed_score(spec, x), -x / (1 + 64.0), atol=1e-4)
+    assert_allclose(dg_smoothed_score(0.5, 8.0, x, (-1,))[0], -x / (1 + 64.0), atol=1e-4)
 
 
 def test_dg_small_smoothing_pulls_to_lattice():
     """Slightly off an atom, the score points back toward it."""
-    spec = DiscreteGaussianSpec(1.0, 0.0, 0.05)
-    assert dg_smoothed_score(spec, np.array([0.1]))[0] < -20
-    assert dg_smoothed_score(spec, np.array([-0.1]))[0] > 20
+    assert dg_smoothed_score(1.0, 0.05, np.array([0.1]), (1,))[0, 0] < -20
+    assert dg_smoothed_score(1.0, 0.05, np.array([-0.1]), (1,))[0, 0] > 20
 
 
 @pytest.mark.parametrize("smoothed", [dg_smoothed_log_density, dg_smoothed_score])
 def test_dg_phase_pair_is_the_stack_of_lone_calls(smoothed):
-    """A phase pair gives np.stack of its two lone calls bit for bit, on both routes: rho below,
-    at and above 0.35 eps, and eps = 12, rho = 4.1 (the lattice route, where the outer atoms of
-    the eps/2 phase underflow to weight 0); for x of shape (n,), (n, d') and size 0. A lone
-    spec keeps x's shape; a pair whose specs differ in eps or rho is refused."""
+    """A row does not depend on which bits are asked for: the default bits (1, -1) give the
+    stack of the lone calls bits=(1,) and bits=(-1,) bit for bit, and bits=(-1, 1) its rows
+    reversed, on both routes: rho below, at and above 0.35 eps, and eps = 12, rho = 4.1 (the
+    lattice route, where the outer atoms of the eps/2 phase underflow to weight 0); for x of
+    shape (n,), (n, d') and size 0."""
     rng = np.random.default_rng(28)
     assert lattice_atoms(12.0, 6.0, LATTICE_EXTENT + 8.0 * 4.1)[1][0] == 0.0
     for eps, rho in [(1.0, 0.1), (1.0, 0.35), (1.0, 0.8), (0.5, 0.17), (12.0, 4.1)]:
-        pair = scores._phase_specs(eps, rho)
         for shape in [(1,), (16,), (500,), (2, 8), (37, 3), (0,), (0, 4)]:
             x = rng.standard_normal(shape) * (2.0 + rho) + rng.integers(-3, 4, shape) * eps / 2
-            lone = [smoothed(spec, x) for spec in pair]
-            assert all(out.shape == shape for out in lone)
-            got = smoothed(pair, x)
+            lone = [smoothed(eps, rho, x, (b,)) for b in (1, -1)]
+            assert all(out.shape == (1,) + shape for out in lone)
+            got = smoothed(eps, rho, x)
             assert got.shape == (2,) + shape
-            assert np.array_equal(got, np.stack(lone))
-    for other in (DiscreteGaussianSpec(2.0, 1.0, 0.2), DiscreteGaussianSpec(1.0, 0.5, 0.3)):
-        with pytest.raises(ValueError, match="share eps and rho"):
-            smoothed((DiscreteGaussianSpec(1.0, 0.0, 0.2), other), np.zeros(3))
+            assert np.array_equal(got, np.concatenate(lone))
+            assert np.array_equal(smoothed(eps, rho, x, (-1, 1)), got[::-1])
 
 
 def test_dg_rejects_atomic():
+    """rho = 0 is atomic: no density. The layer's one input check refuses it, and every other eps
+    or rho that is not positive and finite, and bits that are not a nonempty tuple of +-1,
+    naming the argument."""
     with pytest.raises(ValueError):
-        dg_smoothed_score(DiscreteGaussianSpec(1.0, 0.0, 0.0), np.zeros(1))
+        dg_smoothed_score(1.0, 0.0, np.zeros(1))
+    for smoothed in (dg_smoothed_log_density, dg_smoothed_score):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^eps must be positive and finite"):
+                smoothed(bad, 0.5, np.zeros(3))
+            with pytest.raises(ValueError, match="^rho must be positive and finite"):
+                smoothed(1.0, bad, np.zeros(3))
+        for bits in ((), (0,)):
+            with pytest.raises(ValueError, match="^bits must be a nonempty tuple"):
+                smoothed(1.0, 0.5, np.zeros(3), bits)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [12.0, 16.0, 18.0, 20.0])
+def test_dg_past_eps_max_takes_the_lattice_route(eps):
+    """Past EPS_MAX the Poisson normaliser of the eps/2 phase cancels below its roundoff (to a
+    negative number from eps = 18), so every rho takes the lattice route: at rho = eps/2 both
+    bits' log densities are a direct log-sum over the atoms |t| <= 12 + 8 rho, to 1e-12."""
+    rho = eps / 2
+    x = np.linspace(-4.0, 4.0, 161) * np.sqrt(1.0 + rho**2)
+    ld = dg_smoothed_log_density(eps, rho, x)
+    for row, b in zip(ld, (1, -1)):
+        pts, logp = lattice_atoms(eps, phase_of_bit(b, eps), LATTICE_EXTENT + 8.0 * rho, log=True)
+        want = logsumexp(logp - (x[:, None] - pts) ** 2 / (2.0 * rho**2), axis=1)
+        assert_allclose(row, want - 0.5 * np.log(2.0 * np.pi * rho**2), rtol=0, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -212,19 +245,18 @@ def test_dg_far_points_have_defined_values(rho):
     limit: the outermost atom's (t - x) / rho^2 on the lattice route, the envelope -x / v on the
     series route; with no warning. The ordinary point of the same call keeps the bits that it
     has next to ordinary points (the series' GEMMs round by batch shape, so the shape is kept)."""
-    pair = scores._phase_specs(1.0, rho)
     x = np.array([1e160, -1e160, 0.3])
-    ld, sc = dg_smoothed_log_density(pair, x), dg_smoothed_score(pair, x)
+    ld, sc = dg_smoothed_log_density(1.0, rho, x), dg_smoothed_score(1.0, rho, x)
     assert np.array_equal(ld[:, :2], np.full((2, 2), -np.inf))
-    for k, spec in enumerate(pair):
+    for k, b in enumerate((1, -1)):
         if rho < 0.35:
-            t = lattice_atoms(1.0, spec.phase, LATTICE_EXTENT + 8.0 * rho, log=True)[0]
+            t = lattice_atoms(1.0, phase_of_bit(b, 1.0), LATTICE_EXTENT + 8.0 * rho, log=True)[0]
             assert_allclose(sc[k, :2], (np.array([t[-1], t[0]]) - x[:2]) / rho**2, rtol=1e-15)
         else:
             assert_allclose(sc[k, :2], -x[:2] / (1.0 + rho**2), rtol=1e-15)
     near = np.array([0.7, -0.2, 0.3])
-    assert np.array_equal(ld[:, 2], dg_smoothed_log_density(pair, near)[:, 2])
-    assert np.array_equal(sc[:, 2], dg_smoothed_score(pair, near)[:, 2])
+    assert np.array_equal(ld[:, 2], dg_smoothed_log_density(1.0, rho, near)[:, 2])
+    assert np.array_equal(sc[:, 2], dg_smoothed_score(1.0, rho, near)[:, 2])
 
 
 def test_mixture_score_matches_log_density_gradient():
@@ -260,9 +292,8 @@ def tensor_mixture_score(params, f, sigma, X):
     S = S.astype(float)
     v = 1.0 + sigma**2
     head, tail = X[:, : params.d], X[:, params.d :]
-    specs = [DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), sigma) for b in (1, -1)]
-    ld = np.stack([dg_smoothed_log_density(spec, tail) for spec in specs])
-    sc = np.stack([dg_smoothed_score(spec, tail) for spec in specs])
+    ld = np.concatenate([dg_smoothed_log_density(params.eps, sigma, tail, (b,)) for b in (1, -1)])
+    sc = np.concatenate([dg_smoothed_score(params.eps, sigma, tail, (b,)) for b in (1, -1)])
     diff = head[:, None, :] - params.R * S[None, :, :]
     loglik = -(diff**2).sum(axis=2) / (2.0 * v) - params.d * 0.5 * np.log(2.0 * np.pi * v)
     for j in range(params.d_prime):
@@ -354,7 +385,7 @@ def frozen_tail_phase_parts(params, sigma, x_tail):
     """Frozen reference: _tail_phase_parts as it was, on the frozen routes."""
     parts = []
     for b in (1, -1):
-        spec = DiscreteGaussianSpec(params.eps, phase_of_bit(b, params.eps), sigma)
+        spec = Spec(params.eps, phase_of_bit(b, params.eps), sigma)
         lattice = spec.rho < 0.35 * spec.eps
         parts.append((frozen_lattice_parts if lattice else frozen_series_parts)(spec, x_tail))
     return np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])
@@ -567,7 +598,7 @@ def test_exact_score_and_seed_weights_make_one_pair_call_per_name(monkeypatch):
     for mod, name in [(scores, "dg_smoothed_log_density"), (scores, "dg_smoothed_score"),
                       (posterior, "dg_smoothed_log_density")]:
         fn = getattr(mod, name)
-        wrapped = lambda spec, x, fn=fn, name=name: calls.append(name) or fn(spec, x)
+        wrapped = lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
         monkeypatch.setattr(mod, name, wrapped)
     params, f = canonical_params(2, 2), sign_identity(2)
     x = np.random.default_rng(5).standard_normal((20, 4))
@@ -581,10 +612,11 @@ def test_exact_score_and_seed_weights_make_one_pair_call_per_name(monkeypatch):
 
 
 def test_orthant_score_runs_one_lattice_sum_per_phase(monkeypatch):
-    """The orthant surrogate reads only the phase scores, never their log densities."""
+    """The orthant surrogate reads only the phase scores, never their log densities: one
+    (atoms, points) table per bit."""
     calls = []
-    parts = scores._dg_lattice_parts
-    monkeypatch.setattr(scores, "_dg_lattice_parts", lambda *a: calls.append(1) or parts(*a))
+    lattice = scores._dg_lattice
+    monkeypatch.setattr(scores, "_dg_lattice", lambda *a: calls.extend(a[2]) or lattice(*a))
     params = canonical_params(2, 2)
     x = np.random.default_rng(3).standard_normal((20, 4))
     orthant_score(params, sign_identity(2), 0.1, x)  # sigma < 0.35 eps: the lattice route
@@ -633,6 +665,5 @@ def test_tail_phases_differ():
     """The two phase lattices are distinguishable at moderate smoothing."""
     eps = 1.0
     x = np.linspace(-2, 2, 201)
-    d0 = density(DiscreteGaussianSpec(eps, phase_of_bit(1, eps), 0.2), x)
-    d1 = density(DiscreteGaussianSpec(eps, phase_of_bit(-1, eps), 0.2), x)
+    d0, d1 = np.exp(dg_smoothed_log_density(eps, 0.2, x))
     assert np.max(np.abs(d0 - d1)) > 0.5
