@@ -48,7 +48,7 @@ RUN_DEPENDENT = frozenset({"invert_timing.json"})
 
 
 def load_config(path: str | None) -> dict[str, str]:
-    """Flat key=value dict from an INI [run] section or a JSON object."""
+    """Flat key=value dict from an INI [run] section or a JSON object; keys are case-sensitive."""
     if path is None:
         return {}
     text = Path(path).read_text()
@@ -58,6 +58,7 @@ def load_config(path: str | None) -> dict[str, str]:
             raise ValueError("JSON config must be an object")
         return {str(k): str(v) for k, v in raw.items()}
     cp = configparser.ConfigParser()
+    cp.optionxform = str  # keys keep their case, as in JSON and overrides: R is not r
     cp.read_string(text)
     if "run" not in cp:
         raise ValueError("INI config needs a [run] section")
@@ -320,23 +321,16 @@ def cmd_invert(cfg: dict, args) -> tuple[dict, str]:
     params, f = build_instance(cfg)
     sampler = build_sampler(cfg, params, f)
     trials = cfg["trials"]
-    rep = run_chain("sampler", cfg, inversion_experiment, f, sampler, trials, params, args.seed)
-    row = {
-        "trials": rep.trials,
-        "successes": rep.successes,
-        "success_rate": rep.successes / rep.trials,
-        "exact_seed_hits": rep.exact_seed_hits,
-        "bits_match_count": rep.bits_match_count,
-        "no_guess_count": rep.no_guess_count,
-    }
+    report, nanos = run_chain(
+        "sampler", cfg, inversion_experiment, f, sampler, trials, params, args.seed
+    )
     artifacts = {
-        "invert_report.json": row,
-        "invert_report.csv": (list(row), [list(row.values())]),
-        # wall time is inherently run-dependent, so it lives outside the
-        # seed-deterministic report artifact
-        "invert_timing.json": {"mean_sampler_nanos": rep.mean_sampler_nanos},
+        "invert_report.json": report,
+        "invert_report.csv": (list(report), [list(report.values())]),
+        # run-dependent wall time, kept out of the seed-deterministic report
+        "invert_timing.json": {"mean_sampler_nanos": nanos},
     }
-    return artifacts, f"success rate {row['success_rate']:.3f} over {rep.trials} trials"
+    return artifacts, f"success rate {report['success_rate']:.3f} over {trials} trials"
 
 
 def cmd_approx_score(cfg: dict, args) -> tuple[dict, str]:
@@ -386,10 +380,8 @@ def cmd_bench_acceptance(cfg: dict, args) -> tuple[dict, str]:
     rows = acceptance_curve(
         betas, ms, cfg["trials"], args.seed, eps=cfg["eps"], max_rounds=cfg["max_rounds"]
     )
-    header = ["beta", "m", "mean_rounds", "log_mean_rounds", "trials", "censored"]
-    table = (header, [[r[k] for k in header] for r in rows])
     message = f"wrote {len(rows)} rows to {Path(args.out) / 'acceptance.csv'}"
-    return {"acceptance.csv": table}, message
+    return {"acceptance.csv": (list(rows[0]), [list(r.values()) for r in rows])}, message
 
 
 # --- verify -----------------------------------------------------------------------
@@ -404,7 +396,7 @@ def require(ok: bool, message: str) -> None:
 def check_run(out: Path) -> None:
     """Check the run in `out` against its manifest; raises AssertionError naming the file at fault.
 
-    Files the manifest does not list are not this run's, and are ignored.
+    Listed names must be plain file names; files the manifest does not list are ignored.
     """
     mf = out / "run_manifest.json"
     require(mf.is_file(), f"no run_manifest.json in {out}")
@@ -415,6 +407,7 @@ def check_run(out: Path) -> None:
         raise AssertionError(f"run_manifest.json: {type(e).__name__}: {e}") from None
     require(config_hash(cfg) == h, "run_manifest.json: config_hash does not match its config")
     for name, digest in sorted(artifacts.items()):
+        require(name == Path(name).name and name != "..", f"{name}: not a file name in {out}")
         path = out / name
         require(path.is_file(), f"{name}: listed in the manifest but missing")
         if digest is None:  # run-dependent bytes: only the hash field can be checked
@@ -517,10 +510,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve(SCHEMAS[name], load_config(args.config), args.overrides)
         if name == "verify":
             return cmd_verify(args)
+        out = Path(args.out)  # refused before any work unless a directory can be made there
+        near = next((p for p in (out, *out.parents) if p.exists()), out)
+        if not near.is_dir():
+            raise ValueError(f"field 'out': {near} is not a directory")
         artifacts, message = COMMANDS[name](cfg, args)
     except (ValueError, OSError, configparser.Error) as e:
         raise SystemExit(f"config error: {e}") from None
-    out = Path(args.out)
     cfg_text = {k: str(v) for k, v in cfg.items()}
     h = config_hash(cfg_text)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,22 +24,6 @@ from .instance import measurement_matrix, sample_unconditional
 from .instance import sample_discretized_gaussian  # noqa: F401 - bench/spans.py traces this binding
 from .posterior import Measurement, PosteriorConfig, brute_force_posterior, rejection_sample
 from .scores import provider_by_name
-
-
-@dataclass(frozen=True)
-class InversionReport:
-    trials: int
-    successes: int  # f(guess) = z
-    exact_seed_hits: int  # guess = s
-    bits_match_count: int  # Bits_eps(y) = z (extra diagnostic column)
-    no_guess_count: int  # sampler failures propagated as no-guess
-    mean_sampler_nanos: float
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (self.exact_seed_hits <= self.successes <= self.trials):
-            raise ValueError("inconsistent counts")
 
 
 def sample_measurement_for_target(
@@ -78,13 +61,14 @@ def invert(sampler, m: Measurement, rng: np.random.Generator):
 
 def inversion_experiment(
     f: BooleanCircuit, sampler, trials: int, params: InstanceParams, master_seed: int
-) -> InversionReport:
-    """Aggregate invert() over i.i.d. targets z = f(uniform s).
+) -> tuple[dict, float]:
+    """(report, nanos): invert() aggregated over i.i.d. targets z = f(uniform s).
 
     Trial i draws s, z = f(s) and y from stream(master_seed, i), so a trial's
     target does not depend on the trial count. The sampler then runs once on
-    all trials' y, with the batch stream stream(master_seed, rng.BATCH);
-    mean_sampler_nanos is that batch's wall time divided by trials.
+    all trials' y, with the batch stream stream(master_seed, rng.BATCH); nanos is
+    that batch's wall time divided by trials. report is what `phaselab invert` writes: a
+    guess succeeds if f(guess) = z, and a trial whose sampler made no draw never does.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -96,11 +80,16 @@ def inversion_experiment(
     guess, no_guess = invert(sampler, m, prng.stream(master_seed, prng.BATCH))
     nanos = (time.perf_counter_ns() - t0) / trials
     solved = np.all(f(guess) == z, axis=1) & ~no_guess
-    hits = solved & np.all(guess == s, axis=1)
-    bits = np.all(bits_eps(m.y, params.eps) == z, axis=1)
-    return InversionReport(
-        trials, int(solved.sum()), int(hits.sum()), int(bits.sum()), int(no_guess.sum()), nanos
-    )
+    successes = int(solved.sum())
+    report = {
+        "trials": trials,
+        "successes": successes,
+        "success_rate": successes / trials,
+        "exact_seed_hits": int((solved & np.all(guess == s, axis=1)).sum()),  # guess = s
+        "bits_match_count": int(np.all(bits_eps(m.y, params.eps) == z, axis=1).sum()),
+        "no_guess_count": int(no_guess.sum()),
+    }
+    return report, nanos
 
 
 def _own(m: Measurement, params: InstanceParams, f: BooleanCircuit, size: int) -> Measurement:

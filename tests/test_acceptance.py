@@ -100,9 +100,9 @@ def test_criterion_03_inversion_end_to_end():
     total, succ = 0, 0
     for k in range(4):
         f = random_circuit_owf(8, 8, 24, seed=300 + k)
-        rep = inversion_experiment(f, make_brute_force_sampler(params, f), 50, params, 303 + k)
-        total += rep.trials
-        succ += rep.successes
+        rep, _ = inversion_experiment(f, make_brute_force_sampler(params, f), 50, params, 303 + k)
+        total += rep["trials"]
+        succ += rep["successes"]
     rate = succ / total
     dt = time.monotonic() - t0
     report(
@@ -271,13 +271,13 @@ def test_criterion_11_hardness_demonstration():
     params = canonical_params(8, 8)
     f = random_circuit_owf(8, 8, 24, seed=1112)
     sampler = make_heuristic_sampler(params, f)
-    rep = inversion_experiment(f, sampler, 20, params, master_seed=1113)
-    heuristic_rate = rep.successes / rep.trials
+    rep, _ = inversion_experiment(f, sampler, 20, params, master_seed=1113)
+    heuristic_rate = rep["successes"] / rep["trials"]
 
     ok = growth >= 8.0
     report(
         11, "hardness demonstration", ok,
         f"rejection rounds at beta=0.3: m=4 {r4['mean_rounds']:.3g}, m=8 {r8['mean_rounds']:.3g} "
         f"({r8['censored']} censored), growth {growth:.1f}x >= 8x; "
-        f"heuristic-sampler inversion rate {heuristic_rate:.2f} ({rep.trials} trials, reported only)",
+        f"heuristic-sampler inversion rate {heuristic_rate:.2f} ({rep['trials']} trials, reported only)",
     )

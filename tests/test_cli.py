@@ -388,15 +388,18 @@ def test_sample_writes_artifacts_with_hash(tmp_path):
 
 
 def test_ini_and_json_configs_agree(tmp_path):
+    """Both forms keep a key's case: R is the instance's R in each."""
     ini = tmp_path / "run.ini"
-    ini.write_text("[run]\nd = 2\nd_prime = 2\ncount = 30\n")
+    ini.write_text("[run]\nd = 2\nd_prime = 2\ncount = 30\nR = 20\n")
     js = tmp_path / "run.json"
-    js.write_text(json.dumps({"d": 2, "d_prime": 2, "count": 30}))
+    js.write_text(json.dumps({"d": 2, "d_prime": 2, "count": 30, "R": 20}))
     run("sample", "--config", str(ini), "--out", str(tmp_path / "a"), "--seed", "1")
     run("sample", "--config", str(js), "--out", str(tmp_path / "b"), "--seed", "1")
     a = (tmp_path / "a" / "samples.csv").read_text()
     b = (tmp_path / "b" / "samples.csv").read_text()
     assert a == b
+    config = json.loads((tmp_path / "a" / "run_manifest.json").read_text())["config"]
+    assert config["R"] == "20.0"
 
 
 def test_invert_deterministic_byte_identical(tmp_path):
@@ -720,6 +723,33 @@ def test_write_csv_matches_per_cell_writer(tmp_path, table):
     cli.write_csv(tmp_path / "new.csv", header, rows, "abc123")
     _reference_write_csv(tmp_path / "old.csv", header, rows, "abc123")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_verify_reads_no_artifact_outside_its_out(tmp_path, capsys):
+    """A manifest that names a file outside --out fails, though that file's bytes match."""
+    run_dir, other = tmp_path / "run", tmp_path / "other"
+    run("sample", "--out", str(run_dir), "count=20", "d=2", "d_prime=2")
+    other.mkdir()
+    (run_dir / "samples.csv").rename(other / "samples.csv")
+    mf = run_dir / "run_manifest.json"
+    manifest = json.loads(mf.read_text())
+    manifest["artifacts"] = {"../other/samples.csv": manifest["artifacts"]["samples.csv"]}
+    mf.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("verify", "--out", str(run_dir)) == 1
+    assert f"../other/samples.csv: not a file name in {run_dir}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("under", ["", "x"], ids=["file", "under-file"])
+@pytest.mark.parametrize("name", sorted(set(cli.COMMANDS) - {"verify"}))
+def test_out_at_or_under_a_file_is_refused_before_any_work(tmp_path, name, under):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    circuit = ["circuit=" + str(tmp_path / "none.circuit")] if name == "compile-circuit" else []
+    with pytest.raises(SystemExit) as e:
+        run(name, "--out", str(afile / under), *circuit)
+    assert str(e.value) == f"config error: field 'out': {afile} is not a directory"
+    assert afile.read_text() == "keep\n"
 
 
 def test_verify_names_an_empty_artifact(tmp_path, capsys):
