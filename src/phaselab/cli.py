@@ -32,9 +32,12 @@ from . import __version__
 from . import rng as prng
 from .circuits import MAX_ENUM_D, BooleanCircuit, candidate_from_text, no_output_candidate
 from .circuits import sign_identity
-from .diffusion import DEFAULT_STEPS, default_config
+from .diffusion import DEFAULT_STEPS, default_config, reverse_run
 from .instance import DEFAULT_BETA, DEFAULT_EPS, DEFAULT_R, EPS_MAX, InstanceParams
 from .instance import sample_unconditional
+from .posterior import Measurement, acceptance_curve, seed_law_tv
+from .reduction import inversion_experiment, make_brute_force_sampler, make_heuristic_sampler
+from .reduction import make_rejection_sampler, random_circuit_owf, sample_measurement_for_target
 from .scores import PROVIDER_NAMES, ScoreProvider, provider_by_name
 
 FMT = "%.17g"
@@ -214,8 +217,6 @@ def _candidate(spec: str, params: InstanceParams) -> BooleanCircuit:
             raise ValueError("'identity' needs d = d_prime")
         return sign_identity(params.d)
     if spec.startswith("random:"):
-        from .reduction import random_circuit_owf
-
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError("expected 'random:<gates>:<seed>'")
@@ -232,20 +233,25 @@ def build_provider(name: str, params: InstanceParams, f: BooleanCircuit) -> Scor
     return _field("d", provider_by_name, name, params, f)
 
 
-def build_sampler(cfg: dict, params: InstanceParams, f: BooleanCircuit):
-    """The sampler that cfg["sampler"] names, in reduction.invert's form sampler(m, rng, size)
-    -> (x, info): the one place where `posterior` and `invert` choose one."""
-    from .reduction import make_brute_force_sampler, make_heuristic_sampler, make_rejection_sampler
+# name -> build(cfg, params, f), the sampler in reduction.invert's form sampler(m, rng, size)
+# -> (x, info): the one table from which `posterior` and `invert` take theirs. A builder that
+# enumerates the seeds raises past MAX_ENUM_D, reported against field 'd'.
+SAMPLERS = {
+    "rejection": lambda cfg, params, f: make_rejection_sampler(params, f, cfg["max_rounds"]),
+    "brute-force": lambda cfg, params, f: _field("d", make_brute_force_sampler, params, f),
+    "heuristic": lambda cfg, params, f: _field(
+        "d", make_heuristic_sampler, params, f,
+        **{k: cfg[k] for k in ("provider", "steps") if k in cfg},
+    ),
+}
+SAMPLER_NAMES = tuple(SAMPLERS)
+SAMPLER_KEY = (choice(*SAMPLER_NAMES), "brute-force")  # the default finishes at any d <= 12
+MAX_ROUNDS_KEY = (positive_int, 10**6)
 
-    if params.beta <= 0:  # every sampler conditions on y = Ax + beta * noise
-        raise ValueError("field 'beta': beta must be positive")
-    if cfg["sampler"] == "rejection":
-        return make_rejection_sampler(params, f, cfg["max_rounds"])
-    if cfg["sampler"] == "brute-force":
-        return _field("d", make_brute_force_sampler, params, f)
-    # invert has neither key: exact, DEFAULT_STEPS
-    provider, steps = cfg.get("provider", "exact"), cfg.get("steps", DEFAULT_STEPS)
-    return _field("d", make_heuristic_sampler, params, f, provider, steps)
+
+def build_sampler(cfg: dict, params: InstanceParams, f: BooleanCircuit):
+    """The sampler that cfg["sampler"] names in SAMPLERS; any other name is field 'sampler'."""
+    return SAMPLERS[_field("sampler", SAMPLER_KEY[0], cfg["sampler"])](cfg, params, f)
 
 
 def run_chain(field: str, cfg: dict, run, *args, **kwargs):
@@ -269,8 +275,6 @@ def cmd_sample(cfg: dict, args) -> tuple[dict, str]:
     if cfg["method"] == "direct":
         _, x = sample_unconditional(params, f, rng, size=cfg["count"])
     else:
-        from .diffusion import reverse_run
-
         provider = build_provider(cfg["provider"], params, f)
         dcfg = default_config(params, N=cfg["steps"])
         x = run_chain(
@@ -281,9 +285,6 @@ def cmd_sample(cfg: dict, args) -> tuple[dict, str]:
 
 
 def cmd_posterior(cfg: dict, args) -> tuple[dict, str]:
-    from .posterior import Measurement, seed_law_tv
-    from .reduction import sample_measurement_for_target
-
     params, f = build_instance(cfg)
     sampler = build_sampler(cfg, params, f)
     rng = prng.stream(args.seed, 0)
@@ -316,8 +317,6 @@ def _measurement(text: str, d_prime: int) -> np.ndarray:
 
 
 def cmd_invert(cfg: dict, args) -> tuple[dict, str]:
-    from .reduction import inversion_experiment
-
     params, f = build_instance(cfg)
     sampler = build_sampler(cfg, params, f)
     trials = cfg["trials"]
@@ -373,8 +372,6 @@ def cmd_compile_circuit(cfg: dict, args) -> tuple[dict, str]:
 
 
 def cmd_bench_acceptance(cfg: dict, args) -> tuple[dict, str]:
-    from .posterior import acceptance_curve
-
     betas = _field("betas", lambda: [positive_float(v) for v in cfg["betas"].split(",")])
     ms = _field("ms", lambda: [non_negative_int(v) for v in cfg["ms"].split(",")])
     rows = acceptance_curve(
@@ -443,8 +440,6 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
-SAMPLER_NAMES = ("rejection", "brute-force", "heuristic")  # the names build_sampler knows
-SAMPLERS = choice(*SAMPLER_NAMES)
 DIFFUSION_KEYS = {
     "provider": (choice(*PROVIDER_NAMES), "exact"),
     "steps": (non_negative_int, DEFAULT_STEPS),
@@ -455,14 +450,14 @@ SCHEMAS = {
         "method": (choice("direct", "diffusion"), "direct"),
     } | DIFFUSION_KEYS,
     "posterior": instance_schema() | {
-        "sampler": (SAMPLERS, "rejection"),
+        "sampler": SAMPLER_KEY,
         "count": (positive_int, 1000),
-        "max_rounds": (positive_int, 10**6),
+        "max_rounds": MAX_ROUNDS_KEY,
     } | DIFFUSION_KEYS | {"y": (str, "fresh")},
     "invert": instance_schema() | {
-        "sampler": (SAMPLERS, "brute-force"),
+        "sampler": SAMPLER_KEY,
         "trials": (positive_int, 200),
-        "max_rounds": (positive_int, 10**6),
+        "max_rounds": MAX_ROUNDS_KEY,
     },
     "approx-score": {
         "family": (str, "two_point"),

@@ -42,10 +42,10 @@ class InstanceParams:
         for name in ("R", "eps", "beta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"field {name!r}: must be finite")
-        for name in ("R", "eps"):
+        for name in ("R", "eps", "beta"):  # beta too: every run models y = Ax + beta N(0, I)
             if getattr(self, name) <= 0:
                 raise ValueError(f"field {name!r}: must be > 0")
-        for name, lo in (("d", 1), ("d_prime", 0), ("beta", 0)):
+        for name, lo in (("d", 1), ("d_prime", 0)):
             if getattr(self, name) < lo:
                 raise ValueError(f"field {name!r}: must be >= {lo}")
         if self.eps > EPS_MAX:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as prng
 from .instance import sample_discretized_gaussian
 from .scores import dg_smoothed_score, two_point_score
 
@@ -227,8 +228,7 @@ def score_family(name: str, sigma: float):
     if name == "two_point":
         score = lambda x: two_point_score(3.0, sigma, x)
         def sampler(n, rng):
-            c = rng.choice(np.array([-3.0, 3.0]), size=n)
-            return c + np.sqrt(v) * rng.standard_normal(n)
+            return 3.0 * prng.signs(rng, n) + np.sqrt(v) * rng.standard_normal(n)
         return score, sampler, float(np.sqrt(9.0 + v))
     if name == "dg":
         score = lambda x: dg_smoothed_score(EPS_DG, sigma, x, (1,))[0]

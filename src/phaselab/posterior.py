@@ -133,8 +133,9 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Measurement:
     """A float measurement y of the instance (params, f): one (d_prime,) row or (k, d_prime) rows.
-    ValueError at construction for an f of another arity than (d, d_prime), a y of another shape
-    or beta <= 0. log_weights, seed_posterior_log_weights(self), is built on first read and kept."""
+    ValueError at construction for an f of another arity than (d, d_prime) or a y of another
+    shape; beta > 0 is InstanceParams'. log_weights, seed_posterior_log_weights(self), is built
+    on first read and kept."""
 
     params: InstanceParams
     f: BooleanCircuit
@@ -150,8 +151,6 @@ class Measurement:
         y = np.asarray(self.y, dtype=float)
         if y.ndim not in (1, 2) or y.shape[-1] != d_prime:
             raise ValueError(f"y must be ({d_prime},) or (k, {d_prime}), got shape {y.shape}")
-        if not self.params.beta > 0:
-            raise ValueError("beta must be positive: y = Ax + beta * N(0, I)")
         object.__setattr__(self, "y", y)
 
     @cached_property

@@ -55,6 +55,19 @@ def test_sampling_runs_load_no_heavy_scipy_module(tmp_path):
     assert not loaded & {"scipy.special", "scipy.stats", "scipy.integrate", "scipy.sparse"}
 
 
+def test_posterior_with_every_key_at_its_default_finishes(tmp_path):
+    """The default sampler finishes on the default instance: 1000 rows that verify passes. A
+    fresh process with a timeout, so that a sampler that cannot finish fails and does not hang."""
+    out = tmp_path / "defaults"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (("posterior", "--out", str(out)), ("verify", "--out", str(out))):
+        done = subprocess.run([sys.executable, "-m", "phaselab.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stdout + done.stderr
+    assert len((out / "posterior.csv").read_text().splitlines()) == 2 + 1000
+
+
 def test_verify_green(tmp_path, capsys):
     assert run("sample", "--out", str(tmp_path), "d=2", "d_prime=2", "count=5") == 0
     capsys.readouterr()
@@ -249,6 +262,8 @@ MALFORMED_CIRCUITS = {
                      "'circuit'", id="argv56-'circuit'"),
         pytest.param(("compile-circuit", "circuit={tmp}/negative.circuit"),
                      "'circuit'", id="argv57-'circuit'"),
+        # every instance has beta > 0, not only the ones a sampler conditions on
+        pytest.param(("sample", "beta=0"), "'beta'", id="argv58-'beta'"),
     ],
 )
 def test_bad_input_rejected_before_any_artifact(tmp_path, argv, field):
@@ -416,7 +431,8 @@ def test_invert_deterministic_byte_identical(tmp_path):
 
 def test_posterior_rejection_stats(tmp_path):
     assert run(
-        "posterior", "--out", str(tmp_path), "--seed", "2", "d=2", "d_prime=2", "count=200"
+        "posterior", "--out", str(tmp_path), "--seed", "2", "sampler=rejection", "d=2", "d_prime=2",
+        "count=200",
     ) == 0
     stats = json.loads((tmp_path / "posterior_stats.json").read_text())
     assert stats["proposals"] >= 200
@@ -426,7 +442,7 @@ def test_posterior_rejection_stats(tmp_path):
 def test_posterior_rejection_stats_count_proposals_used(tmp_path):
     """proposals stops at the last accepted draw, not at the end of the proposal chunk."""
     assert run(
-        "posterior", "--out", str(tmp_path), "--seed", "5",
+        "posterior", "--out", str(tmp_path), "--seed", "5", "sampler=rejection",
         "d=2", "d_prime=2", "circuit=identity", "beta=0.3", "count=500",
     ) == 0
     stats = json.loads((tmp_path / "posterior_stats.json").read_text())
@@ -446,7 +462,7 @@ def test_posterior_rejection_without_measurements(tmp_path):
 
 def test_posterior_rejection_budget_exhaustion_writes_accepted_rows(tmp_path, capsys):
     assert run(
-        "posterior", "--out", str(tmp_path), "--seed", "5",
+        "posterior", "--out", str(tmp_path), "--seed", "5", "sampler=rejection",
         "d=2", "d_prime=2", "beta=0.3", "count=50", "max_rounds=10",
     ) == 0
     stats = json.loads((tmp_path / "posterior_stats.json").read_text())
@@ -520,7 +536,9 @@ def test_posterior_seed_law_tv_of_exact_samplers_is_within_bound(tmp_path, d, be
 
 
 def test_posterior_seed_law_tv_is_null_beyond_the_enumeration_limit(tmp_path):
-    assert run("posterior", "--out", str(tmp_path), "d=13", "d_prime=0", "count=5") == 0
+    assert run(
+        "posterior", "--out", str(tmp_path), "sampler=rejection", "d=13", "d_prime=0", "count=5"
+    ) == 0
     stats = json.loads((tmp_path / "posterior_stats.json").read_text())
     assert stats["accepted"] == 5 and stats["seed_law_tv"] is None
 
@@ -530,14 +548,18 @@ TABLE_RUNS = {
     "posterior sampler=brute-force": 1,
     "posterior sampler=rejection d=2 d_prime=2 beta=0.3 count=20": 1,
     "posterior sampler=heuristic steps=20 count=20": 1,
-    "posterior d=13 d_prime=0 count=5": 0,
+    "posterior sampler=rejection d=13 d_prime=0 count=5": 0,
     "invert sampler=brute-force trials=5": 1,
     "invert sampler=rejection d=2 d_prime=2 beta=0.3 trials=5": 0,
     "invert sampler=heuristic d=2 d_prime=2 trials=2": 0,
 }
 
 
-@pytest.mark.parametrize("argv", TABLE_RUNS)
+# a row's test id is its argv, but for the d=13 row, whose id predates its sampler=rejection
+TABLE_IDS = [a.replace("posterior sampler=rejection d=13", "posterior d=13") for a in TABLE_RUNS]
+
+
+@pytest.mark.parametrize("argv", TABLE_RUNS, ids=TABLE_IDS)
 def test_a_run_builds_at_most_one_seed_posterior_table(tmp_path, monkeypatch, argv):
     """The y check, the sampler and seed_law_tv read one Measurement's table: one per posterior
     run at d <= 12, none past it, and one per invert run only where brute force reads it."""
@@ -552,8 +574,8 @@ def test_a_run_builds_at_most_one_seed_posterior_table(tmp_path, monkeypatch, ar
 
 def test_posterior_with_nothing_accepted_writes_strict_json(tmp_path, capsys):
     """An exhausted budget with no accepted draw gives a null seed_law_tv and a shortfall line."""
-    assert run("posterior", "--out", str(tmp_path), "d=2", "d_prime=2", "count=20",
-               "max_rounds=1") == 0
+    assert run("posterior", "--out", str(tmp_path), "sampler=rejection", "d=2", "d_prime=2",
+               "count=20", "max_rounds=1") == 0
 
     def reject(name):
         raise ValueError(f"{name} is not strict JSON")

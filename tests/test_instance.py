@@ -31,6 +31,7 @@ def test_params_validation():
         ("R", (2, 2, -30.0, 1.0, 0.1)),
         ("eps", (2, 2, 30.0, -1.0, 0.1)),
         ("beta", (2, 2, 30.0, 1.0, -0.1)),
+        ("beta", (2, 2, 30.0, 1.0, 0.0)),  # y = Ax + beta N(0, I) needs beta > 0
     ):
         with pytest.raises(ValueError, match=f"^field '{field}': must be >"):
             InstanceParams(*args)

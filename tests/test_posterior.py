@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -273,9 +272,8 @@ _P32 = canonical_params(3, 2)
         (_P32, random_circuit_owf(3, 3, 6, 0), np.zeros(2), "output length mismatch"),
         (_P32, random_circuit_owf(3, 2, 4, 0), np.zeros(3), r"y must be \(2,\) or \(k, 2\)"),
         (_P32, random_circuit_owf(3, 2, 4, 0), np.zeros((2, 1, 2)), r"y must be \(2,\)"),
-        (replace(_P32, beta=0.0), random_circuit_owf(3, 2, 4, 0), np.zeros(2), "beta must be"),
     ],
-    ids=["f-input-arity", "f-output-arity", "y-length", "y-3d", "beta-0"],
+    ids=["f-input-arity", "f-output-arity", "y-length", "y-3d"],
 )
 def test_measurement_refuses_bad_inputs_when_built(monkeypatch, params, f, y, match):
     """Each is ValueError at construction, before any seed table is built."""

@@ -5,7 +5,7 @@ import pytest
 
 from phaselab import reduction
 from phaselab import rng as prng
-from phaselab.cli import SAMPLER_NAMES, build_sampler
+from phaselab.cli import SAMPLER_NAMES, SAMPLERS, build_sampler
 from phaselab.circuits import all_inputs, sign_identity
 from phaselab.diffusion import default_config, reverse_run
 from phaselab.instance import bits_eps, canonical_params, measurement_matrix
@@ -230,6 +230,16 @@ def test_heuristic_sampler_is_the_likelihood_guided_reverse_chain(provider):
         x, info = sampler(Measurement(params, f, y), prng.stream(9, prng.BATCH), size)
         assert x.shape == (size, params.dim) and info == {}
         assert np.array_equal(x, want)
+
+
+def test_build_sampler_refuses_a_name_not_in_the_table():
+    """Every name build_sampler knows is a SAMPLERS entry; any other is field 'sampler', not a
+    fall-through to the heuristic, which has no correctness contract."""
+    params, f = canonical_params(2, 2, beta=0.3), sign_identity(2)
+    for name in ("seed-rejection", "Heuristic", ""):
+        with pytest.raises(ValueError, match="^field 'sampler': must be one of "):
+            build_sampler({"sampler": name, "max_rounds": 10}, params, f)
+    assert SAMPLER_NAMES == tuple(SAMPLERS)
 
 
 @pytest.mark.parametrize("name", SAMPLER_NAMES)
