@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -265,21 +266,32 @@ def _no_seed_table(monkeypatch):
 _P32 = canonical_params(3, 2)
 
 
+def _p32():
+    return _P32
+
+
 @pytest.mark.parametrize(
-    "params, f, y, match",
+    "make_params, f, y, match",
     [
-        (_P32, random_circuit_owf(2, 2, 4, 0), np.zeros(2), "input length mismatch"),
-        (_P32, random_circuit_owf(3, 3, 6, 0), np.zeros(2), "output length mismatch"),
-        (_P32, random_circuit_owf(3, 2, 4, 0), np.zeros(3), r"y must be \(2,\) or \(k, 2\)"),
-        (_P32, random_circuit_owf(3, 2, 4, 0), np.zeros((2, 1, 2)), r"y must be \(2,\)"),
+        (_p32, random_circuit_owf(2, 2, 4, 0), np.zeros(2), "input length mismatch"),
+        (_p32, random_circuit_owf(3, 3, 6, 0), np.zeros(2), "output length mismatch"),
+        (_p32, random_circuit_owf(3, 2, 4, 0), np.zeros(3), r"y must be \(2,\) or \(k, 2\)"),
+        (_p32, random_circuit_owf(3, 2, 4, 0), np.zeros((2, 1, 2)), r"y must be \(2,\)"),
+        # InstanceParams checks beta > 0, so a beta = 0 measurement fails as its params are built
+        (
+            lambda: replace(_P32, beta=0.0),
+            random_circuit_owf(3, 2, 4, 0),
+            np.zeros(2),
+            "^field 'beta': must be > 0$",
+        ),
     ],
-    ids=["f-input-arity", "f-output-arity", "y-length", "y-3d"],
+    ids=["f-input-arity", "f-output-arity", "y-length", "y-3d", "beta-0"],
 )
-def test_measurement_refuses_bad_inputs_when_built(monkeypatch, params, f, y, match):
+def test_measurement_refuses_bad_inputs_when_built(monkeypatch, make_params, f, y, match):
     """Each is ValueError at construction, before any seed table is built."""
     _no_seed_table(monkeypatch)
     with pytest.raises(ValueError, match=match):
-        Measurement(params, f, y)
+        Measurement(make_params(), f, y)
 
 
 def test_draw_given_seeds_past_the_enumeration_limit_and_as_the_oracle(monkeypatch):
